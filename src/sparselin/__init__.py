@@ -25,12 +25,10 @@ from .sparse_core import (
     mean_vector,
     squared_norm,
 )
-from .losses import LossKind, Objective, loss_subgradient, loss_value, objective_value, validate_labels
+from .losses import LossKind, loss_subgradient, loss_value, objective_value, validate_labels
 from .solvers import (
-    AsgdState,
-    CasgdState,
     LinearModel,
-    SgdState,
+    SolverState,
     TrainConfig,
     asgd_train,
     casgd_train,
@@ -52,8 +50,6 @@ from .data_io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsgdState",
-    "CasgdState",
     "Dataset",
     "DenseVec",
     "DimensionError",
@@ -64,9 +60,8 @@ __all__ = [
     "LinearModel",
     "LossKind",
     "NonFiniteError",
-    "Objective",
     "ParseError",
-    "SgdState",
+    "SolverState",
     "SparseVec",
     "SparselinError",
     "TouchCounter",

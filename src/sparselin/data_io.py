@@ -3,7 +3,8 @@
 Data files: one example per line, ``<label> <idx>:<val> ...`` with 1-based,
 strictly increasing indices (converted to 0-based internally).  Lines that
 are empty or start with ``#`` are skipped.  Explicit ``:0`` values are
-dropped so the nonzero count stays meaningful.
+dropped so the nonzero count stays meaningful.  A ``nan`` or ``inf`` label or
+value is a parse error.
 
 Model files (text, version ``v1``)::
 
@@ -79,6 +80,8 @@ def _parse_feature(tok: str, line_no: int) -> tuple[int, float]:
         val = float(val_s)
     except ValueError:
         raise ParseError(line_no, f"bad feature value {val_s!r}") from None
+    if not math.isfinite(val):
+        raise ParseError(line_no, f"non-finite feature value {val_s!r}")
     return idx - 1, val
 
 
@@ -107,6 +110,8 @@ def parse_libsvm(
                 y = float(tokens[0])
             except ValueError:
                 raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
+            if not math.isfinite(y):
+                raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
             feats = tokens[1:]
         else:
             y = 0.0

@@ -12,7 +12,6 @@ few hundred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -33,18 +32,6 @@ class LossKind(Enum):
     @property
     def is_classification(self) -> bool:
         return self in (LossKind.HINGE, LossKind.LOG)
-
-
-@dataclass(frozen=True)
-class Objective:
-    """L2-regularized average loss; lam also sets the 1/(lam*t) step size."""
-
-    lam: float
-    loss: LossKind
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
 
 
 def _check_label(kind: LossKind, y: float) -> None:

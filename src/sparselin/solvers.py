@@ -5,17 +5,16 @@ gradient-sum representation that is updated sparsely:
 
     [v_t, a_t] = sum_{j<=t} g_j [x_j, 1],      [w_t, b_t] = -[v_t, a_t] / (lam*t)
 
-``sgd_train`` maintains (v, a) alone.  ``asgd_train`` additionally keeps the
-harmonic gradient sum u (each gradient weighted by the harmonic number of
+All three solvers run one loop, in which averaging and centering add state.
+``sgd_train`` keeps (v, a) alone.  Averaging (``asgd_train``) adds the
+harmonic gradient sum u (each gradient weighted by the harmonic number h of
 the *previous* step) and the bias average accumulator c, from which the
-iterate average is recovered as -(h*v - u)/(lam*T), -c/(lam*T).
-``casgd_train`` trains on implicitly mean-centered data: the mean feature
-vector xbar and theta = 1 + |xbar|^2 are computed once, and the scalar
-projection sum z = v . xbar is maintained incrementally so that centering
-never needs a dense operation inside the loop.
-
-All three solvers charge only ``sparse_touches`` inside their loops; the
-model recovery at the end is a single dense pass.
+iterate average is recovered as -(h*v - u)/(lam*T), -c/(lam*T).  Centering
+(``casgd_train``) trains on implicitly mean-centered data: the mean feature
+vector xbar and theta = 1 + |xbar|^2 are computed once, and the projection
+sum z = v . xbar, the centered bias sum r = a*theta - z and its average s
+are kept so that centering never needs a dense operation inside the loop.
+The loop charges only ``sparse_touches``; model recovery is one dense pass.
 """
 
 from __future__ import annotations
@@ -84,33 +83,26 @@ class LinearModel:
 
 
 @dataclass
-class SgdState:
-    """Lazy representation of the current iterate: gradient sums v, a."""
+class SolverState:
+    """Solver state after step t; sums the solver does not keep stay at their defaults."""
 
     v: DenseVec
     a: float
     t: int
+    u: DenseVec | None = None
+    c: float = 0.0
+    h: float = 0.0
+    xbar: DenseVec | None = None
+    theta: float = 0.0
+    z: float = 0.0
+    r: float = 0.0
+    s: float = 0.0
 
 
-@dataclass
-class AsgdState(SgdState):
-    u: DenseVec
-    c: float
-    h: float
-
-
-@dataclass
-class CasgdState(AsgdState):
-    xbar: DenseVec
-    theta: float
-    z: float
-    r: float
-    s: float
-
-
-# Called after every completed step with a snapshot of the solver state and
-# the prediction p used at that step (0.0 for step 1).  Test-only hook.
-Observer = Callable[[SgdState, float], None]
+# Called after every completed step with the solver state and the
+# prediction p used at that step (0.0 for step 1).  The state holds the
+# live arrays, so an observer that keeps it must copy it.  Test-only hook.
+Observer = Callable[[SolverState, float], None]
 
 
 def draw_indices(seed: int, steps: int, m: int) -> np.ndarray:
@@ -144,17 +136,65 @@ def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = Non
     return dot(model.w, x, counter) + model.b
 
 
-def _prepare(data: "Dataset", cfg: TrainConfig) -> list[int]:
+def _train(
+    data: "Dataset",
+    cfg: TrainConfig,
+    counter: TouchCounter | None,
+    observer: Observer | None,
+    average: bool,
+    center: bool,
+) -> LinearModel:
+    """The loop behind all three solvers; ``center`` requires ``average``."""
     if data.m == 0:
         raise EmptyDatasetError("training needs at least one example")
     validate_labels(data, cfg.loss)
-    return draw_indices(cfg.seed, cfg.steps, data.m).tolist()
+    order = draw_indices(cfg.seed, cfg.steps, data.m).tolist()
+    lam, T, kind = cfg.lam, cfg.steps, cfg.loss
+    examples = data.examples
 
+    xbar = mean_vector(data, counter) if center else None
+    theta = 1.0 + squared_norm(xbar, counter) if center else 0.0
+    v = np.zeros(data.dim)
+    u = np.zeros(data.dim) if average else None
+    a = c = h = z = r = s = p = 0.0
 
-def _nonfinite(t: int, p: float, g: float) -> NonFiniteError:
-    return NonFiniteError(
-        f"non-finite value at step {t} (p={p}, g={g}); lambda may be too small for the data"
-    )
+    for t in range(1, T + 1):
+        x, y = examples[order[t - 1]]
+        if center:
+            q = dot(xbar, x, counter)
+        if t > 1:
+            d = dot(v, x, counter)
+            # sgd and asgd keep -(d + a): with q = 0 the centered form can
+            # flip the sign of a zero prediction
+            p = -(d + r - a * q if center else d + a) / (lam * (t - 1))
+        g = loss_subgradient(kind, p, y)
+        if not (math.isfinite(p) and math.isfinite(g)):
+            raise NonFiniteError(
+                f"non-finite value at step {t} (p={p}, g={g}); "
+                "lambda may be too small for the data"
+            )
+        axpy(v, g, x, counter)
+        a += g
+        if average:
+            if t > 1:  # weight is the harmonic number of step t-1; h_0 = 0
+                axpy(u, h * g, x, counter)
+            c += a / t
+            h += 1.0 / t
+        if center:
+            z += g * q
+            r = a * theta - z
+            s += r / t
+        if observer is not None:
+            observer(SolverState(v, a, t, u, c, h, xbar, theta, z, r, s), p)
+
+    scale = 1.0 / (lam * T)
+    coeffs, bias = [(-scale, v)], a
+    if average:
+        coeffs, bias = [(-h * scale, v), (scale, u)], c
+    if center:
+        coeffs, bias = coeffs + [(c * scale, xbar)], s
+    w = finalize_combine(coeffs, counter)
+    return LinearModel(w=w, b=-bias * scale, loss=kind, dim=data.dim)
 
 
 def sgd_train(
@@ -164,35 +204,7 @@ def sgd_train(
     observer: Observer | None = None,
 ) -> LinearModel:
     """Plain SGD; returns the last iterate."""
-    order = _prepare(data, cfg)
-    lam, T, kind = cfg.lam, cfg.steps, cfg.loss
-    examples = data.examples
-
-    x, y = examples[order[0]]
-    g = loss_subgradient(kind, 0.0, y)
-    if not math.isfinite(g):
-        raise _nonfinite(1, 0.0, g)
-    v = np.zeros(data.dim)
-    axpy(v, g, x, counter)
-    a = g
-    if observer is not None:
-        observer(SgdState(v=v.copy(), a=a, t=1), 0.0)
-
-    for t in range(2, T + 1):
-        x, y = examples[order[t - 1]]
-        d = dot(v, x, counter)
-        p = -(d + a) / (lam * (t - 1))
-        g = loss_subgradient(kind, p, y)
-        if not (math.isfinite(p) and math.isfinite(g)):
-            raise _nonfinite(t, p, g)
-        axpy(v, g, x, counter)
-        a += g
-        if observer is not None:
-            observer(SgdState(v=v.copy(), a=a, t=t), p)
-
-    scale = -1.0 / (lam * T)
-    w = finalize_combine([(scale, v)], counter)
-    return LinearModel(w=w, b=scale * a, loss=kind, dim=data.dim)
+    return _train(data, cfg, counter, observer, average=False, center=False)
 
 
 def asgd_train(
@@ -202,41 +214,7 @@ def asgd_train(
     observer: Observer | None = None,
 ) -> LinearModel:
     """SGD returning the average of all iterates instead of the last one."""
-    order = _prepare(data, cfg)
-    lam, T, kind = cfg.lam, cfg.steps, cfg.loss
-    examples = data.examples
-
-    x, y = examples[order[0]]
-    g = loss_subgradient(kind, 0.0, y)
-    if not math.isfinite(g):
-        raise _nonfinite(1, 0.0, g)
-    v = np.zeros(data.dim)
-    axpy(v, g, x, counter)
-    a = g
-    u = np.zeros(data.dim)
-    c = a
-    h = 1.0
-    if observer is not None:
-        observer(AsgdState(v=v.copy(), a=a, t=1, u=u.copy(), c=c, h=h), 0.0)
-
-    for t in range(2, T + 1):
-        x, y = examples[order[t - 1]]
-        d = dot(v, x, counter)
-        p = -(d + a) / (lam * (t - 1))
-        g = loss_subgradient(kind, p, y)
-        if not (math.isfinite(p) and math.isfinite(g)):
-            raise _nonfinite(t, p, g)
-        axpy(v, g, x, counter)
-        a += g
-        axpy(u, h * g, x, counter)  # weight is the harmonic number of step t-1
-        c += a / t
-        h += 1.0 / t
-        if observer is not None:
-            observer(AsgdState(v=v.copy(), a=a, t=t, u=u.copy(), c=c, h=h), p)
-
-    scale = 1.0 / (lam * T)
-    w = finalize_combine([(-h * scale, v), (scale, u)], counter)
-    return LinearModel(w=w, b=-c * scale, loss=kind, dim=data.dim)
+    return _train(data, cfg, counter, observer, average=True, center=False)
 
 
 def casgd_train(
@@ -251,88 +229,19 @@ def casgd_train(
     inputs: the centering shift lives in the bias term, which makes the
     trained predictor invariant to translating the whole training set.
     """
-    order = _prepare(data, cfg)
-    lam, T, kind = cfg.lam, cfg.steps, cfg.loss
-    examples = data.examples
-
-    xbar = mean_vector(data, counter)
-    theta = 1.0 + squared_norm(xbar, counter)
-
-    x, y = examples[order[0]]
-    g = loss_subgradient(kind, 0.0, y)
-    if not math.isfinite(g):
-        raise _nonfinite(1, 0.0, g)
-    v = np.zeros(data.dim)
-    axpy(v, g, x, counter)
-    a = g
-    u = np.zeros(data.dim)
-    c = a
-    h = 1.0
-    q = dot(xbar, x, counter)
-    z = g * q
-    r = a * theta - z
-    s = r
-    if observer is not None:
-        observer(
-            CasgdState(
-                v=v.copy(), a=a, t=1, u=u.copy(), c=c, h=h,
-                xbar=xbar, theta=theta, z=z, r=r, s=s,
-            ),
-            0.0,
-        )
-
-    for t in range(2, T + 1):
-        x, y = examples[order[t - 1]]
-        d = dot(v, x, counter)
-        q = dot(xbar, x, counter)
-        p = -(d + r - a * q) / (lam * (t - 1))
-        g = loss_subgradient(kind, p, y)
-        if not (math.isfinite(p) and math.isfinite(g)):
-            raise _nonfinite(t, p, g)
-        axpy(v, g, x, counter)
-        a += g
-        axpy(u, h * g, x, counter)
-        c += a / t
-        h += 1.0 / t
-        z += g * q
-        r = a * theta - z
-        s += r / t
-        if observer is not None:
-            observer(
-                CasgdState(
-                    v=v.copy(), a=a, t=t, u=u.copy(), c=c, h=h,
-                    xbar=xbar, theta=theta, z=z, r=r, s=s,
-                ),
-                p,
-            )
-
-    scale = 1.0 / (lam * T)
-    w = finalize_combine([(-h * scale, v), (scale, u), (c * scale, xbar)], counter)
-    return LinearModel(w=w, b=-s * scale, loss=kind, dim=data.dim)
+    return _train(data, cfg, counter, observer, average=True, center=True)
 
 
 # Recovery of predictors from solver state at any step t; used by the
 # equivalence tests.
 
-def recover_sgd_iterate(state: SgdState, lam: float) -> tuple[DenseVec, float]:
+def recover_sgd_iterate(state: SolverState, lam: float) -> tuple[DenseVec, float]:
     """(w_t, b_t) = -[v_t, a_t] / (lam*t)."""
     scale = -1.0 / (lam * state.t)
     return scale * state.v, scale * state.a
 
 
-def recover_averaged(state: AsgdState, lam: float) -> tuple[DenseVec, float]:
-    """Average of iterates 1..t from (h, v, u) and c."""
-    scale = 1.0 / (lam * state.t)
-    return -scale * (state.h * state.v - state.u), -scale * state.c
-
-
-def recover_centered_iterate(state: CasgdState, lam: float) -> tuple[DenseVec, float]:
+def recover_centered_iterate(state: SolverState, lam: float) -> tuple[DenseVec, float]:
     """Current centered-data iterate with its implicit (uncentered-input) bias."""
     scale = -1.0 / (lam * state.t)
     return scale * (state.v - state.a * state.xbar), scale * state.r
-
-
-def recover_centered_averaged(state: CasgdState, lam: float) -> tuple[DenseVec, float]:
-    """Averaged centered-data predictor with its implicit bias."""
-    scale = -1.0 / (lam * state.t)
-    return scale * (state.h * state.v - state.u - state.c * state.xbar), scale * state.s

@@ -7,6 +7,7 @@ an end-to-end optimization sanity check; 7 pins the loss layer; 8 pins
 reproducibility and the file formats.
 """
 
+import copy
 import io
 import math
 import time
@@ -67,7 +68,7 @@ def test_criterion_1_iterate_recovery_equivalence():
             count += 1
             cfg = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             snaps = []
-            sgd_train(data, cfg, observer=lambda st, p: snaps.append(st))
+            sgd_train(data, cfg, observer=lambda st, p: snaps.append(copy.deepcopy(st)))
             trace = dense_sgd(data, cfg)
             assert len(snaps) == steps
             for st, (w_ref, b_ref) in zip(snaps, trace.iterates):

@@ -70,6 +70,14 @@ class TestTrain:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1 1:1\nnan 1:1\n", "1 1:1\n2 1:inf\n"])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, text):
+        data = tmp_path / "bad.txt"
+        data.write_text(text)
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m"), *TRAIN_FLAGS])
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         data = tmp_path / "train.txt"
         data.write_text("2 1:1\n")
@@ -116,6 +124,16 @@ class TestPredict:
         rc = main(["predict", "--model", model_path, "--data", str(data)])
         assert rc == 0
         assert capsys.readouterr().out == "2\n"
+
+    def test_non_finite_feature_exits_1(self, one_line_file, tmp_path, capsys):
+        rc, model_path = train(one_line_file, tmp_path)
+        data = tmp_path / "test.txt"
+        data.write_text("1:nan\n")
+        capsys.readouterr()
+        rc = main(["predict", "--model", model_path, "--data", str(data)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 1" in captured.err
 
     def test_missing_model_file_exits_1(self, tmp_path, one_line_file):
         rc = main(["predict", "--model", str(tmp_path / "nope"), "--data", one_line_file])

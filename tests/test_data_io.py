@@ -51,6 +51,17 @@ class TestParseLibsvm:
         assert exc.value.line_no == 4
         assert "line 4" in str(exc.value)
 
+    @pytest.mark.parametrize("line", ["nan 1:1", "-inf 1:1", "1 1:nan", "1 1:1 2:inf", "1 1:1e999"])
+    def test_non_finite_rejected(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(["1 1:1", line])
+        assert exc.value.line_no == 2
+
+    def test_non_finite_unlabeled_value_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm(["3:nan"], require_labels=False)
+        assert exc.value.line_no == 1
+
     def test_zero_based_file_index_rejected(self):
         with pytest.raises(ParseError):
             parse_libsvm(["1 0:2.5"])

@@ -11,7 +11,6 @@ from sparselin import (
     LabelError,
     LinearModel,
     LossKind,
-    Objective,
     SparseVec,
     loss_subgradient,
     loss_value,
@@ -119,10 +118,6 @@ class TestLossProperties:
 
 
 class TestObjective:
-    def test_lambda_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Objective(lam=0.0, loss=LossKind.SQUARED)
-
     def test_zero_model_squared(self):
         data = Dataset([(SparseVec([0], [3.0], 2), 2.0)], 2)
         model = LinearModel.zero(2, LossKind.SQUARED)

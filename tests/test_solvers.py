@@ -1,7 +1,17 @@
+import copy
+import io
+
 import numpy as np
 import pytest
 
-from helpers import instance_family, model_rel_err, random_dataset, rel_err
+from helpers import (
+    instance_family,
+    model_rel_err,
+    random_dataset,
+    random_label,
+    random_sparse,
+    rel_err,
+)
 from sparselin import (
     Dataset,
     DimensionError,
@@ -18,6 +28,7 @@ from sparselin import (
     draw_indices,
     predict,
     sgd_train,
+    write_model,
 )
 from sparselin.reference_oracle import dense_sgd
 from sparselin.solvers import recover_centered_iterate, recover_sgd_iterate
@@ -152,7 +163,7 @@ class TestPerStepEquivalence:
         for data, loss, lam, steps, seed in instance_family(seed=101, count=24):
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             snaps = []
-            sgd_train(data, c, observer=lambda st, p: snaps.append(st))
+            sgd_train(data, c, observer=lambda st, p: snaps.append(copy.deepcopy(st)))
             trace = dense_sgd(data, c)
             assert len(snaps) == len(trace.iterates) == steps
             for st, (w_ref, b_ref) in zip(snaps, trace.iterates):
@@ -178,7 +189,8 @@ class TestPerStepEquivalence:
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             order = draw_indices(seed, steps, data.m)
             snaps, ps = [], []
-            casgd_train(data, c, observer=lambda st, p: (snaps.append(st), ps.append(p)))
+            casgd_train(data, c,
+                        observer=lambda st, p: (snaps.append(copy.deepcopy(st)), ps.append(p)))
             for t in range(2, steps + 1):
                 w_prev, b_prev = recover_centered_iterate(snaps[t - 2], lam)
                 x = data.examples[order[t - 1]][0]
@@ -191,7 +203,7 @@ class TestAveragedState:
         data = random_dataset(np.random.default_rng(3), 8, 5, 4, LossKind.LOG)
         snaps = []
         asgd_train(data, cfg(steps=64, lam=0.1, seed=5, loss=LossKind.LOG),
-                   observer=lambda st, p: snaps.append(st))
+                   observer=lambda st, p: snaps.append(copy.deepcopy(st)))
         assert not snaps[0].u.any()  # h_0 = 0: step 1 contributes nothing to u
         harmonic = 0.0
         for t, st in enumerate(snaps, start=1):
@@ -211,7 +223,7 @@ class TestCenteredState:
         for data, loss, lam, steps, seed in instance_family(seed=66, count=10, m_min=2):
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             snaps = []
-            casgd_train(data, c, observer=lambda st, p: snaps.append(st))
+            casgd_train(data, c, observer=lambda st, p: snaps.append(copy.deepcopy(st)))
             for st in snaps:
                 z_ref = float(st.v @ st.xbar)
                 assert rel_err(st.z, z_ref) <= 1e-9
@@ -220,9 +232,26 @@ class TestCenteredState:
         data = random_dataset(np.random.default_rng(8), 10, 6, 4, LossKind.SQUARED)
         snaps = []
         casgd_train(data, cfg(steps=50, lam=0.5, seed=2),
-                    observer=lambda st, p: snaps.append(st))
+                    observer=lambda st, p: snaps.append(copy.deepcopy(st)))
         for st in snaps:
             assert st.r == st.a * st.theta - st.z
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_zero_mean_data_matches_asgd(self, loss):
+        # xbar = 0 exactly when every row is followed by its negation; then
+        # theta = 1, q = 0, r = a and s = c, so casgd must write asgd's bytes
+        rng = np.random.default_rng(17)
+        examples = []
+        for _ in range(6):
+            x, y = random_sparse(rng, 9, 5, k_min=1), random_label(rng, loss)
+            examples += [(x, y), (SparseVec(x.indices, -x.values, 9), -y)]
+        data = Dataset(examples, 9)
+        files = []
+        for train in (asgd_train, casgd_train):
+            buf = io.StringIO()
+            write_model(train(data, cfg(steps=300, lam=0.1, seed=3, loss=loss)), buf)
+            files.append(buf.getvalue())
+        assert files[0] == files[1]
 
 
 class TestGuards:
@@ -254,10 +283,14 @@ class TestDeterminism:
 class TestTouchAccounting:
     # sgd/asgd finish with one dense recovery pass; casgd adds the one-time
     # squared-norm pass for 1 + |xbar|^2
+    # sparse touches: step 1 makes one axpy (casgd adds the mean's m*k and
+    # q = xbar . x); each later step adds a dot and one axpy per sum kept
     @pytest.mark.parametrize(
-        "train,dense_passes", [(sgd_train, 1), (asgd_train, 1), (casgd_train, 2)]
+        "train,dense_passes,sparse_touches",
+        [(sgd_train, 1, 4794), (asgd_train, 1, 7188), (casgd_train, 2, 9660)],
+        ids=["sgd_train-1", "asgd_train-1", "casgd_train-2"],
     )
-    def test_no_dense_touches_in_loop(self, train, dense_passes):
+    def test_no_dense_touches_in_loop(self, train, dense_passes, sparse_touches):
         n, m, k, steps = 64, 12, 6, 400
         rng = np.random.default_rng(21)
         examples = []
@@ -269,4 +302,4 @@ class TestTouchAccounting:
         train(data, cfg(steps=steps, lam=0.2, seed=4), counter)
         assert counter.loop_dense_touches == 0
         assert counter.outside_dense_touches == dense_passes * n
-        assert counter.sparse_touches <= 8 * steps * k
+        assert counter.sparse_touches == sparse_touches
