@@ -20,7 +20,7 @@ def instance(n, m, k, rng):
         idx = np.sort(rng.choice(n, size=k, replace=False))
         examples.append((SparseVec(idx, rng.normal(size=k), n),
                          float(rng.choice([-1.0, 1.0]))))
-    return Dataset(examples, n)
+    return Dataset.from_rows(examples, n)
 
 
 def best_of(reps, fn):

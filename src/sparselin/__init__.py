@@ -15,16 +15,7 @@ from .errors import (
     ParseError,
     SparselinError,
 )
-from .sparse_core import (
-    DenseVec,
-    SparseVec,
-    TouchCounter,
-    axpy,
-    dot,
-    finalize_combine,
-    mean_vector,
-    squared_norm,
-)
+from .sparse_core import DenseVec, SparseVec, TouchCounter, dot, mean_vector
 from .losses import LossKind, loss_subgradient, loss_value, objective_value, validate_labels
 from .solvers import (
     LinearModel,
@@ -67,11 +58,9 @@ __all__ = [
     "TouchCounter",
     "TrainConfig",
     "asgd_train",
-    "axpy",
     "casgd_train",
     "dot",
     "draw_indices",
-    "finalize_combine",
     "load_dataset",
     "load_model",
     "loss_subgradient",
@@ -83,7 +72,6 @@ __all__ = [
     "read_model",
     "save_model",
     "sgd_train",
-    "squared_norm",
     "validate_labels",
     "write_libsvm",
     "write_model",

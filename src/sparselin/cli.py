@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .data_io import Dataset, fmt_float, load_dataset, load_model, save_model
 from .errors import NonFiniteError, SparselinError
-from .losses import LossKind, loss_value, objective_value, validate_labels
+from .losses import LossKind, loss_value, objective_value, penalized, validate_labels
 from .solvers import asgd_train, casgd_train, predict, sgd_train, TrainConfig
 
 _SOLVERS = {"sgd": sgd_train, "asgd": asgd_train, "casgd": casgd_train}
@@ -83,19 +85,22 @@ def cmd_train(args) -> int:
 
 def _refit(data: Dataset, dim: int) -> Dataset:
     # indices beyond the model's dimension carry zero learned weight
-    return Dataset([(x.with_dim(dim), y) for x, y in data.examples], dim)
+    if dim == data.dim:
+        return data
+    keep = data.indices < dim
+    kept = np.concatenate(([0], np.cumsum(keep)))  # kept entries before each position
+    return Dataset(kept[data.indptr], data.indices[keep], data.values[keep], data.labels, dim)
 
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     data = _refit(load_dataset(args.data, require_labels=False), model.dim)
+    lines = (fmt_float(predict(model, data.row(i))) + "\n" for i in range(data.m))
     if args.out is None:
-        for x, _ in data.examples:
-            print(fmt_float(predict(model, x)))
+        sys.stdout.writelines(lines)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as out:
-            for x, _ in data.examples:
-                out.write(fmt_float(predict(model, x)) + "\n")
+            out.writelines(lines)
     return 0
 
 
@@ -103,15 +108,15 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = _refit(load_dataset(args.data), model.dim)
     validate_labels(data, model.loss)
-    avg_loss = sum(
-        loss_value(model.loss, predict(model, x), y) for x, y in data.examples
-    ) / data.m
-    objective = objective_value(model, data, args.lam)
+    total, correct = 0.0, 0
+    for i, y in enumerate(data.labels.tolist()):
+        p = predict(model, data.row(i))
+        total += loss_value(model.loss, p, y)
+        correct += p * y > 0
+    avg_loss = total / data.m
+    objective = penalized(model, args.lam, avg_loss)
     line = f"avg_loss={fmt_float(avg_loss)} objective={fmt_float(objective)}"
     if model.loss.is_classification:
-        correct = sum(
-            1 for x, y in data.examples if predict(model, x) * y > 0
-        )
         line += f" accuracy={fmt_float(correct / data.m)}"
     print(line)
     return 0
@@ -131,6 +136,9 @@ def main(argv=None) -> int:
         return 2
     except (SparselinError, OSError) as exc:
         print(f"sparselin: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"sparselin: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

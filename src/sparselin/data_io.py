@@ -6,6 +6,13 @@ are empty or start with ``#`` are skipped.  Explicit ``:0`` values are
 dropped so the nonzero count stays meaningful.  A ``nan`` or ``inf`` label or
 value is a parse error.
 
+A parsed ``Dataset`` is one CSR (compressed sparse row) block of four
+contiguous arrays, as in LIBLINEAR: row i holds the 0-based feature indices
+``indices[indptr[i]:indptr[i+1]]`` (int64), their ``values`` (float64) and
+the label ``labels[i]`` (float64).  The parser appends straight into flat
+buffers and hands them to numpy without copying; ``Dataset.row(i)`` is a
+read-only ``SparseVec`` view of one row.
+
 Model files (text, version ``v1``)::
 
     sparselin-model v1
@@ -22,6 +29,7 @@ back to the identical bits, so write/read round-trips are exact.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -36,28 +44,58 @@ from .errors import (
 )
 from .losses import LossKind
 from .solvers import LinearModel
-from .sparse_core import SparseVec
+from .sparse_core import SparseVec, check_csr
 
 MODEL_MAGIC = "sparselin-model v1"
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Labeled sparse examples sharing one feature-space dimension."""
+    """Labeled sparse examples in CSR layout, sharing one feature-space dimension.
 
-    examples: list[tuple[SparseVec, float]]
+    Validated once, here: one label per row, ``indptr`` runs monotonically
+    from 0 to the number of nonzeros, and each row's indices are strictly
+    increasing and lie in [0, dim).  The arrays are held as read-only views.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
     dim: int
 
     def __post_init__(self):
-        for i, (x, _) in enumerate(self.examples):
-            if x.dim != self.dim:
-                raise DimensionError(
-                    f"example {i + 1} has dim {x.dim}, dataset dim is {self.dim}"
-                )
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
+                            ("values", np.float64), ("labels", np.float64)):
+            a = np.asarray(getattr(self, name), dtype=dtype).view()
+            a.setflags(write=False)  # on a view, so a caller's own array stays writable
+            setattr(self, name, a)
+        if self.labels.shape != (self.indptr.size - 1,):
+            raise ValueError("need exactly one label per row")
+        check_csr(self.indptr, self.indices, self.values, self.dim)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[SparseVec, float]], dim: int) -> "Dataset":
+        """Pack (SparseVec, label) pairs into one dataset of dimension ``dim``."""
+        rows = list(rows)
+        for i, (x, _) in enumerate(rows):
+            if x.dim != dim:
+                raise DimensionError(f"example {i + 1} has dim {x.dim}, dataset dim is {dim}")
+        xs = [x for x, _ in rows]
+        return cls(np.cumsum([0] + [x.nnz for x in xs]),
+                   np.concatenate([np.empty(0, np.int64)] + [x.indices for x in xs]),
+                   np.concatenate([np.empty(0)] + [x.values for x in xs]),
+                   [y for _, y in rows], dim)
 
     @property
     def m(self) -> int:
-        return len(self.examples)
+        return self.labels.size
+
+    def row(self, i: int) -> SparseVec:
+        """Example i's features as a read-only view; nothing is copied or re-checked."""
+        # Python int bounds: slicing with them is cheaper than with numpy scalars
+        lo, hi = self.indptr.item(i), self.indptr.item(i + 1)
+        return SparseVec.view(self.indices[lo:hi], self.values[lo:hi], self.dim)
 
 
 def fmt_float(x: float) -> str:
@@ -98,8 +136,7 @@ def parse_libsvm(
     treated as all features with a placeholder label of 0 (prediction
     inputs).
     """
-    rows: list[tuple[float, list[int], list[float]]] = []
-    max_index = -1
+    indptr, indices, values, labels = array("q", [0]), array("q"), array("d"), array("d")
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -116,8 +153,6 @@ def parse_libsvm(
         else:
             y = 0.0
             feats = tokens
-        indices: list[int] = []
-        values: list[float] = []
         prev = -1
         for tok in feats:
             idx, val = _parse_feature(tok, line_no)
@@ -134,22 +169,23 @@ def parse_libsvm(
                 continue
             indices.append(idx)
             values.append(val)
-        if indices:
-            max_index = max(max_index, indices[-1])
-        rows.append((y, indices, values))
-    if not rows:
+        indptr.append(len(indices))
+        labels.append(y)
+    if not labels:
         raise EmptyDatasetError("no data lines found")
-    dim = dim_override if dim_override is not None else max_index + 1
-    examples = [(SparseVec(idx, vals, dim), y) for y, idx, vals in rows]
-    return Dataset(examples=examples, dim=dim)
+    # frombuffer shares the buffers' memory: the arrays are converted without a copy
+    indptr, indices, values, labels = (np.frombuffer(a, dtype=a.typecode)
+                                       for a in (indptr, indices, values, labels))
+    dim = dim_override if dim_override is not None else int(indices.max(initial=-1)) + 1
+    return Dataset(indptr, indices, values, labels, dim)
 
 
 def write_libsvm(data: Dataset, stream: IO[str]) -> None:
     """Inverse of parse_libsvm (indices back to 1-based)."""
-    for x, y in data.examples:
-        parts = [fmt_float(y)]
-        parts.extend(f"{i + 1}:{fmt_float(v)}" for i, v in zip(x.indices, x.values))
-        stream.write(" ".join(parts) + "\n")
+    for i, y in enumerate(data.labels.tolist()):
+        x = data.row(i)
+        feats = (f" {j + 1}:{fmt_float(v)}" for j, v in zip(x.indices.tolist(), x.values.tolist()))
+        stream.write(fmt_float(y) + "".join(feats) + "\n")
 
 
 def load_dataset(

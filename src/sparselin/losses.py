@@ -15,6 +15,8 @@ import math
 from enum import Enum
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import DimensionError, LabelError
 from .sparse_core import dot, squared_norm
 
@@ -78,11 +80,13 @@ def validate_labels(data: "Dataset", kind: LossKind) -> None:
     assert in debug runs."""
     if not kind.is_classification:
         return
-    for i, (_, y) in enumerate(data.examples):
-        if y not in (-1.0, 1.0):
-            raise LabelError(
-                f"example {i + 1}: {kind.value} loss needs labels in {{-1, +1}}, got {y}"
-            )
+    bad = np.flatnonzero((data.labels != 1.0) & (data.labels != -1.0))
+    if bad.size:
+        i = int(bad[0])
+        raise LabelError(
+            f"example {i + 1}: {kind.value} loss needs labels in {{-1, +1}}, "
+            f"got {float(data.labels[i])}"
+        )
 
 
 def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
@@ -94,7 +98,11 @@ def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
     if data.m == 0:
         raise ValueError("objective_value needs at least one example")
     total = 0.0
-    for x, y in data.examples:
-        total += loss_value(model.loss, dot(model.w, x) + model.b, y)
-    reg = 0.5 * lam * (squared_norm(model.w) + model.b * model.b)
-    return reg + total / data.m
+    for i, y in enumerate(data.labels.tolist()):
+        total += loss_value(model.loss, dot(model.w, data.row(i)) + model.b, y)
+    return penalized(model, lam, total / data.m)
+
+
+def penalized(model: "LinearModel", lam: float, avg_loss: float) -> float:
+    """The objective from a precomputed average loss: (lam/2)(|w|^2 + b^2) + avg_loss."""
+    return 0.5 * lam * (squared_norm(model.w) + model.b * model.b) + avg_loss

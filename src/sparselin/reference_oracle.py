@@ -48,8 +48,7 @@ class DenseTrace:
 
 def _densify_rows(data: "Dataset", counter: TouchCounter | None) -> np.ndarray:
     rows = np.zeros((data.m, data.dim))
-    for i, (x, _) in enumerate(data.examples):
-        rows[i, x.indices] = x.values
+    rows[np.repeat(np.arange(data.m), np.diff(data.indptr)), data.indices] = data.values
     if counter is not None:
         counter.outside_dense_touches += data.m * data.dim
     return rows
@@ -97,7 +96,7 @@ def dense_sgd(
     validate_labels(data, cfg.loss)
     order = draw_indices(cfg.seed, cfg.steps, data.m).tolist()
     rows = _densify_rows(data, counter)
-    ys = [y for _, y in data.examples]
+    ys = data.labels.tolist()
     return _run_dense(rows, ys, order, cfg.lam, cfg.loss, counter, keep_trace)
 
 
@@ -118,7 +117,7 @@ def dense_casgd(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None 
     validate_labels(data, cfg.loss)
     order = draw_indices(cfg.seed, cfg.steps, data.m).tolist()
     rows = _densify_rows(data, counter)
-    ys = [y for _, y in data.examples]
+    ys = data.labels.tolist()
     xbar = rows.mean(axis=0)
     centered = rows - xbar
     if counter is not None:

@@ -150,7 +150,7 @@ def _train(
     validate_labels(data, cfg.loss)
     order = draw_indices(cfg.seed, cfg.steps, data.m).tolist()
     lam, T, kind = cfg.lam, cfg.steps, cfg.loss
-    examples = data.examples
+    row, labels = data.row, data.labels.tolist()
 
     xbar = mean_vector(data, counter) if center else None
     theta = 1.0 + squared_norm(xbar, counter) if center else 0.0
@@ -159,7 +159,8 @@ def _train(
     a = c = h = z = r = s = p = 0.0
 
     for t in range(1, T + 1):
-        x, y = examples[order[t - 1]]
+        i = order[t - 1]
+        x, y = row(i), labels[i]
         if center:
             q = dot(xbar, x, counter)
         if t > 1:

@@ -1,7 +1,8 @@
 """Sparse/dense vector types and the O(k) kernels the solvers are built from.
 
 A feature vector with k nonzeros out of n dimensions is held as a sorted
-index/value pair list (``SparseVec``); model-side accumulators are plain
+index/value pair list (``SparseVec``), which is also the read-only view a
+``Dataset`` hands out for one of its rows; model-side accumulators are plain
 float64 numpy arrays (``DenseVec``).  Every kernel optionally charges a
 ``TouchCounter`` so tests can assert that training loops never perform an
 O(n) operation: ``dot`` and ``axpy`` charge only ``sparse_touches``, while
@@ -13,7 +14,7 @@ not vector arithmetic, and charge nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,17 +52,7 @@ class SparseVec:
     def __init__(self, indices, values, dim: int):
         idx = np.array(indices, dtype=np.int64, copy=True)
         val = np.array(values, dtype=np.float64, copy=True)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-d and equal length")
-        if dim < 0:
-            raise ValueError(f"dim must be >= 0, got {dim}")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= dim:
-                raise DimensionError(
-                    f"index out of range: [{idx[0]}, {idx[-1]}] not within [0, {dim})"
-                )
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
+        check_csr(np.array([0, idx.size]), idx, val, dim)
         idx.setflags(write=False)
         val.setflags(write=False)
         self.indices = idx
@@ -69,9 +60,11 @@ class SparseVec:
         self.dim = dim
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]], dim: int) -> "SparseVec":
-        pairs = list(pairs)
-        return cls([i for i, _ in pairs], [v for _, v in pairs], dim)
+    def view(cls, indices: np.ndarray, values: np.ndarray, dim: int) -> "SparseVec":
+        """Wrap read-only arrays that are already valid, without copying or checking."""
+        x = cls.__new__(cls)
+        x.indices, x.values, x.dim = indices, values, dim
+        return x
 
     @classmethod
     def from_dense(cls, v: DenseVec) -> "SparseVec":
@@ -89,30 +82,29 @@ class SparseVec:
         out[self.indices] = self.values
         return out
 
-    def with_dim(self, dim: int) -> "SparseVec":
-        """Re-home into a space of size ``dim``, dropping entries beyond it.
-
-        Unseen features carry zero learned weight, so clipping is the right
-        behaviour when predicting with a model of smaller dimension.
-        """
-        if dim == self.dim:
-            return self
-        keep = self.indices < dim
-        if keep.all():
-            return SparseVec(self.indices, self.values, dim)
-        return SparseVec(self.indices[keep], self.values[keep], dim)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseVec)
-            and self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{i}:{v}" for i, v in zip(self.indices, self.values))
         return f"SparseVec({{{pairs}}}, dim={self.dim})"
+
+
+def check_csr(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: int) -> None:
+    """Raise unless ``indptr`` runs monotonically from 0 to the number of nonzeros
+    and the indices of every row it delimits are strictly increasing in [0, dim)."""
+    if dim < 0:
+        raise ValueError(f"dim must be >= 0, got {dim}")
+    if indptr.ndim != 1 or indices.ndim != 1 or values.shape != indices.shape:
+        raise ValueError("indices and values must be 1-d and equal length")
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        raise ValueError("indptr must run monotonically from 0 to the number of nonzeros")
+    if indices.size and (indices.min() < 0 or indices.max() >= dim):
+        raise DimensionError(
+            f"index out of range: [{indices.min()}, {indices.max()}] not within [0, {dim})"
+        )
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a row begins
+    if not rising.all():
+        raise ValueError("indices must be strictly increasing")
 
 
 def _check_dim(v: DenseVec, x: SparseVec) -> None:
@@ -125,7 +117,7 @@ def dot(v: DenseVec, x: SparseVec, counter: TouchCounter | None = None) -> float
     _check_dim(v, x)
     if counter is not None:
         counter.sparse_touches += x.nnz
-    return float(v[x.indices] @ x.values)
+    return float(v[x.indices].dot(x.values))
 
 
 def axpy(v: DenseVec, alpha: float, x: SparseVec, counter: TouchCounter | None = None) -> None:
@@ -139,17 +131,17 @@ def axpy(v: DenseVec, alpha: float, x: SparseVec, counter: TouchCounter | None =
 def mean_vector(data: "Dataset", counter: TouchCounter | None = None) -> DenseVec:
     """Mean feature vector of a dataset.
 
-    Accumulates (1/m)-scaled sparse updates: O(m k) sparse touches plus one
-    O(n) allocation, no dense arithmetic pass.
+    Sums the (1/m)-scaled nonzeros per feature in row order: O(m k) sparse
+    touches plus one O(n) allocation, no dense arithmetic pass.
     """
     m = data.m
     if m == 0:
         raise EmptyDatasetError("mean_vector needs at least one example")
-    acc = np.zeros(data.dim)
-    inv_m = 1.0 / m
-    for x, _ in data.examples:
-        axpy(acc, inv_m, x, counter)
-    return acc
+    if counter is not None:
+        counter.sparse_touches += data.indices.size
+    # astype: bincount gives int64 zeros when there are no nonzeros at all
+    weights = data.values * (1.0 / m)
+    return np.bincount(data.indices, weights, data.dim).astype(np.float64, copy=False)
 
 
 def squared_norm(v: DenseVec, counter: TouchCounter | None = None) -> float:

@@ -47,7 +47,7 @@ def random_label(rng: np.random.Generator, loss: LossKind) -> float:
 def random_dataset(
     rng: np.random.Generator, n: int, m: int, k_max: int, loss: LossKind, k_min: int = 0
 ) -> Dataset:
-    return Dataset(
+    return Dataset.from_rows(
         [(random_sparse(rng, n, k_max, k_min=k_min), random_label(rng, loss)) for _ in range(m)], n
     )
 
@@ -77,7 +77,7 @@ def _kink_gap(loss: LossKind, p: float, y: float) -> float:
 
 
 def _comparable(data: Dataset, cfg: TrainConfig, solvers) -> bool:
-    labels = [y for _, y in data.examples]
+    labels = data.labels.tolist()
     order = draw_indices(cfg.seed, cfg.steps, data.m)
     for train in solvers:
         worst_p = 0.0
@@ -136,4 +136,6 @@ def shift_vec(x: SparseVec, delta: np.ndarray) -> SparseVec:
 
 
 def shift_dataset(data: Dataset, delta: np.ndarray) -> Dataset:
-    return Dataset([(shift_vec(x, delta), y) for x, y in data.examples], data.dim)
+    return Dataset.from_rows(
+        [(shift_vec(data.row(i), delta), y) for i, y in enumerate(data.labels)], data.dim
+    )

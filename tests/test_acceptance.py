@@ -130,7 +130,7 @@ def test_criterion_4_translation_invariance():
         delta = np.array([2.0, -2.0])
         plain = asgd_train(data, cfg)
         moved = asgd_train(shift_dataset(data, delta), cfg)
-        x = data.examples[0][0]
+        x = data.row(0)
         gap = abs(predict(plain, x) - predict(moved, shift_vec(x, delta)))
         assert gap > 1e-2
 
@@ -141,7 +141,7 @@ def _complexity_instance(n, m, k, rng):
         idx = np.sort(rng.choice(n, size=k, replace=False))
         examples.append((SparseVec(idx, rng.normal(size=k), n),
                          float(rng.choice([-1.0, 1.0]))))
-    return Dataset(examples, n)
+    return Dataset.from_rows(examples, n)
 
 
 def _timing_ratio(fn_small, fn_large, reps):
@@ -208,7 +208,7 @@ def test_criterion_6_optimization_sanity():
             if abs(margin) < 0.5:
                 continue
             examples.append((SparseVec(idx, vals, n), 1.0 if margin > 0 else -1.0))
-        data = Dataset(examples, n)
+        data = Dataset.from_rows(examples, n)
         lam = 0.1
 
         model = asgd_train(data, TrainConfig(steps=50_000, lam=lam, seed=11, loss=LossKind.HINGE))

@@ -78,6 +78,19 @@ class TestTrain:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    # 1e15 float64 weights are 8 PB, beyond the address space: the allocation
+    # fails at once, so these tests allocate nothing
+    @pytest.mark.parametrize("text, extra", [("1 1000000000000000:1\n", []),
+                                             ("1 1:1\n", ["--dim", "1000000000000000"])])
+    def test_too_large_dimension_exits_1(self, tmp_path, capsys, text, extra):
+        data = tmp_path / "huge.txt"
+        data.write_text(text)
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m"), *TRAIN_FLAGS,
+                   *extra])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sparselin: error: ") and err.count("\n") == 1
+
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         data = tmp_path / "train.txt"
         data.write_text("2 1:1\n")

@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_dataset
 from sparselin import (
+    Dataset,
     DimensionError,
     EmptyDatasetError,
     FormatError,
@@ -26,14 +29,14 @@ class TestParseLibsvm:
     def test_basic_line(self):
         ds = parse_libsvm(["1 3:2.5 7:-1"])
         assert ds.m == 1 and ds.dim == 7
-        x, y = ds.examples[0]
+        x, y = ds.row(0), ds.labels[0]
         assert y == 1.0
         assert list(x.indices) == [2, 6]
         assert list(x.values) == [2.5, -1.0]
 
     def test_label_only_line(self):
         ds = parse_libsvm(["-1"])
-        x, y = ds.examples[0]
+        x, y = ds.row(0), ds.labels[0]
         assert y == -1.0 and x.nnz == 0 and ds.dim == 0
 
     def test_decreasing_index_rejected(self):
@@ -73,11 +76,11 @@ class TestParseLibsvm:
     def test_crlf_lines(self):
         ds = parse_libsvm(["1 1:1\r\n", "-1 2:3\r\n"])
         assert ds.m == 2 and ds.dim == 2
-        assert list(ds.examples[1][0].values) == [3.0]
+        assert list(ds.row(1).values) == [3.0]
 
     def test_explicit_zero_values_dropped(self):
         ds = parse_libsvm(["1 1:0 2:5"])
-        x, _ = ds.examples[0]
+        x = ds.row(0)
         assert list(x.indices) == [1]
 
     def test_dim_override(self):
@@ -92,8 +95,8 @@ class TestParseLibsvm:
 
     def test_unlabeled_lines_for_prediction(self):
         ds = parse_libsvm(["3:2.5 7:-1", "0 1:1"], require_labels=False)
-        assert ds.examples[0][1] == 0.0
-        assert list(ds.examples[0][0].indices) == [2, 6]
+        assert ds.labels[0] == 0.0
+        assert list(ds.row(0).indices) == [2, 6]
 
     def test_streaming_consumes_an_iterator(self):
         def lines():
@@ -101,6 +104,70 @@ class TestParseLibsvm:
             yield "-1 2:1"
 
         assert parse_libsvm(lines()).m == 2
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+nonzero = finite.filter(lambda v: v != 0.0)
+
+
+@st.composite
+def csr_rows(draw, min_nnz=0):
+    """(dim, rows, zero_positions): each row a sorted {index: value} of nonzeros, plus
+    indices of that row that are written with an explicit :0 value."""
+    dim = draw(st.integers(1, 40))
+    rows, zeros = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        idx = draw(st.sets(st.integers(0, dim - 1), min_size=min_nnz, max_size=min(dim, 8)))
+        rows.append({i: draw(nonzero) for i in sorted(idx)})
+        free = sorted(set(range(dim)) - idx)
+        zeros.append(draw(st.sets(st.sampled_from(free), max_size=3)) if free else set())
+    return dim, rows, zeros
+
+
+def csr_dataset(dim, rows, labels) -> Dataset:
+    return Dataset(
+        indptr=np.cumsum([0] + [len(r) for r in rows]),
+        indices=[i for r in rows for i in r],
+        values=[v for r in rows for v in r.values()],
+        labels=labels,
+        dim=dim,
+    )
+
+
+def assert_same_arrays(got: Dataset, want: Dataset) -> None:
+    assert got.dim == want.dim
+    for name in ("indptr", "indices", "values", "labels"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestParseRoundTrip:
+    @given(csr_rows(), st.data())
+    def test_write_then_parse_is_identity(self, drawn, data):
+        dim, rows, _ = drawn
+        labels = [data.draw(finite) for _ in rows]
+        want = csr_dataset(dim, rows, labels)
+        buf = io.StringIO()
+        write_libsvm(want, buf)
+        assert_same_arrays(parse_libsvm(io.StringIO(buf.getvalue()), dim_override=dim), want)
+
+    @given(csr_rows(min_nnz=1))
+    def test_label_free_input(self, drawn):
+        dim, rows, _ = drawn
+        text = "".join(
+            " ".join(f"{i + 1}:{fmt_float(v)}" for i, v in r.items()) + "\n" for r in rows
+        )
+        got = parse_libsvm(io.StringIO(text), dim_override=dim, require_labels=False)
+        assert_same_arrays(got, csr_dataset(dim, rows, [0.0] * len(rows)))
+
+    @given(csr_rows())
+    def test_explicit_zero_values_dropped(self, drawn):
+        dim, rows, zeros = drawn
+        lines = []
+        for r, z in zip(rows, zeros):
+            entries = sorted([*r.items(), *((i, 0.0) for i in z)])
+            lines.append(" ".join(["1", *(f"{i + 1}:{fmt_float(v)}" for i, v in entries)]))
+        got = parse_libsvm(lines, dim_override=dim)
+        assert_same_arrays(got, csr_dataset(dim, rows, [1.0] * len(rows)))
 
 
 class TestDatasetRoundTrip:
@@ -162,6 +229,18 @@ class TestModelFile:
             assert np.array_equal(back.w, model.w)
             assert back.b == model.b
             assert back.loss is model.loss and back.dim == model.dim
+
+    @given(st.lists(st.one_of(st.just(0.0), finite), min_size=1, max_size=30), finite,
+           st.sampled_from(list(LossKind)))
+    def test_round_trip_bits(self, weights, bias, loss):
+        model = LinearModel(w=np.array(weights), b=bias, loss=loss, dim=len(weights))
+        buf = io.StringIO()
+        write_model(model, buf)
+        back = read_model(io.StringIO(buf.getvalue()))
+        # zero weights are not stored, so a -0.0 weight reads back as +0.0
+        assert back.w.tobytes() == (model.w + 0.0).tobytes()
+        assert np.float64(back.b).tobytes() == np.float64(model.b).tobytes()
+        assert back.loss is loss and back.dim == model.dim
 
     def test_unknown_version_rejected(self):
         with pytest.raises(FormatError):

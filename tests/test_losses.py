@@ -119,24 +119,24 @@ class TestLossProperties:
 
 class TestObjective:
     def test_zero_model_squared(self):
-        data = Dataset([(SparseVec([0], [3.0], 2), 2.0)], 2)
+        data = Dataset.from_rows([(SparseVec([0], [3.0], 2), 2.0)], 2)
         model = LinearModel.zero(2, LossKind.SQUARED)
         assert objective_value(model, data, 1.0) == 2.0
 
     def test_zero_model_log(self):
-        data = Dataset([(SparseVec([0], [1.0], 1), 1.0)], 1)
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 1.0)], 1)
         model = LinearModel.zero(1, LossKind.LOG)
         for lam in (0.5, 1.0, 7.0):
             assert objective_value(model, data, lam) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_hand_evaluated(self):
         # w=[1], b=1, x={0:1}, y=2, squared, lam=2
-        data = Dataset([(SparseVec([0], [1.0], 1), 2.0)], 1)
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
         model = LinearModel(w=np.array([1.0]), b=1.0, loss=LossKind.SQUARED, dim=1)
         assert objective_value(model, data, 2.0) == 2.0
 
     def test_dimension_mismatch(self):
-        data = Dataset([(SparseVec([0], [1.0], 3), 2.0)], 3)
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 3), 2.0)], 3)
         model = LinearModel.zero(2, LossKind.SQUARED)
         with pytest.raises(DimensionError):
             objective_value(model, data, 1.0)
@@ -144,11 +144,11 @@ class TestObjective:
 
 class TestValidateLabels:
     def test_regression_accepts_any_real(self):
-        data = Dataset([(SparseVec([], [], 1), 3.25)], 1)
+        data = Dataset.from_rows([(SparseVec([], [], 1), 3.25)], 1)
         validate_labels(data, LossKind.SQUARED)
         validate_labels(data, LossKind.ABSOLUTE)
 
     def test_classification_rejects_and_names_example(self):
-        data = Dataset([(SparseVec([], [], 1), 1.0), (SparseVec([], [], 1), 0.0)], 1)
+        data = Dataset.from_rows([(SparseVec([], [], 1), 1.0), (SparseVec([], [], 1), 0.0)], 1)
         with pytest.raises(LabelError, match="example 2"):
             validate_labels(data, LossKind.HINGE)

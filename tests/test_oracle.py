@@ -12,7 +12,7 @@ from sparselin import (
 )
 from sparselin.reference_oracle import dense_asgd, dense_casgd, dense_sgd
 
-ONE_EXAMPLE = Dataset([(SparseVec([0], [1.0], 1), 2.0)], 1)
+ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
 
 
 def cfg(steps, lam=1.0, seed=0, loss=LossKind.SQUARED):
@@ -66,7 +66,7 @@ class TestDenseCasgd:
         # mean feature vector is exactly zero, so b' = b
         x = SparseVec([0, 1], [1.0, -2.0], 2)
         neg = SparseVec([0, 1], [-1.0, 2.0], 2)
-        data = Dataset([(x, 1.5), (neg, -0.5)], 2)
+        data = Dataset.from_rows([(x, 1.5), (neg, -0.5)], 2)
         c = cfg(37, lam=0.5, seed=8)
         centered = dense_casgd(data, c)
         plain = dense_asgd(data, c)
@@ -86,11 +86,11 @@ class TestCenteringPredictionPaths:
         rng = np.random.default_rng(14)
         for data, loss, lam, steps, seed in instance_family(seed=90, count=6, m_min=2):
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
-            rows = np.stack([x.densify() for x, _ in data.examples])
+            rows = np.stack([data.row(i).densify() for i in range(data.m)])
             xbar = rows.mean(axis=0)
-            centered = Dataset(
+            centered = Dataset.from_rows(
                 [(SparseVec.from_dense(row - xbar), y)
-                 for row, (_, y) in zip(rows, data.examples)],
+                 for row, y in zip(rows, data.labels)],
                 data.dim,
             )
             trace = dense_sgd(centered, c)

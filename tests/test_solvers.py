@@ -33,7 +33,7 @@ from sparselin import (
 from sparselin.reference_oracle import dense_sgd
 from sparselin.solvers import recover_centered_iterate, recover_sgd_iterate
 
-ONE_EXAMPLE = Dataset([(SparseVec([0], [1.0], 1), 2.0)], 1)
+ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
 
 
 def cfg(steps=1, lam=1.0, seed=0, loss=LossKind.SQUARED):
@@ -130,7 +130,7 @@ class TestSgdHandTraces:
         assert model.b == 2.0
 
     def test_zero_first_gradient_gives_zero_model(self):
-        data = Dataset([(SparseVec([0], [1.0], 1), 0.0)], 1)
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 0.0)], 1)
         model = sgd_train(data, cfg(steps=1))
         assert list(model.w) == [0.0] and model.b == 0.0
 
@@ -155,7 +155,7 @@ class TestCasgdHandTraces:
         model = casgd_train(ONE_EXAMPLE, cfg(steps=1))
         assert list(model.w) == [0.0]
         assert model.b == 2.0
-        assert predict(model, ONE_EXAMPLE.examples[0][0]) == 2.0
+        assert predict(model, ONE_EXAMPLE.row(0)) == 2.0
 
 
 class TestPerStepEquivalence:
@@ -180,7 +180,7 @@ class TestPerStepEquivalence:
             assert ps[0] == 0.0
             for t in range(2, steps + 1):
                 w_prev, b_prev = trace.iterates[t - 2]
-                x = data.examples[order[t - 1]][0]
+                x = data.row(order[t - 1])
                 model = LinearModel(w=w_prev, b=b_prev, loss=loss, dim=data.dim)
                 assert rel_err(ps[t - 1], predict(model, x)) <= 1e-9
 
@@ -193,7 +193,7 @@ class TestPerStepEquivalence:
                         observer=lambda st, p: (snaps.append(copy.deepcopy(st)), ps.append(p)))
             for t in range(2, steps + 1):
                 w_prev, b_prev = recover_centered_iterate(snaps[t - 2], lam)
-                x = data.examples[order[t - 1]][0]
+                x = data.row(order[t - 1])
                 model = LinearModel(w=w_prev, b=b_prev, loss=loss, dim=data.dim)
                 assert rel_err(ps[t - 1], predict(model, x)) <= 1e-9
 
@@ -245,7 +245,7 @@ class TestCenteredState:
         for _ in range(6):
             x, y = random_sparse(rng, 9, 5, k_min=1), random_label(rng, loss)
             examples += [(x, y), (SparseVec(x.indices, -x.values, 9), -y)]
-        data = Dataset(examples, 9)
+        data = Dataset.from_rows(examples, 9)
         files = []
         for train in (asgd_train, casgd_train):
             buf = io.StringIO()
@@ -256,16 +256,16 @@ class TestCenteredState:
 
 class TestGuards:
     def test_nonfinite_raises(self):
-        data = Dataset([(SparseVec([0], [1.0], 1), 2.0)], 1)
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
         with pytest.raises(NonFiniteError):
             sgd_train(data, cfg(steps=200, lam=1e-300))
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            sgd_train(Dataset([], 3), cfg(steps=5))
+            sgd_train(Dataset.from_rows([], 3), cfg(steps=5))
 
     def test_bad_labels_rejected_at_entry(self):
-        data = Dataset([(SparseVec([0], [1.0], 1), 0.5)], 1)
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 0.5)], 1)
         with pytest.raises(LabelError):
             casgd_train(data, cfg(steps=5, loss=LossKind.HINGE))
 
@@ -297,7 +297,7 @@ class TestTouchAccounting:
         for _ in range(m):
             idx = np.sort(rng.choice(n, size=k, replace=False))
             examples.append((SparseVec(idx, rng.normal(size=k), n), float(rng.normal())))
-        data = Dataset(examples, n)
+        data = Dataset.from_rows(examples, n)
         counter = TouchCounter()
         train(data, cfg(steps=steps, lam=0.2, seed=4), counter)
         assert counter.loop_dense_touches == 0

@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_dataset
 from sparselin import (
     Dataset,
     DimensionError,
     EmptyDatasetError,
+    LossKind,
     SparseVec,
     TouchCounter,
-    axpy,
     dot,
-    finalize_combine,
     mean_vector,
-    squared_norm,
 )
+from sparselin.sparse_core import axpy, finalize_combine, squared_norm
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -65,13 +65,6 @@ class TestSparseVec:
         xd = x.densify()
         back = SparseVec.from_dense(xd)
         assert np.array_equal(back.densify(), xd)
-
-    def test_with_dim_drops_out_of_range(self):
-        x = SparseVec([0, 4], [1.0, 2.0], 5)
-        clipped = x.with_dim(2)
-        assert clipped.dim == 2 and list(clipped.indices) == [0]
-        grown = x.with_dim(9)
-        assert grown.dim == 9 and list(grown.indices) == [0, 4]
 
 
 class TestDot:
@@ -134,7 +127,8 @@ class TestAxpy:
         v, x = pair_a
         _, y = pair_b
         if x.dim != y.dim:
-            y = y.with_dim(x.dim)
+            keep = y.indices < x.dim
+            y = SparseVec(y.indices[keep], y.values[keep], x.dim)
         updated = v.copy()
         axpy(updated, alpha, x)
         lhs = dot(updated, y)
@@ -153,29 +147,44 @@ class TestAxpy:
 
 class TestMeanVector:
     def test_two_examples(self):
-        data = Dataset([(SparseVec([0], [2.0], 2), 0.0), (SparseVec([1], [4.0], 2), 0.0)], 2)
+        data = Dataset.from_rows([(SparseVec([0], [2.0], 2), 0.0), (SparseVec([1], [4.0], 2), 0.0)], 2)
         # densify-and-average oracle
-        expected = (data.examples[0][0].densify() + data.examples[1][0].densify()) / 2
+        expected = (data.row(0).densify() + data.row(1).densify()) / 2
         assert np.allclose(mean_vector(data), expected)
         assert list(mean_vector(data)) == [1.0, 2.0]
 
     def test_single_example(self):
-        data = Dataset([(SparseVec([0], [3.0], 1), 1.0)], 1)
+        data = Dataset.from_rows([(SparseVec([0], [3.0], 1), 1.0)], 1)
         assert list(mean_vector(data)) == [3.0]
 
     def test_negation_cancels(self):
         x = SparseVec([0, 2], [1.5, -2.0], 3)
         neg = SparseVec([0, 2], [-1.5, 2.0], 3)
-        data = Dataset([(x, 0.0), (neg, 0.0)], 3)
+        data = Dataset.from_rows([(x, 0.0), (neg, 0.0)], 3)
         assert list(mean_vector(data)) == [0.0, 0.0, 0.0]
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
-            mean_vector(Dataset([], 3))
+            mean_vector(Dataset.from_rows([], 3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_sequential_axpy(self, seed):
+        # the reference: accumulate the (1/m)-scaled rows one axpy at a time
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, 30, 40, 8, LossKind.SQUARED)
+        expected = np.zeros(data.dim)
+        for i in range(data.m):
+            axpy(expected, 1.0 / data.m, data.row(i))
+        assert mean_vector(data).tobytes() == expected.tobytes()
+
+    def test_rows_without_nonzeros(self):
+        data = Dataset.from_rows([(SparseVec([], [], 2), 0.0)] * 2, 2)
+        mean = mean_vector(data)
+        assert mean.dtype == np.float64 and list(mean) == [0.0, 0.0]
 
     def test_costs_only_sparse_touches(self):
         counter = TouchCounter()
-        data = Dataset([(SparseVec([0, 1], [1.0, 1.0], 4), 0.0)] * 3, 4)
+        data = Dataset.from_rows([(SparseVec([0, 1], [1.0, 1.0], 4), 0.0)] * 3, 4)
         mean_vector(data, counter)
         assert counter.sparse_touches == 6
         assert counter.loop_dense_touches == 0
