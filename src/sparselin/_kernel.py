@@ -1,0 +1,91 @@
+"""Builds, caches and loads the compiled loop in ``_kernel.c``.
+
+The C source ships inside the package and is compiled on first use with the
+system's ``cc`` into ``$XDG_CACHE_HOME/sparselin/`` (default
+``~/.cache/sparselin/``), under a name keyed on a checksum of the source and
+the compile flags, so an edited source or new flags build a new library.  A
+build writes to a temporary file and publishes it with an atomic rename, so
+concurrent first uses never load a half-written library.  Where the cache
+directory cannot be written, the library is built in a per-process
+temporary directory instead.  ``load`` returns None when no library can be
+built or loaded (no compiler, say); the callers then run their Python code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import os
+import tempfile
+import zlib
+
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+# -ffp-contract=off: a fused multiply-add would round differently from numpy
+_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+BLOCK = 512  # components per flag of sl_combine's live mask, as in _kernel.c
+
+_lib: ctypes.CDLL | None | bool = None  # False once building or loading failed
+
+
+def cache_dir() -> str:
+    """``$XDG_CACHE_HOME/sparselin``, or ``~/.cache/sparselin`` without it."""
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(root, "sparselin")
+
+
+def locate(directory: str) -> str:
+    """Path of the compiled library in ``directory``, built there first if missing."""
+    with open(_SOURCE, "rb") as fh:
+        key = zlib.crc32(fh.read() + " ".join(_FLAGS + (os.uname().machine,)).encode())
+    path = os.path.join(directory, f"kernel-{key:08x}.so")
+    if not os.path.exists(path):
+        _build(path)
+    return path
+
+
+def _build(path: str) -> None:
+    import subprocess  # only on a cache miss: most runs never start a compiler
+
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        proc = subprocess.run(["cc", *_FLAGS, "-o", tmp, _SOURCE, "-lm"],
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise OSError(f"cc exited with {proc.returncode}: {proc.stderr.strip()}")
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.sl_steps.argtypes = [ptr] * 5 + [ctypes.c_int, dbl, dbl] + [ptr] * 4 + [i64, i64]
+    lib.sl_steps.restype = i64
+    lib.sl_combine.argtypes = [i64, ptr, dbl, ptr, dbl, ptr, dbl, ptr]
+    lib.sl_combine.restype = None
+    return lib
+
+
+def _open() -> ctypes.CDLL | None:
+    try:
+        try:
+            return _declare(ctypes.CDLL(locate(cache_dir())))
+        except OSError:  # an unwritable cache directory, or an unloadable file in it
+            with tempfile.TemporaryDirectory() as tmp:
+                # a loaded library stays mapped after its file is removed
+                return _declare(ctypes.CDLL(locate(tmp)))
+    except OSError:
+        return None
+
+
+def load() -> ctypes.CDLL | None:
+    """The compiled library, built and loaded on the first call; None if that failed."""
+    global _lib
+    if _lib is None:
+        _lib = _open() or False
+    return _lib or None

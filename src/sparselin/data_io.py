@@ -44,7 +44,7 @@ from .errors import (
 )
 from .losses import LossKind
 from .solvers import LinearModel
-from .sparse_core import SparseVec, check_csr
+from .sparse_core import MAX_DIM, SparseVec, check_csr
 
 MODEL_MAGIC = "sparselin-model v1"
 
@@ -131,12 +131,16 @@ def parse_libsvm(
     """Parse a LIBSVM text stream into a Dataset.
 
     ``dim_override`` fixes the dimension (indices at or beyond it are an
-    error); otherwise the dimension is max observed index + 1.  With
+    error); otherwise the dimension is max observed index + 1, and an index
+    beyond ``sparse_core.MAX_DIM``, past which no weight vector can be
+    allocated, is an error naming its line.  With
     ``require_labels=False`` a line whose first token contains ':' is
     treated as all features with a placeholder label of 0 (prediction
     inputs).
     """
     indptr, indices, values, labels = array("q", [0]), array("q"), array("d"), array("d")
+    limit, what = ((MAX_DIM, "the largest dimension") if dim_override is None
+                   else (dim_override, "dimension"))
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,10 +165,8 @@ def parse_libsvm(
                     line_no, f"index {idx + 1} after {prev + 1}: must be strictly increasing"
                 )
             prev = idx
-            if dim_override is not None and idx >= dim_override:
-                raise DimensionError(
-                    f"line {line_no}: index {idx + 1} exceeds dimension {dim_override}"
-                )
+            if idx >= limit:
+                raise DimensionError(f"line {line_no}: index {idx + 1} exceeds {what} {limit}")
             if val == 0.0:
                 continue
             indices.append(idx)
@@ -211,6 +213,17 @@ def _model_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
         yield line_no, raw.rstrip("\r\n")
 
 
+def _header_value(line: str, key: str, parse):
+    """``parse`` applied to the value of a ``<key> <value>`` line; None if the
+    line is not one or the value does not parse."""
+    if not line.startswith(key + " "):
+        return None
+    try:
+        return parse(line[len(key) + 1:])
+    except ValueError:
+        return None
+
+
 def read_model(stream: Iterable[str]) -> LinearModel:
     lines = _model_lines(stream)
 
@@ -234,31 +247,24 @@ def read_model(stream: Iterable[str]) -> LinearModel:
         raise FormatError(f"unknown loss {loss_name!r}", line_no) from None
 
     line_no, dim_line = next_line("dim")
-    try:
-        assert dim_line.startswith("dim ")
-        dim = int(dim_line[4:])
-        assert dim >= 0
-    except (AssertionError, ValueError):
-        raise FormatError(f"expected 'dim <n>', got {dim_line!r}", line_no) from None
+    dim = _header_value(dim_line, "dim", int)
+    if dim is None or not 0 <= dim <= MAX_DIM:
+        raise FormatError(f"expected 'dim <n>', got {dim_line!r}", line_no)
 
     line_no, bias_line = next_line("bias")
-    try:
-        assert bias_line.startswith("bias ")
-        bias = float(bias_line[5:])
-    except (AssertionError, ValueError):
-        raise FormatError(f"expected 'bias <float>', got {bias_line!r}", line_no) from None
+    bias = _header_value(bias_line, "bias", float)
+    if bias is None:
+        raise FormatError(f"expected 'bias <float>', got {bias_line!r}", line_no)
     if not math.isfinite(bias):
         raise FormatError("bias is not finite", line_no)
 
     w = np.zeros(dim)
     prev = -1
     for line_no, line in lines:
-        idx_s, sep, val_s = line.partition(":")
-        try:
-            assert sep
-            idx = int(idx_s)
-            val = float(val_s)
-        except (AssertionError, ValueError):
+        idx_s, _, val_s = line.partition(":")
+        try:  # without a ':', val_s is empty and fails to parse
+            idx, val = int(idx_s), float(val_s)
+        except ValueError:
             raise FormatError(f"expected '<idx>:<float>', got {line!r}", line_no) from None
         if idx <= prev:
             raise FormatError(f"weight index {idx} out of order", line_no)

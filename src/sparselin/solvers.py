@@ -14,13 +14,28 @@ iterate average is recovered as -(h*v - u)/(lam*T), -c/(lam*T).  Centering
 vector xbar and theta = 1 + |xbar|^2 are computed once, and the projection
 sum z = v . xbar, the centered bias sum r = a*theta - z and its average s
 are kept so that centering never needs a dense operation inside the loop.
-The loop charges only ``sparse_touches``; model recovery is one dense pass.
+
+The loop is compiled: ``sl_steps`` in ``_kernel.c`` runs it over the
+dataset's CSR arrays, built with the system's ``cc`` on the first training
+call and cached in ``$XDG_CACHE_HOME/sparselin/`` (default
+``~/.cache/sparselin/``; see ``_kernel``).  ``_python_steps`` is the same
+loop in Python; it runs on its own when no library can be built or loaded
+(no compiler, say), and is the reference the compiled loop is tested
+against.  Both make the same floating-point operations in the same order,
+except that the compiled sparse dot products sum left to right where numpy's
+BLAS ``ddot`` sums in blocks, so the two can write models that differ in
+the last bits.  The loop charges only ``sparse_touches`` (the compiled one
+after it returns, by the same count).  Model recovery is one dense pass,
+written in place into the last vector it combines (v for sgd, u for asgd,
+xbar for casgd), which skips the blocks of components that hold none of
+the data's features.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -42,6 +57,7 @@ if TYPE_CHECKING:
     from .data_io import Dataset
 
 
+_LOSS_CODES = {LossKind.ABSOLUTE: 0, LossKind.SQUARED: 1, LossKind.HINGE: 2, LossKind.LOG: 3}
 _MASK64 = (1 << 64) - 1
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -148,45 +164,45 @@ def _train(
     if data.m == 0:
         raise EmptyDatasetError("training needs at least one example")
     validate_labels(data, cfg.loss)
-    order = draw_indices(cfg.seed, cfg.steps, data.m).tolist()
+    order = draw_indices(cfg.seed, cfg.steps, data.m)
     lam, T, kind = cfg.lam, cfg.steps, cfg.loss
-    row, labels = data.row, data.labels.tolist()
 
+    # casgd writes its model into xbar and frees v and u together: as one
+    # block they raise glibc's dynamic trim threshold above what a call
+    # frees, so the next call reuses their pages instead of faulting in new ones
+    if center:
+        v, u = np.zeros((2, data.dim))
+    else:
+        v = np.zeros(data.dim)
+        u = np.zeros(data.dim) if average else None
     xbar = mean_vector(data, counter) if center else None
     theta = 1.0 + squared_norm(xbar, counter) if center else 0.0
-    v = np.zeros(data.dim)
-    u = np.zeros(data.dim) if average else None
-    a = c = h = z = r = s = p = 0.0
+    st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
+    from . import _kernel  # here, so that predict and eval never import it
+    lib = _kernel.load()
+    if lib is None:
+        run = partial(_python_steps, order, data, kind, lam, theta, xbar, v, u, st, counter)
+    else:
+        # contiguous arrays for the pointers; bound here, they outlive every call
+        csr = [np.ascontiguousarray(a) for a in (data.indptr, data.indices, data.values,
+                                                  data.labels)]
+        ptrs = [a.ctypes.data if a is not None else None for a in (order, *csr, xbar, v, u, st)]
+        run = partial(lib.sl_steps, *ptrs[:5], _LOSS_CODES[kind], lam, theta, *ptrs[5:])
+        nnz = np.diff(data.indptr)[order] if counter is not None else None
 
-    for t in range(1, T + 1):
-        i = order[t - 1]
-        x, y = row(i), labels[i]
-        if center:
-            q = dot(xbar, x, counter)
-        if t > 1:
-            d = dot(v, x, counter)
-            # sgd and asgd keep -(d + a): with q = 0 the centered form can
-            # flip the sign of a zero prediction
-            p = -(d + r - a * q if center else d + a) / (lam * (t - 1))
-        g = loss_subgradient(kind, p, y)
-        if not (math.isfinite(p) and math.isfinite(g)):
+    steps = ((t, t + 1) for t in range(1, T + 1)) if observer is not None else [(1, T + 1)]
+    for t0, t1 in steps:
+        bad = run(t0, t1)
+        if lib is not None and counter is not None:
+            _charge(counter, nnz, t0, bad or t1, average, center)
+        a, c, h, z, r, s, p, g = st.tolist()
+        if bad:
             raise NonFiniteError(
-                f"non-finite value at step {t} (p={p}, g={g}); "
+                f"non-finite value at step {bad} (p={p}, g={g}); "
                 "lambda may be too small for the data"
             )
-        axpy(v, g, x, counter)
-        a += g
-        if average:
-            if t > 1:  # weight is the harmonic number of step t-1; h_0 = 0
-                axpy(u, h * g, x, counter)
-            c += a / t
-            h += 1.0 / t
-        if center:
-            z += g * q
-            r = a * theta - z
-            s += r / t
         if observer is not None:
-            observer(SolverState(v, a, t, u, c, h, xbar, theta, z, r, s), p)
+            observer(SolverState(v, a, t0, u, c, h, xbar, theta, z, r, s), p)
 
     scale = 1.0 / (lam * T)
     coeffs, bias = [(-scale, v)], a
@@ -194,8 +210,60 @@ def _train(
         coeffs, bias = [(-h * scale, v), (scale, u)], c
     if center:
         coeffs, bias = coeffs + [(c * scale, xbar)], s
-    w = finalize_combine(coeffs, counter)
+    # v, u and xbar stay +0.0 on blocks that hold none of the data's features
+    live = np.zeros(-(-data.dim // _kernel.BLOCK), dtype=np.uint8)
+    live[data.indices // _kernel.BLOCK] = 1
+    w = finalize_combine(coeffs, counter, live)
     return LinearModel(w=w, b=-bias * scale, loss=kind, dim=data.dim)
+
+
+def _charge(counter: TouchCounter, nnz: np.ndarray, t0: int, t1: int,
+            average: bool, center: bool) -> None:
+    """Charge what ``_python_steps`` charges per kernel call for steps [t0, t1):
+    each step reads x's k nonzeros for q = xbar . x, for v . x from step 2 on,
+    for the v update, and for the u update from step 2 on."""
+    k = int(nnz[t0 - 1:t1 - 1].sum())
+    later = k - int(nnz[0]) if t0 == 1 and t1 > 1 else k
+    counter.sparse_touches += k * (1 + center) + later * (1 + average)
+
+
+def _python_steps(order, data, kind, lam, theta, xbar, v, u, st, counter, t0, t1) -> int:
+    """Steps [t0, t1) of the loop in Python, with the contract of ``sl_steps``
+    in ``_kernel.c``: u is None without averaging, xbar None without
+    centering, and ``st`` holds a, c, h, z, r, s and the last step's p and g.
+    Returns 0, or the first step whose p or g is not finite.  Runs when the
+    compiled kernel cannot be built or loaded, and is the reference the
+    kernel is tested against."""
+    a, c, h, z, r, s, p, g = st.tolist()
+    q = 0.0
+    for t in range(t0, t1):
+        i = order.item(t - 1)
+        x, y = data.row(i), data.labels.item(i)
+        if xbar is not None:
+            q = dot(xbar, x, counter)
+        p = 0.0
+        if t > 1:
+            d = dot(v, x, counter)
+            # sgd and asgd keep -(d + a): with q = 0 the centered form can
+            # flip the sign of a zero prediction
+            p = -(d + r - a * q if xbar is not None else d + a) / (lam * (t - 1))
+        g = loss_subgradient(kind, p, y)
+        if not (math.isfinite(p) and math.isfinite(g)):
+            st[6:] = p, g
+            return t
+        axpy(v, g, x, counter)
+        a += g
+        if u is not None:
+            if t > 1:  # weight is the harmonic number of step t-1; h_0 = 0
+                axpy(u, h * g, x, counter)
+            c += a / t
+            h += 1.0 / t
+        if xbar is not None:
+            z += g * q
+            r = a * theta - z
+            s += r / t
+    st[:] = a, c, h, z, r, s, p, g
+    return 0
 
 
 def sgd_train(

@@ -9,6 +9,12 @@ O(n) operation: ``dot`` and ``axpy`` charge only ``sparse_touches``, while
 the one-time dense passes (``squared_norm``, ``finalize_combine``) charge
 ``outside_dense_touches``.  Zero-filled allocations are memory management,
 not vector arithmetic, and charge nothing.
+
+The training loop itself runs compiled over the CSR arrays (see
+``solvers``), and so does ``finalize_combine``: one pass that writes the
+model into the last vector's buffer, with no n-length temporary, and skips
+blocks its caller marks as all zero.  Without a compiler, numpy computes the
+same bits in the same buffer.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ if TYPE_CHECKING:
 
 # Dense vectors are bare float64 arrays; the alias documents intent.
 DenseVec = np.ndarray
+
+# The largest dimension whose float64 vector numpy can describe: its size in
+# bytes must fit in a signed pointer-sized integer.
+MAX_DIM = np.iinfo(np.intp).max // 8
 
 
 @dataclass
@@ -92,6 +102,8 @@ def check_csr(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: 
     and the indices of every row it delimits are strictly increasing in [0, dim)."""
     if dim < 0:
         raise ValueError(f"dim must be >= 0, got {dim}")
+    if dim > MAX_DIM:
+        raise DimensionError(f"dimension {dim} exceeds the largest dimension {MAX_DIM}")
     if indptr.ndim != 1 or indices.ndim != 1 or values.shape != indices.shape:
         raise ValueError("indices and values must be 1-d and equal length")
     if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
@@ -152,22 +164,54 @@ def squared_norm(v: DenseVec, counter: TouchCounter | None = None) -> float:
 
 
 def finalize_combine(
-    coeffs: Sequence[tuple[float, DenseVec]], counter: TouchCounter | None = None
+    coeffs: Sequence[tuple[float, DenseVec]],
+    counter: TouchCounter | None = None,
+    live: np.ndarray | None = None,
 ) -> DenseVec:
-    """Linear combination sum(alpha_j * v_j) as one O(n) dense pass.
+    """Linear combination sum(alpha_j * v_j) of one to three vectors as one
+    O(n) dense pass, written into the last vector's buffer, which is returned.
 
     This is the shape of every one-time model recovery the solvers perform
-    after their loops finish.
+    after their loops finish.  Both paths round as ((alpha_1 v_1 + alpha_2
+    v_2) + alpha_3 v_3): the compiled kernel makes the one pass with no
+    temporary, numpy a few passes with temporaries.  ``live`` optionally
+    flags blocks of ``_kernel.BLOCK`` components as uint8; where a flag is 0
+    the caller promises that every vector is +0.0, and the kernel reads
+    nothing there and writes only a -0.0 result.  The counter is charged the
+    full pass either way.
     """
-    if not coeffs:
-        raise ValueError("finalize_combine needs at least one (coeff, vector) pair")
-    n = coeffs[0][1].shape[0]
+    from . import _kernel  # here, so that predict and eval never import it
+
+    if not 1 <= len(coeffs) <= 3:
+        raise ValueError("finalize_combine takes one to three (coeff, vector) pairs")
+    *head, (alpha_out, out) = coeffs
+    n = out.size
     for _, vec in coeffs:
+        if vec.dtype != np.float64 or vec.ndim != 1 or not vec.flags.c_contiguous:
+            raise ValueError("finalize_combine needs contiguous 1-d float64 vectors")
         if vec.shape[0] != n:
             raise DimensionError(f"vector length {vec.shape[0]} != {n}")
+    if not out.flags.writeable or any(np.may_share_memory(out, vec) for _, vec in head):
+        raise ValueError("finalize_combine writes into its last vector: it must be "
+                         "writable and share no memory with the others")
+    if live is not None and (live.dtype != np.uint8 or live.shape != (-(-n // _kernel.BLOCK),)
+                             or not live.flags.c_contiguous):
+        raise ValueError("live needs one contiguous uint8 flag per block of components")
     if counter is not None:
         counter.outside_dense_touches += n
-    out = coeffs[0][0] * coeffs[0][1]
-    for alpha, vec in coeffs[1:]:
-        out += alpha * vec
+    lib = _kernel.load()
+    if lib is not None:
+        args = [arg for alpha, vec in coeffs for arg in (vec.ctypes.data, alpha)]
+        lib.sl_combine(n, *args, *[None, 0.0] * (3 - len(coeffs)),
+                       None if live is None else live.ctypes.data)
+        return out
+    total = None  # alpha_1 v_1 (+ alpha_2 v_2), added to the last term at the end
+    for alpha, vec in head:
+        if total is None:
+            total = alpha * vec
+        else:
+            total += alpha * vec
+    out *= alpha_out
+    if total is not None:
+        out += total  # a single addition commutes exactly
     return out

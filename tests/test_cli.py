@@ -1,10 +1,13 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sparselin.cli import main
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 TRAIN_FLAGS = ["--algo", "sgd", "--loss", "squared", "--lambda", "1", "--steps", "1", "--seed", "0"]
 
 
@@ -79,17 +82,29 @@ class TestTrain:
         assert "line 2" in capsys.readouterr().err
 
     # 1e15 float64 weights are 8 PB, beyond the address space: the allocation
-    # fails at once, so these tests allocate nothing
-    @pytest.mark.parametrize("text, extra", [("1 1000000000000000:1\n", []),
-                                             ("1 1:1\n", ["--dim", "1000000000000000"])])
-    def test_too_large_dimension_exits_1(self, tmp_path, capsys, text, extra):
+    # fails at once, so these tests allocate nothing.  From 2^60 on, no float64
+    # vector of that length can even be described (2^61 below), and beyond
+    # 2^63 - 1 an index overflows int64: a file line with such an index is
+    # named by its line number
+    @pytest.mark.parametrize(
+        "text, extra, where",
+        [("1 1000000000000000:1\n", [], ""),
+         ("1 1:1\n", ["--dim", "1000000000000000"], ""),
+         ("1 2305843009213693952:1\n", [], "line 1: "),
+         ("1 10000000000000000000:1\n", [], "line 1: "),
+         ("1 1:1\n", ["--dim", "2305843009213693952"], "")],
+        ids=[f"{text}-extra{i}" for i, text in enumerate(
+            ["1 1000000000000000:1\n", "1 1:1\n", "1 2305843009213693952:1\n",
+             "1 10000000000000000000:1\n", "1 1:1\n"])],
+    )
+    def test_too_large_dimension_exits_1(self, tmp_path, capsys, text, extra, where):
         data = tmp_path / "huge.txt"
         data.write_text(text)
         rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m"), *TRAIN_FLAGS,
                    *extra])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("sparselin: error: ") and err.count("\n") == 1
+        assert err.startswith("sparselin: error: " + where) and err.count("\n") == 1
 
     def test_numerical_failure_exits_2(self, tmp_path, capsys):
         data = tmp_path / "train.txt"
@@ -147,6 +162,18 @@ class TestPredict:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "line 1" in captured.err
+
+    def test_bad_dim_line_exits_1_under_python_O(self, one_line_file, tmp_path):
+        # -O strips asserts: the model file checks must not rely on them
+        model = tmp_path / "model.txt"
+        model.write_text("sparselin-model v1\nloss squared\ndim -1\nbias 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sparselin", "predict", "--model", str(model),
+             "--data", one_line_file],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "sparselin: error: line 3: expected 'dim <n>', got 'dim -1'\n"
 
     def test_missing_model_file_exits_1(self, tmp_path, one_line_file):
         rc = main(["predict", "--model", str(tmp_path / "nope"), "--data", one_line_file])

@@ -218,6 +218,33 @@ class TestAveragedState:
             assert model_rel_err(model, w_ref, b_ref) <= 1e-8
 
 
+    def test_long_horizon_precision(self):
+        # the averaged model is recovered as -(h*v - u)/(lam*T), a difference
+        # of two sums that grow with T; against the dense recurrence run in
+        # extended precision it measures about 1e-13 at T = 1e5
+        data = random_dataset(np.random.default_rng(2016), 20, 50, 8, LossKind.LOG, k_min=1)
+        c = cfg(steps=100_000, lam=1e-2, seed=9, loss=LossKind.LOG)
+        rows = np.zeros((data.m, data.dim), dtype=np.longdouble)
+        for i in range(data.m):
+            x = data.row(i)
+            rows[i, x.indices] = x.values
+        one, lam = np.longdouble(1), np.longdouble(c.lam)
+        w, b = np.zeros(data.dim, dtype=np.longdouble), np.longdouble(0)
+        w_sum, b_sum = np.zeros_like(w), np.longdouble(0)
+        for t, j in enumerate(draw_indices(c.seed, c.steps, data.m).tolist(), start=1):
+            x, y = rows[j], np.longdouble(data.labels[j])
+            py = (w @ x + b) * y
+            g = -y * np.exp(-py) / (one + np.exp(-py)) if py >= 0 else -y / (one + np.exp(py))
+            keep, step = one - one / t, g / (lam * t)
+            w, b = keep * w - step * x, keep * b - step
+            w_sum += w
+            b_sum += b
+        ref = np.append(w_sum, b_sum) / c.steps
+        model = asgd_train(data, c)
+        err = np.append(model.w, model.b).astype(np.longdouble) - ref
+        assert np.sqrt(err @ err / (ref @ ref)) <= 1e-11
+
+
 class TestCenteredState:
     def test_projection_sum_identity(self):
         for data, loss, lam, steps, seed in instance_family(seed=66, count=10, m_min=2):
