@@ -1,13 +1,15 @@
-/* The step loop of sparselin.solvers._train over CSR arrays, and the one-pass
- * model recovery of sparse_core.finalize_combine.
+/* The step loop of sparselin.solvers._train over CSR arrays, the one-pass
+ * model recovery of sparse_core.finalize_combine, and the scanners of
+ * data_io's LIBSVM and model-file readers.
  *
- * Both repeat the floating-point operations of the Python code in the same
- * order, so the kernel must be built with -ffp-contract=off: no multiply-add
- * may be fused.  Only the sparse dot products differ, summing left to right
- * where numpy's BLAS ddot sums in blocks.
+ * The first two repeat the floating-point operations of the Python code in
+ * the same order, so the kernel must be built with -ffp-contract=off: no
+ * multiply-add may be fused.  Only the sparse dot products differ, summing
+ * left to right where numpy's BLAS ddot sums in blocks.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 enum { ABSOLUTE, SQUARED, HINGE, LOG };  /* solvers._LOSS_CODES */
 enum { A, C, H, Z, R, S, P, G };          /* slots of the scalar state array */
@@ -114,4 +116,142 @@ void sl_combine(int64_t n, double *v, double c0, double *u, double c1, double *x
                 v[i] = c0 * v[i];
         }
     }
+}
+
+/* The scanners read the lines of buf[pos, end) that fit a narrow grammar and
+ * stop at the start of the first line that does not; data_io hands that line
+ * to its Python line code and calls them again after it.  Numbers match
+ * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, are converted with strtod and must be
+ * finite; indices are at most 18 plain digits; tokens are separated by spaces
+ * or tabs; a line ends with '\n' or at end.  Only ASCII is accepted, so no
+ * '\r' (a line break of its own to text-mode reading) or other whitespace
+ * ever reaches a token.  buf[end] must be a NUL byte, as in every Python
+ * bytes object: each token scan stops there. */
+static int digit(char c) { return c >= '0' && c <= '9'; }
+static int blank(char c) { return c == ' ' || c == '\t'; }
+static int token_end(const char *p, const char *end) { return p == end || *p == '\n' || blank(*p); }
+
+/* The number at p into *out; returns the end of its token, or NULL. */
+static const char *number(const char *p, double *out)
+{
+    const char *s = p, *q;
+    char *e;
+    int digits = 0;
+    if (*p == '+' || *p == '-')
+        p++;
+    for (; digit(*p); p++)
+        digits++;
+    if (*p == '.')
+        for (p++; digit(*p); p++)
+            digits++;
+    if (!digits)
+        return NULL;
+    if (*p == 'e' || *p == 'E') {
+        q = p + 1 + (p[1] == '+' || p[1] == '-');
+        if (!digit(*q))
+            return NULL;
+        for (p = q; digit(*p); p++)
+            ;
+    }
+    *out = strtod(s, &e);  /* the check of e also refuses a locale's other decimal point */
+    return e == p && isfinite(*out) ? p : NULL;
+}
+
+/* The index at p (at most 18 digits, so below 2^60) into *out; the end of its digits, or NULL. */
+static const char *index_digits(const char *p, int64_t *out)
+{
+    const char *s = p;
+    int64_t n = 0;
+    for (; digit(*p); p++) {
+        if (p - s == 18)
+            return NULL;
+        n = 10 * n + (*p - '0');
+    }
+    *out = n;
+    return p == s ? NULL : p;
+}
+
+/* LIBSVM lines "<label> <idx>:<val> ..." with 1-based indices, strictly
+ * increasing and at most limit; without labeled, a line whose first token
+ * holds a ':' is all features with label 0.  Row r's label goes to labels[r]
+ * and base plus the nonzeros so far to indptr[r]; the nonzeros go to idx
+ * (0-based) and val, :0 values dropped.  count gets the rows and nonzeros
+ * written.  Returns where the scan stopped. */
+int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t limit,
+                int64_t base, int64_t *indptr, double *labels, int64_t *idx, double *val,
+                int64_t *count)
+{
+    const char *p = buf + pos, *stop = buf + end, *line, *q;
+    int64_t rows = 0, nnz = 0, row_start, prev, j;
+    double y, v;
+    while (p < stop) {
+        line = p;
+        row_start = nnz;
+        prev = 0;
+        y = 0.0;
+        while (blank(*p))
+            p++;
+        for (q = p; !labeled && !token_end(q, stop) && *q != ':'; q++)
+            ;
+        if (labeled || *q != ':') {
+            p = number(p, &y);
+            if (!p || !token_end(p, stop))
+                goto refuse;
+        }
+        for (;;) {
+            while (blank(*p))
+                p++;
+            if (p == stop || *p == '\n')
+                break;
+            p = index_digits(p, &j);
+            if (!p || *p != ':' || j <= prev || j > limit)
+                goto refuse;
+            p = number(p + 1, &v);
+            if (!p || !token_end(p, stop))
+                goto refuse;
+            prev = j;
+            if (v != 0.0) {
+                idx[nnz] = j - 1;
+                val[nnz++] = v;
+            }
+        }
+        labels[rows] = y;
+        indptr[rows++] = base + nnz;
+        if (p < stop)
+            p++;
+        continue;
+refuse:
+        nnz = row_start;
+        p = line;
+        break;
+    }
+    count[0] = rows;
+    count[1] = nnz;
+    return p - buf;
+}
+
+/* Model weight lines "<idx>:<float>", 0-based indices, strictly increasing
+ * after st[0] and below dim, each stored into w.  st[0] gets the last index
+ * and st[1] the lines read.  Returns where the scan stopped. */
+int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, double *w,
+                   int64_t *st)
+{
+    const char *p = buf + pos, *stop = buf + end, *q;
+    int64_t prev = st[0], lines = 0, j;
+    double v;
+    while (p < stop) {
+        q = index_digits(p, &j);
+        if (!q || *q != ':' || j <= prev || j >= dim)
+            break;
+        q = number(q + 1, &v);
+        if (!q || !(q == stop || *q == '\n'))
+            break;
+        w[j] = v;
+        prev = j;
+        lines++;
+        p = q == stop ? q : q + 1;
+    }
+    st[0] = prev;
+    st[1] = lines;
+    return p - buf;
 }

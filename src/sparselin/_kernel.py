@@ -1,4 +1,9 @@
-"""Builds, caches and loads the compiled loop in ``_kernel.c``.
+"""Builds, caches and loads the compiled kernel in ``_kernel.c``.
+
+It holds the training loop (``sl_steps``), the model recovery
+(``sl_combine``) and the scanners of the LIBSVM and model-file readers
+(``sl_scan``, ``sl_weights``; see ``data_io``), so training, ``predict`` and
+``eval`` load it; ``import sparselin`` does not.
 
 The C source ships inside the package and is compiled on first use with the
 system's ``cc`` into ``$XDG_CACHE_HOME/sparselin/`` (default
@@ -68,6 +73,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.sl_steps.restype = i64
     lib.sl_combine.argtypes = [i64, ptr, dbl, ptr, dbl, ptr, dbl, ptr]
     lib.sl_combine.restype = None
+    lib.sl_scan.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, i64, i64] + [ptr] * 5
+    lib.sl_scan.restype = i64
+    lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]
+    lib.sl_weights.restype = i64
     return lib
 
 

@@ -13,6 +13,23 @@ the label ``labels[i]`` (float64).  The parser appends straight into flat
 buffers and hands them to numpy without copying; ``Dataset.row(i)`` is a
 read-only ``SparseVec`` view of one row.
 
+``parse_libsvm`` and ``read_model`` read text one line at a time.  The
+path-based ``load_dataset`` and ``load_model`` read the file in binary, in
+blocks of whole lines taken ``CHUNK`` bytes at a time (a partial last line
+is carried over), and hand each block to a compiled scanner (``sl_scan``,
+``sl_weights`` in ``_kernel.c``).  A scanner accepts one narrow form: ASCII
+numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` converted with ``strtod`` and
+finite, indices of at most 18 plain digits, space or tab between tokens, a
+``'\\n'`` at the end of each line, and the same index checks as the line
+code.  At the first line outside that form it stops; that line is decoded
+and split as text-mode reading would (universal newlines) and goes to the
+same Python line code as ``parse_libsvm``/``read_model``, which raises the
+usual error with its line number or accepts it (a comment, a blank line,
+``1_0``, CRLF), and scanning resumes after it.  So both readers give
+bit-identical arrays and the same errors with or without the kernel; without
+it (no compiler, say) every line takes the Python line code.  Bytes that are
+not UTF-8 are a ``ParseError``/``FormatError`` naming their line.
+
 Model files (text, version ``v1``)::
 
     sparselin-model v1
@@ -31,6 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -47,6 +65,8 @@ from .solvers import LinearModel
 from .sparse_core import MAX_DIM, SparseVec, check_csr
 
 MODEL_MAGIC = "sparselin-model v1"
+CHUNK = 1 << 16  # bytes per read of load_dataset and load_model: their buffers stay small
+_WRITE_BATCH = 512  # weight lines formatted per write; larger batches raise the peak RSS
 
 
 @dataclass(eq=False)
@@ -123,30 +143,25 @@ def _parse_feature(tok: str, line_no: int) -> tuple[int, float]:
     return idx - 1, val
 
 
-def parse_libsvm(
-    lines: Iterable[str],
-    dim_override: int | None = None,
-    require_labels: bool = True,
-) -> Dataset:
-    """Parse a LIBSVM text stream into a Dataset.
+class _Rows:
+    """CSR rows appended to flat buffers one text line at a time (``add_line``)
+    or a block of lines at a time by the compiled scanner (``scan``)."""
 
-    ``dim_override`` fixes the dimension (indices at or beyond it are an
-    error); otherwise the dimension is max observed index + 1, and an index
-    beyond ``sparse_core.MAX_DIM``, past which no weight vector can be
-    allocated, is an error naming its line.  With
-    ``require_labels=False`` a line whose first token contains ':' is
-    treated as all features with a placeholder label of 0 (prediction
-    inputs).
-    """
-    indptr, indices, values, labels = array("q", [0]), array("q"), array("d"), array("d")
-    limit, what = ((MAX_DIM, "the largest dimension") if dim_override is None
-                   else (dim_override, "dimension"))
-    for line_no, raw in enumerate(lines, start=1):
+    def __init__(self, dim_override: int | None, require_labels: bool):
+        self.indptr, self.indices = array("q", [0]), array("q")
+        self.values, self.labels = array("d"), array("d")
+        self.dim_override, self.require_labels = dim_override, require_labels
+        self.limit, self.what = ((MAX_DIM, "the largest dimension") if dim_override is None
+                                 else (dim_override, "dimension"))
+        self.scratch: list[np.ndarray] = []  # sl_scan's output, refilled by every call
+        self.pointers: list[int] = []
+
+    def add_line(self, raw: str, line_no: int) -> None:
         line = raw.strip()
         if not line or line.startswith("#"):
-            continue
+            return
         tokens = line.split()
-        if require_labels or ":" not in tokens[0]:
+        if self.require_labels or ":" not in tokens[0]:
             try:
                 y = float(tokens[0])
             except ValueError:
@@ -165,21 +180,118 @@ def parse_libsvm(
                     line_no, f"index {idx + 1} after {prev + 1}: must be strictly increasing"
                 )
             prev = idx
-            if idx >= limit:
-                raise DimensionError(f"line {line_no}: index {idx + 1} exceeds {what} {limit}")
+            if idx >= self.limit:
+                raise DimensionError(
+                    f"line {line_no}: index {idx + 1} exceeds {self.what} {self.limit}")
             if val == 0.0:
                 continue
-            indices.append(idx)
-            values.append(val)
-        indptr.append(len(indices))
-        labels.append(y)
-    if not labels:
-        raise EmptyDatasetError("no data lines found")
-    # frombuffer shares the buffers' memory: the arrays are converted without a copy
-    indptr, indices, values, labels = (np.frombuffer(a, dtype=a.typecode)
-                                       for a in (indptr, indices, values, labels))
-    dim = dim_override if dim_override is not None else int(indices.max(initial=-1)) + 1
-    return Dataset(indptr, indices, values, labels, dim)
+            self.indices.append(idx)
+            self.values.append(val)
+        self.indptr.append(len(self.indices))
+        self.labels.append(y)
+
+    def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
+        """``sl_scan`` over ``block`` from ``pos``: where it stopped, and the line number reached."""
+        # an accepted line takes at least 2 bytes ("1\n"), a kept nonzero at least 4 (" 1:1")
+        cap = len(block) - pos + 1
+        if not self.scratch or self.scratch[0].size < cap // 2:
+            # room for two reads at once: replacing (freeing) it would raise glibc's
+            # mmap threshold, and the growing buffers would then fragment the heap
+            cap = max(cap, 2 * CHUNK + 1)
+            self.scratch = [np.empty(cap // 2, np.int64), np.empty(cap // 2),
+                            np.empty(cap // 4, np.int64), np.empty(cap // 4),
+                            np.zeros(2, np.int64)]
+            self.pointers = [a.ctypes.data for a in self.scratch]
+        # indices the scanner accepts stay below 10**18 < MAX_DIM, so the clamp changes nothing
+        stop = lib.sl_scan(block, pos, len(block), self.require_labels,
+                           min(self.limit, MAX_DIM), len(self.indices), *self.pointers)
+        *out, count = self.scratch
+        rows, nnz = count.tolist()
+        for buf, a, n in zip((self.indptr, self.labels, self.indices, self.values), out,
+                             (rows, rows, nnz, nnz)):
+            buf.frombytes(memoryview(a[:n]).cast("B"))  # a numpy slice alone is not bytes-like
+        return stop, line_no + rows
+
+    def dataset(self) -> Dataset:
+        if not self.labels:
+            raise EmptyDatasetError("no data lines found")
+        # frombuffer shares the buffers' memory: the arrays are converted without a copy
+        indptr, indices, values, labels = (
+            np.frombuffer(a, dtype=a.typecode)
+            for a in (self.indptr, self.indices, self.values, self.labels))
+        dim = (self.dim_override if self.dim_override is not None
+               else int(indices.max(initial=-1)) + 1)
+        return Dataset(indptr, indices, values, labels, dim)
+
+
+def parse_libsvm(
+    lines: Iterable[str],
+    dim_override: int | None = None,
+    require_labels: bool = True,
+) -> Dataset:
+    """Parse a LIBSVM text stream into a Dataset.
+
+    ``dim_override`` fixes the dimension (indices at or beyond it are an
+    error); otherwise the dimension is max observed index + 1, and an index
+    beyond ``sparse_core.MAX_DIM``, past which no weight vector can be
+    allocated, is an error naming its line.  With
+    ``require_labels=False`` a line whose first token contains ':' is
+    treated as all features with a placeholder label of 0 (prediction
+    inputs).
+    """
+    rows = _Rows(dim_override, require_labels)
+    for line_no, raw in enumerate(lines, start=1):
+        rows.add_line(raw, line_no)
+    return rows.dataset()
+
+
+def _blocks(fh: IO[bytes]) -> Iterator[bytes]:
+    """The file's bytes as blocks of whole lines, read ``CHUNK`` bytes at a
+    time; a partial last line is carried over to the next block, and only
+    the file's last block may lack a final newline."""
+    pending: list[bytes] = []
+    while chunk := fh.read(CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            pending.append(memoryview(chunk)[:cut])  # copied once, by the join
+            yield b"".join(pending)
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    last = b"".join(pending)
+    if last:
+        yield last
+
+
+def _read_lines(path: str, scan, add_line, error) -> None:
+    """Feed the text file at ``path`` to ``scan(block, pos, line_no)``, which
+    reads lines from ``pos`` until one does not fit it and returns where it
+    stopped and the last line number it read (``scan`` None reads none).
+    Each line it stops at is decoded and split as text-mode reading would
+    (universal newlines: a lone '\\r' ends a line too) and given to
+    ``add_line(text, line_no)``, and scanning resumes after it.  Bytes that
+    are not UTF-8 raise ``error(line_no, message)``."""
+    line_no = 0
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            pos = 0
+            while pos < len(block):
+                if scan is not None:
+                    pos, line_no = scan(block, pos, line_no)
+                    if pos == len(block):
+                        break
+                end = block.find(b"\n", pos) + 1 or len(block)
+                lines = block[pos:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+                if not lines[-1]:
+                    lines.pop()  # what followed the last line break
+                for line in lines:
+                    line_no += 1
+                    try:
+                        text = line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise error(line_no, f"not valid UTF-8 ({exc.reason})") from None
+                    add_line(text, line_no)
+                pos = end
 
 
 def write_libsvm(data: Dataset, stream: IO[str]) -> None:
@@ -193,8 +305,13 @@ def write_libsvm(data: Dataset, stream: IO[str]) -> None:
 def load_dataset(
     path: str, dim_override: int | None = None, require_labels: bool = True
 ) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh, dim_override, require_labels)
+    """``parse_libsvm`` of the file at ``path``, compiled where the kernel loads."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    rows, lib = _Rows(dim_override, require_labels), _kernel.load()
+    _read_lines(path, None if lib is None else partial(rows.scan, lib), rows.add_line,
+                ParseError)
+    return rows.dataset()
 
 
 def write_model(model: LinearModel, stream: IO[str]) -> None:
@@ -204,13 +321,11 @@ def write_model(model: LinearModel, stream: IO[str]) -> None:
     stream.write(f"loss {model.loss.value}\n")
     stream.write(f"dim {model.dim}\n")
     stream.write(f"bias {fmt_float(model.b)}\n")
-    for i in np.nonzero(model.w)[0]:
-        stream.write(f"{i}:{fmt_float(model.w[i])}\n")
-
-
-def _model_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
-    for line_no, raw in enumerate(stream, start=1):
-        yield line_no, raw.rstrip("\r\n")
+    nonzero = np.flatnonzero(model.w)
+    for lo in range(0, nonzero.size, _WRITE_BATCH):
+        idx = nonzero[lo:lo + _WRITE_BATCH]
+        stream.write("".join(f"{i}:{fmt_float(v)}\n"
+                             for i, v in zip(idx.tolist(), model.w[idx].tolist())))
 
 
 def _header_value(line: str, key: str, parse):
@@ -224,62 +339,96 @@ def _header_value(line: str, key: str, parse):
         return None
 
 
-def read_model(stream: Iterable[str]) -> LinearModel:
-    lines = _model_lines(stream)
+class _ModelReader:
+    """A model file read one line at a time (``add_line``); once the header
+    is read, weight lines also a block at a time by the compiled scanner
+    (``scan``)."""
 
-    def next_line(what: str) -> tuple[int, str]:
-        try:
-            return next(lines)
-        except StopIteration:
-            raise FormatError(f"unexpected end of model file, expected {what}") from None
+    HEADER = ("header", "loss", "dim", "bias")
 
-    line_no, magic = next_line("header")
-    if magic != MODEL_MAGIC:
-        raise FormatError(f"unknown model version {magic!r}", line_no)
+    def __init__(self):
+        self.header: list = []  # magic, loss, dim and bias, as far as read
+        self.w: np.ndarray | None = None  # allocated once the header is complete
+        self.prev = -1
+        self.state = np.zeros(2, np.int64)
 
-    line_no, loss_line = next_line("loss")
-    if not loss_line.startswith("loss "):
-        raise FormatError(f"expected 'loss <name>', got {loss_line!r}", line_no)
-    loss_name = loss_line[5:]
-    try:
-        loss = LossKind(loss_name)
-    except ValueError:
-        raise FormatError(f"unknown loss {loss_name!r}", line_no) from None
+    def add_line(self, line: str, line_no: int) -> None:
+        if self.w is not None:
+            self._weight(line, line_no)
+            return
+        n = len(self.header)
+        if n == 0:
+            if line != MODEL_MAGIC:
+                raise FormatError(f"unknown model version {line!r}", line_no)
+            value = line
+        elif n == 1:
+            if not line.startswith("loss "):
+                raise FormatError(f"expected 'loss <name>', got {line!r}", line_no)
+            try:
+                value = LossKind(line[5:])
+            except ValueError:
+                raise FormatError(f"unknown loss {line[5:]!r}", line_no) from None
+        elif n == 2:
+            value = _header_value(line, "dim", int)
+            if value is None or not 0 <= value <= MAX_DIM:
+                raise FormatError(f"expected 'dim <n>', got {line!r}", line_no)
+        else:
+            value = _header_value(line, "bias", float)
+            if value is None:
+                raise FormatError(f"expected 'bias <float>', got {line!r}", line_no)
+            if not math.isfinite(value):
+                raise FormatError("bias is not finite", line_no)
+            self.w = np.zeros(self.header[2])
+        self.header.append(value)
 
-    line_no, dim_line = next_line("dim")
-    dim = _header_value(dim_line, "dim", int)
-    if dim is None or not 0 <= dim <= MAX_DIM:
-        raise FormatError(f"expected 'dim <n>', got {dim_line!r}", line_no)
-
-    line_no, bias_line = next_line("bias")
-    bias = _header_value(bias_line, "bias", float)
-    if bias is None:
-        raise FormatError(f"expected 'bias <float>', got {bias_line!r}", line_no)
-    if not math.isfinite(bias):
-        raise FormatError("bias is not finite", line_no)
-
-    w = np.zeros(dim)
-    prev = -1
-    for line_no, line in lines:
+    def _weight(self, line: str, line_no: int) -> None:
         idx_s, _, val_s = line.partition(":")
         try:  # without a ':', val_s is empty and fails to parse
             idx, val = int(idx_s), float(val_s)
         except ValueError:
             raise FormatError(f"expected '<idx>:<float>', got {line!r}", line_no) from None
-        if idx <= prev:
+        if idx <= self.prev:
             raise FormatError(f"weight index {idx} out of order", line_no)
-        if not 0 <= idx < dim:
-            raise FormatError(f"weight index {idx} outside [0, {dim})", line_no)
+        if not 0 <= idx < self.w.size:
+            raise FormatError(f"weight index {idx} outside [0, {self.w.size})", line_no)
         if not math.isfinite(val):
             raise FormatError(f"weight {idx} is not finite", line_no)
-        prev = idx
-        w[idx] = val
-    return LinearModel(w=w, b=bias, loss=loss, dim=dim)
+        self.prev = idx
+        self.w[idx] = val
+
+    def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
+        """``sl_weights`` over ``block`` from ``pos``: where it stopped, and the line number reached."""
+        if self.w is None:  # the header is read line by line
+            return pos, line_no
+        self.state[0] = self.prev
+        stop = lib.sl_weights(block, pos, len(block), self.w.size, self.w.ctypes.data,
+                              self.state.ctypes.data)
+        self.prev, lines = self.state.tolist()
+        return stop, line_no + lines
+
+    def model(self) -> LinearModel:
+        if self.w is None:
+            raise FormatError(
+                f"unexpected end of model file, expected {self.HEADER[len(self.header)]}")
+        _, loss, dim, bias = self.header
+        return LinearModel(w=self.w, b=bias, loss=loss, dim=dim)
+
+
+def read_model(stream: Iterable[str]) -> LinearModel:
+    reader = _ModelReader()
+    for line_no, raw in enumerate(stream, start=1):
+        reader.add_line(raw.rstrip("\r\n"), line_no)
+    return reader.model()
 
 
 def load_model(path: str) -> LinearModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_model(fh)
+    """``read_model`` of the file at ``path``, compiled where the kernel loads."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    reader, lib = _ModelReader(), _kernel.load()
+    _read_lines(path, None if lib is None else partial(reader.scan, lib), reader.add_line,
+                lambda line_no, message: FormatError(message, line_no))
+    return reader.model()
 
 
 def save_model(model: LinearModel, path: str) -> None:

@@ -178,7 +178,7 @@ def _train(
     xbar = mean_vector(data, counter) if center else None
     theta = 1.0 + squared_norm(xbar, counter) if center else 0.0
     st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
-    from . import _kernel  # here, so that predict and eval never import it
+    from . import _kernel  # here, so that importing sparselin does not import it
     lib = _kernel.load()
     if lib is None:
         run = partial(_python_steps, order, data, kind, lam, theta, xbar, v, u, st, counter)

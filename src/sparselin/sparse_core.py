@@ -180,7 +180,7 @@ def finalize_combine(
     nothing there and writes only a -0.0 result.  The counter is charged the
     full pass either way.
     """
-    from . import _kernel  # here, so that predict and eval never import it
+    from . import _kernel  # here, so that importing sparselin does not import it
 
     if not 1 <= len(coeffs) <= 3:
         raise ValueError("finalize_combine takes one to three (coeff, vector) pairs")

@@ -125,6 +125,47 @@ class TestTrain:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+@pytest.fixture(params=["compiled", "fallback"])
+def reader_path(request, monkeypatch):
+    """Runs a test with the compiled scanners, then with the Python line code alone."""
+    from sparselin import _kernel
+
+    if request.param == "fallback":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    else:
+        assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
+    return request.param
+
+
+class TestInvalidUtf8:
+    def test_data_line_exits_1(self, tmp_path, capsys, reader_path):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"1 1:1\n-1 2:\xff\n")
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m"), *TRAIN_FLAGS])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("sparselin: error: line 2: not valid UTF-8 "
+                                "(invalid start byte)\n")
+
+    def test_line_number_counts_lone_carriage_returns(self, tmp_path, capsys, reader_path):
+        # text-mode reading ends a line at a lone \r, so the bad byte is on line 3
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"1 1:1\r\n1 2:1\r-1 \xc3:1\n")
+        rc = main(["train", "--data", str(data), "--model", str(tmp_path / "m"), *TRAIN_FLAGS])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("sparselin: error: line 3: not valid UTF-8")
+
+    def test_weight_line_exits_1(self, one_line_file, tmp_path, capsys, reader_path):
+        model = tmp_path / "model.txt"
+        model.write_bytes(b"sparselin-model v1\nloss squared\ndim 2\nbias 0\n1:\xff\n")
+        rc = main(["predict", "--model", str(model), "--data", one_line_file])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("sparselin: error: line 5: not valid UTF-8 "
+                                "(invalid start byte)\n")
+
+
 class TestPredict:
     def test_prediction_output(self, one_line_file, tmp_path, capsys):
         rc, model_path = train(one_line_file, tmp_path)
@@ -228,13 +269,27 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "sparselin", "train", "--data", str(data),
              "--model", str(model), *TRAIN_FLAGS],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("trained algo=sgd")
 
     def test_no_subcommand_exits_1(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "sparselin"], capture_output=True, text=True
+            [sys.executable, "-m", "sparselin"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert proc.returncode == 1
+        assert "the following arguments are required: command" in proc.stderr
+
+    def test_import_loads_no_kernel(self):
+        # the kernel's build and ctypes cost belongs to the commands that read
+        # or train, not to every import; numpy may import ctypes on its own
+        code = ("import sys; import numpy; numpy_ctypes = 'ctypes' in sys.modules; "
+                "import sparselin; "
+                "print('sparselin._kernel' in sys.modules, "
+                "'ctypes' in sys.modules and not numpy_ctypes)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False False\n"

@@ -1,16 +1,20 @@
-"""The compiled step loop and finalize against their Python reference.
+"""The compiled kernel against its Python reference.
 
-The Python loop (``solvers._python_steps``) and the numpy finalize are what
-runs when the kernel cannot be built or loaded.  Here they are forced by
-making ``_kernel.load`` report that no library could be built, and compared
-with the compiled path.  The two loops differ only in how a sparse dot
-product is summed, so models agree to 1e-12; the finalize is bit-identical.
+The Python loop (``solvers._python_steps``), the numpy finalize and the
+Python line code of ``data_io`` are what runs when the kernel cannot be
+built or loaded.  Here they are forced by making ``_kernel.load`` report
+that no library could be built, and compared with the compiled path.  The
+two loops differ only in how a sparse dot product is summed, so models agree
+to 1e-12; the finalize and the file readers are bit-identical.
 """
 
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import ALL_LOSSES, random_dataset, rel_err, shift_dataset
 from sparselin import (
@@ -18,6 +22,7 @@ from sparselin import (
     LossKind,
     NonFiniteError,
     SparseVec,
+    SparselinError,
     TouchCounter,
     TrainConfig,
     asgd_train,
@@ -25,7 +30,7 @@ from sparselin import (
     draw_indices,
     sgd_train,
 )
-from sparselin import _kernel
+from sparselin import _kernel, data_io
 from sparselin.sparse_core import finalize_combine
 
 TRAINERS = [sgd_train, asgd_train, casgd_train]
@@ -159,3 +164,230 @@ def test_cold_cache_build_then_reuse(tmp_path, monkeypatch):
     assert _kernel.load() is not None
     assert os.listdir(tmp_path / "sparselin") == [built.name]
     assert (built.stat().st_ino, built.stat().st_mtime_ns) == stamp
+
+
+# ---- the LIBSVM and model-file scanners ------------------------------------
+
+# Pieces of the lines below: the first list of each pair fits the scanners'
+# grammar, the second holds what only the Python line code may accept or reject.
+NUMBERS = (["1", "-1", "0.5", "2.25e-3", ".5", "5.", "1E+2", "007", "-0", "0", "+1", "1e-400",
+            "4.9e-324", "123456789.123456789e-5", "1.7976931348623157e308"],
+           ["1_0", "0x1p3", "inf", "-inf", "nan", "1e999", "1e", "1.5.", "--1", "", "abc",
+            "\u00bd", " 1", "1 "])
+INDICES = (["1"],  # stands for the next increasing index
+           ["0", "007", "+5", "-1", "1_0", "x", "", "999999999999999999",
+            "0000000000000000001", "1234567890123456789", "1" * 30])
+COLONS = ([":"], ["::", "", ": "])
+BLANKS = ([" ", "\t", "  "], ["\x0b", "\x0c", "\u0085", "\u00a0", "\u2028", "\x00"])
+ENDINGS = (["\n"], ["\r\n", "\r"])
+LINES = (["1 1:1"], ["", "#", "# 1 1:1", "   ", "\t", "1:1 2:1", "1 3:1 2:1", "1 2:1 2:1"])
+RAW = [b"\x85", b"\xa0", b"\xff", b"\xc3", b"\xed\xa0\x80"]  # bytes that are not UTF-8
+
+
+def pick(draw, pieces, odd):
+    """A piece that fits the grammar, or with probability ``odd`` one that may not."""
+    fits, other = pieces
+    return draw(st.sampled_from(other if draw(st.floats(0, 1)) < odd else fits))
+
+
+def libsvm_line(draw, odd):
+    if pick(draw, LINES, odd) != "1 1:1":
+        return pick(draw, LINES, 1.0).encode()
+    tokens, prev = [pick(draw, NUMBERS, odd)], 0
+    if draw(st.floats(0, 1)) < odd:
+        tokens.pop()  # no label: the first token is a feature
+    for _ in range(draw(st.integers(0, 6))):
+        idx = pick(draw, INDICES, odd)
+        if idx == "1":
+            prev += draw(st.integers(1, 5))
+            idx = str(prev)
+        tokens.append(idx + pick(draw, COLONS, odd) + pick(draw, NUMBERS, odd))
+    text = "".join(pick(draw, BLANKS, odd) + tok for tok in tokens)
+    text = text[1:] if draw(st.booleans()) else text
+    return text.encode() + (draw(st.sampled_from(RAW)) if draw(st.floats(0, 1)) < odd / 4 else b"")
+
+
+def weight_line(draw, odd, prev):
+    idx = pick(draw, INDICES, odd)
+    idx = str(prev + draw(st.integers(1, 3))) if idx == "1" else idx
+    text = idx + pick(draw, COLONS, odd) + pick(draw, NUMBERS, odd)
+    return text.encode() + (draw(st.sampled_from(RAW)) if draw(st.floats(0, 1)) < odd / 4 else b"")
+
+
+def text_file(draw, lines, odd):
+    """``lines`` joined by line breaks, the last one perhaps without its own."""
+    body = b"".join(line + pick(draw, ENDINGS, odd).encode() for line in lines)
+    return body.rstrip(b"\r\n") if draw(st.booleans()) else body
+
+
+ODD = st.sampled_from([0.0, 0.0, 0.01, 0.03, 0.1, 0.3])  # per file
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scan")
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of ``fn`` or the class, message and line number of its error."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def bits(*arrays):
+    """The arrays' bit patterns, as int64 lists that compare with ``==``."""
+    return [np.asarray(a, dtype=np.float64 if a.dtype.kind == "f" else np.int64)
+            .view(np.int64).tolist() for a in arrays]
+
+
+def dataset_bits(data):
+    if isinstance(data, tuple):
+        return data
+    return data.dim, bits(data.indptr, data.indices, data.values, data.labels)
+
+
+def model_bits(model):
+    if isinstance(model, tuple):
+        return model
+    return model.loss, model.dim, bits(model.w, np.array([model.b]))
+
+
+def text_mode(read, path):
+    """``read`` on the file opened in text mode: UTF-8 with universal newlines."""
+    with open(path, encoding="utf-8") as fh:
+        return read(fh)
+
+
+def check_paths(path, load, text, unpack):
+    """The compiled reader, the forced fallback and, for UTF-8 text, the text-mode
+    reader all give bit-identical results or the same error."""
+    compiled = unpack(outcome(load, path))
+    assert compiled == unpack(outcome(on_fallback, load, path))
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:  # text mode raises this, not a line error
+        assert isinstance(compiled, tuple) and issubclass(compiled[0], SparselinError)
+        return
+    assert compiled == unpack(outcome(text_mode, text, path))
+
+
+class TestScanners:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), ODD, st.sampled_from([1, 2, 7, 64, 1 << 16]), st.booleans(),
+           st.sampled_from([None, 0, 20, 1 << 40]))
+    def test_dataset_matches_fallback_and_text_mode(self, scratch_dir, data, odd, chunk,
+                                                    labels, dim):
+        lines = [libsvm_line(data.draw, odd) for _ in range(data.draw(st.integers(0, 8)))]
+        path = scratch_dir / "data.txt"
+        path.write_bytes(text_file(data.draw, lines, odd))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "CHUNK", chunk)
+            check_paths(path, lambda p: data_io.load_dataset(p, dim, labels),
+                        lambda fh: data_io.parse_libsvm(fh, dim, labels), dataset_bits)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), ODD, st.sampled_from([1, 3, 16, 1 << 16]))
+    def test_model_matches_fallback_and_read_model(self, scratch_dir, data, odd, chunk):
+        header = [b"sparselin-model v1", b"loss log", b"dim 30", b"bias -0.5"]
+        if data.draw(st.floats(0, 1)) < odd:
+            i = data.draw(st.integers(0, 3))
+            header[i] = data.draw(st.sampled_from(
+                [b"", b"sparselin-model v2", b"loss 1", b"dim -1", b"dim 30.0", b"dim  30",
+                 b"dim 1_2", b"bias nan", b"bias", b"bias 1_0", b"\xff"]))
+            header = header[:data.draw(st.integers(i, 4))]
+        lines, prev = [], -1
+        for _ in range(data.draw(st.integers(0, 8))):
+            lines.append(weight_line(data.draw, odd, prev))
+            head = lines[-1].partition(b":")[0]
+            prev = int(head) if head.isdigit() else prev
+        path = scratch_dir / "model.txt"
+        path.write_bytes(text_file(data.draw, header + lines, odd))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_io, "CHUNK", chunk)
+            check_paths(path, data_io.load_model, data_io.read_model, model_bits)
+
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_well_formed_lines_never_reach_the_line_code(self, tmp_path, monkeypatch, labels):
+        path = tmp_path / "data.txt"
+        first = b"1 1:0.5 3:-2\n" if labels else b"1:0.5 3:-2\n"
+        path.write_bytes(first + b"-1\t2:1e-3  7:0\n+1 4:.5 20:1\n0.25 1:7.")
+        monkeypatch.setattr(data_io, "CHUNK", 5)
+        reference = data_io.parse_libsvm(io.StringIO(path.read_text()), 20, labels)
+
+        def refused(self, raw, line_no):
+            raise AssertionError(f"line {line_no} left the compiled scanner: {raw!r}")
+
+        monkeypatch.setattr(data_io._Rows, "add_line", refused)
+        assert dataset_bits(data_io.load_dataset(str(path), 20, labels)) == dataset_bits(reference)
+
+        model = tmp_path / "model.txt"
+        model.write_bytes(b"sparselin-model v1\nloss hinge\ndim 9\nbias 1\n0:1\n3:-0.5\n8:2e-3")
+        reference = data_io.read_model(io.StringIO(model.read_text()))
+        monkeypatch.setattr(data_io._ModelReader, "_weight", refused)
+        assert model_bits(data_io.load_model(str(model))) == model_bits(reference)
+
+    # Each line below sits after five lines the scanner reads and before one more.
+    # 2**64 + 5 is 5 to an int64 that overflows.  1 + 2**-53 + 2**-100 lies just
+    # above the midpoint of two doubles: only a correctly rounded conversion gets it right
+    DATA_EDGES = [
+        b"1 1:1\r", b"1\r2:1", b"1 1:1\r1 2:1", b"\t1\t1:1\t", b"#", b"# 1 1:1", b"", b"   ",
+        b"1 1:1 \x0b2:1", b"\x0c", b"1\xc2\x85 1:1", b"1\xc2\xa0 1:1", b"1 1:1\x85",
+        b"1 1:\xa0", b"\xff", b"\xef\xbb\xbf1 1:1", b"1 1:1\x00", b"+1 1:1", b"1 1_0:1",
+        b"1_0 1:1", b"1 1:1_0", b"0x1p3 1:1", b"1 1:0x1p3", b"inf 1:1", b"1 1:inf",
+        b"1 1:-inf", b"nan", b"1 1:nan", b"1e999 1:1", b"1 1:1e999", b"-1e999",
+        b"1e-400 1:1e-400", b"-0 1:-0", b"1 1:0 2:0", b"007 007:007", b"1 0000000000000000001:1",
+        b"1 1000000000000000000:1", b"1 999999999999999999:1", b"1 99999999999999999999:1",
+        b"1 18446744073709551621:1",
+        b"1 1:", b"1 :1", b"1 1", b"1 1::1", b"1 1:1:1", b"1 3:1 2:1", b"1 2:1 2:1", b"1 0:1",
+        b"1 -1:1", b"1 +5:1", b"1:1 2:1", b"1 1:1e", b"1 1:1e+", b"1 1:1.5.", b"1 1:.",
+        b"1 1:-", b"1 1:--1", b". 1:1", b"1 1:\xc2\xbd", b"1 20:1", b"1 21:1",
+        b"1.7976931348623157e308 1:4.9e-324", b"1 1:2.4703282292062328e-324",
+        b"1 1:1.00000000000000011102230246251565404236316680908203125000000000000001",
+        b"1 1:123456789012345678901234567890e-30",
+    ]
+
+    @pytest.mark.parametrize("line", DATA_EDGES, ids=repr)
+    def test_data_edge_line(self, tmp_path, monkeypatch, line):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1 1:1\n-1 2:0.5 3:1\n1\n1 4:2\n-1 1:0.25\n" + line + b"\n1 5:1\n")
+        for chunk in (1, 7, 1 << 16):
+            monkeypatch.setattr(data_io, "CHUNK", chunk)
+            for labels in (True, False):
+                for dim in (None, 20):
+                    check_paths(path, lambda p: data_io.load_dataset(p, dim, labels),
+                                lambda fh: data_io.parse_libsvm(fh, dim, labels), dataset_bits)
+
+    MODEL_EDGES = [
+        b"6:1\r", b"6:1\r7:1", b" 6:1", b"6:1 ", b"6: 1", b"6:1\t", b"+6:1", b"6_1:1", b"-1:1",
+        b"06:1", b"6:1_0", b"6:0x1p3", b"6:inf", b"6:nan", b"6:1e999", b"6:1e-400", b"6:-0",
+        b"6:", b":1", b"6", b"6::1", b"6:1:1", b"29:1", b"30:1", b"0000000000000000006:1",
+        b"1234567890123456789:1", b"18446744073709551622:1", b"#", b"", b"\xff", b"6:\xa0",
+        b"6:4.9e-324", b"5:2", b"4:1",
+        b"6:1.00000000000000011102230246251565404236316680908203125000000000000001",
+    ]
+
+    @pytest.mark.parametrize("line", MODEL_EDGES, ids=repr)
+    def test_model_edge_line(self, tmp_path, monkeypatch, line):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"sparselin-model v1\nloss log\ndim 30\nbias -0.5\n"
+                         b"1:1\n2:0.5\n3:-2\n4:1e-3\n5:7\n" + line + b"\n25:1\n")
+        for chunk in (1, 7, 1 << 16):
+            monkeypatch.setattr(data_io, "CHUNK", chunk)
+            check_paths(path, data_io.load_model, data_io.read_model, model_bits)
+
+    def test_reads_at_most_one_chunk_at_a_time(self, monkeypatch):
+        body = b"".join(b"1 %d:0.5\n" % i for i in range(1, 200)) + b"1 1:1" * 40
+        sizes = []
+
+        class Recording(io.BytesIO):
+            def read(self, n=-1):
+                sizes.append(n)
+                return super().read(n)
+
+        monkeypatch.setattr(data_io, "CHUNK", 64)
+        blocks = list(data_io._blocks(Recording(body)))
+        assert b"".join(blocks) == body
+        assert all(block.endswith(b"\n") for block in blocks[:-1])
+        assert sizes and all(0 < n <= 64 for n in sizes)
