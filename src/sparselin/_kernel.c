@@ -1,11 +1,11 @@
-/* The step loop of sparselin.solvers._train over CSR arrays, the one-pass
- * model recovery of sparse_core.finalize_combine, and the scanners of
- * data_io's LIBSVM and model-file readers.
+/* The step loop of sparselin.solvers._train over CSR arrays, and the
+ * scanners of data_io's LIBSVM and model-file readers.
  *
- * The first two repeat the floating-point operations of the Python code in
- * the same order, so the kernel must be built with -ffp-contract=off: no
+ * The loop repeats the floating-point operations of the Python loop in the
+ * same order, so the kernel must be built with -ffp-contract=off: no
  * multiply-add may be fused.  Only the sparse dot products differ, summing
- * left to right where numpy's BLAS ddot sums in blocks.
+ * left to right where numpy's BLAS ddot sums in blocks.  With averaging,
+ * the loop's vectors span only the features the data uses (see solvers).
  */
 #include <math.h>
 #include <stdint.h>
@@ -86,50 +86,27 @@ int64_t sl_steps(const int64_t *order, const int64_t *indptr, const int64_t *idx
     return 0;
 }
 
-/* (c0 v + c1 u) + c2 x over n components in one pass, rounded in that order
- * and written into the last vector given: x, or u when x is NULL, or v when
- * both are NULL.  Where live[i / BLOCK] is 0 (live may be NULL), every vector
- * is +0.0, so the result there is one constant; a block is skipped when that
- * constant is +0.0, which the output already holds. */
-#define BLOCK 512
-void sl_combine(int64_t n, double *v, double c0, double *u, double c1, double *x, double c2,
-                const uint8_t *live)
-{
-    double *out = x ? x : u ? u : v;
-    double zero = u ? c0 * 0.0 + c1 * 0.0 : c0 * 0.0;
-    if (x)
-        zero += c2 * 0.0;
-    for (int64_t lo = 0; lo < n; lo += BLOCK) {
-        int64_t hi = n - lo < BLOCK ? n : lo + BLOCK;
-        if (live && !live[lo / BLOCK]) {
-            if (signbit(zero))
-                for (int64_t i = lo; i < hi; i++)
-                    out[i] = zero;
-        } else if (x) {
-            for (int64_t i = lo; i < hi; i++)
-                x[i] = c0 * v[i] + c1 * u[i] + c2 * x[i];
-        } else if (u) {
-            for (int64_t i = lo; i < hi; i++)
-                u[i] = c0 * v[i] + c1 * u[i];
-        } else {
-            for (int64_t i = lo; i < hi; i++)
-                v[i] = c0 * v[i];
-        }
-    }
-}
-
 /* The scanners read the lines of buf[pos, end) that fit a narrow grammar and
  * stop at the start of the first line that does not; data_io hands that line
  * to its Python line code and calls them again after it.  Numbers match
  * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, are converted with strtod and must be
  * finite; indices are at most 18 plain digits; tokens are separated by spaces
- * or tabs; a line ends with '\n' or at end.  Only ASCII is accepted, so no
- * '\r' (a line break of its own to text-mode reading) or other whitespace
- * ever reaches a token.  buf[end] must be a NUL byte, as in every Python
- * bytes object: each token scan stops there. */
+ * or tabs; a line ends with "\n", with "\r\n" (one line end to text-mode
+ * reading too) or at end.  Only ASCII is accepted, so no lone '\r' (a line
+ * break of its own to text-mode reading) or other whitespace ever reaches a
+ * token.  buf[end] must be a NUL byte, as in every Python bytes object: each
+ * token scan stops there. */
 static int digit(char c) { return c >= '0' && c <= '9'; }
 static int blank(char c) { return c == ' ' || c == '\t'; }
-static int token_end(const char *p, const char *end) { return p == end || *p == '\n' || blank(*p); }
+/* The length of the line break at p < end: 1 for "\n", 2 for "\r\n", else 0. */
+static int line_break(const char *p)
+{
+    return *p == '\n' ? 1 : *p == '\r' && p[1] == '\n' ? 2 : 0;
+}
+static int token_end(const char *p, const char *end)
+{
+    return p == end || blank(*p) || line_break(p);
+}
 
 /* The number at p into *out; returns the end of its token, or NULL. */
 static const char *number(const char *p, double *out)
@@ -201,7 +178,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
         for (;;) {
             while (blank(*p))
                 p++;
-            if (p == stop || *p == '\n')
+            if (p == stop || line_break(p))
                 break;
             p = index_digits(p, &j);
             if (!p || *p != ':' || j <= prev || j > limit)
@@ -218,7 +195,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
         labels[rows] = y;
         indptr[rows++] = base + nnz;
         if (p < stop)
-            p++;
+            p += line_break(p);
         continue;
 refuse:
         nnz = row_start;
@@ -244,12 +221,12 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, doubl
         if (!q || *q != ':' || j <= prev || j >= dim)
             break;
         q = number(q + 1, &v);
-        if (!q || !(q == stop || *q == '\n'))
+        if (!q || !(q == stop || line_break(q)))
             break;
         w[j] = v;
         prev = j;
         lines++;
-        p = q == stop ? q : q + 1;
+        p = q == stop ? q : q + line_break(q);
     }
     st[0] = prev;
     st[1] = lines;

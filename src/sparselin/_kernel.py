@@ -1,9 +1,8 @@
 """Builds, caches and loads the compiled kernel in ``_kernel.c``.
 
-It holds the training loop (``sl_steps``), the model recovery
-(``sl_combine``) and the scanners of the LIBSVM and model-file readers
-(``sl_scan``, ``sl_weights``; see ``data_io``), so training, ``predict`` and
-``eval`` load it; ``import sparselin`` does not.
+It holds the training loop (``sl_steps``) and the scanners of the LIBSVM
+and model-file readers (``sl_scan``, ``sl_weights``; see ``data_io``), so
+training, ``predict`` and ``eval`` load it; ``import sparselin`` does not.
 
 The C source ships inside the package and is compiled on first use with the
 system's ``cc`` into ``$XDG_CACHE_HOME/sparselin/`` (default
@@ -27,8 +26,6 @@ import zlib
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 # -ffp-contract=off: a fused multiply-add would round differently from numpy
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-BLOCK = 512  # components per flag of sl_combine's live mask, as in _kernel.c
 
 _lib: ctypes.CDLL | None | bool = None  # False once building or loading failed
 
@@ -71,8 +68,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.sl_steps.argtypes = [ptr] * 5 + [ctypes.c_int, dbl, dbl] + [ptr] * 4 + [i64, i64]
     lib.sl_steps.restype = i64
-    lib.sl_combine.argtypes = [i64, ptr, dbl, ptr, dbl, ptr, dbl, ptr]
-    lib.sl_combine.restype = None
     lib.sl_scan.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, i64, i64] + [ptr] * 5
     lib.sl_scan.restype = i64
     lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]

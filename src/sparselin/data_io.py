@@ -19,16 +19,17 @@ blocks of whole lines taken ``CHUNK`` bytes at a time (a partial last line
 is carried over), and hand each block to a compiled scanner (``sl_scan``,
 ``sl_weights`` in ``_kernel.c``).  A scanner accepts one narrow form: ASCII
 numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` converted with ``strtod`` and
-finite, indices of at most 18 plain digits, space or tab between tokens, a
-``'\\n'`` at the end of each line, and the same index checks as the line
-code.  At the first line outside that form it stops; that line is decoded
-and split as text-mode reading would (universal newlines) and goes to the
-same Python line code as ``parse_libsvm``/``read_model``, which raises the
-usual error with its line number or accepts it (a comment, a blank line,
-``1_0``, CRLF), and scanning resumes after it.  So both readers give
-bit-identical arrays and the same errors with or without the kernel; without
-it (no compiler, say) every line takes the Python line code.  Bytes that are
-not UTF-8 are a ``ParseError``/``FormatError`` naming their line.
+finite, indices of at most 18 plain digits, space or tab between tokens,
+``'\\n'`` or ``'\\r\\n'`` at the end of each line, and the same index checks
+as the line code.  At the first line outside that form it stops; that line
+is decoded and split as text-mode reading would (universal newlines) and
+goes to the same Python line code as ``parse_libsvm``/``read_model``, which
+raises the usual error with its line number or accepts it (a comment, a
+blank line, ``1_0``, a lone ``'\\r'``), and scanning resumes after it.  So
+both readers give bit-identical arrays and the same errors with or without
+the kernel; without it (no compiler, say) every line takes the Python line
+code.  Bytes that are not UTF-8 are a ``ParseError``/``FormatError``
+naming their line.
 
 Model files (text, version ``v1``)::
 

@@ -15,6 +15,16 @@ vector xbar and theta = 1 + |xbar|^2 are computed once, and the projection
 sum z = v . xbar, the centered bias sum r = a*theta - z and its average s
 are kept so that centering never needs a dense operation inside the loop.
 
+With averaging, the loop runs over the data's features only: ``_train``
+maps the n' distinct feature indices the data uses to 0..n'-1 once, trains
+on that compacted dataset, so v, u and xbar are n' long, and scatters the
+finished model into an n-length zero vector.  The allocation, the mean and
+the finalize then cost O(n') arithmetic; only the zero-filled model is n
+long.  Plain SGD keeps its one vector v over all n and scales it into the
+model in place: compacting it would save no memory, since the model is n
+long anyway, and would add the feature map.  Either way, adding dimensions
+the data never uses changes no bit of the other weights or of the bias.
+
 The loop is compiled: ``sl_steps`` in ``_kernel.c`` runs it over the
 dataset's CSR arrays, built with the system's ``cc`` on the first training
 call and cached in ``$XDG_CACHE_HOME/sparselin/`` (default
@@ -25,10 +35,9 @@ against.  Both make the same floating-point operations in the same order,
 except that the compiled sparse dot products sum left to right where numpy's
 BLAS ``ddot`` sums in blocks, so the two can write models that differ in
 the last bits.  The loop charges only ``sparse_touches`` (the compiled one
-after it returns, by the same count).  Model recovery is one dense pass,
-written in place into the last vector it combines (v for sgd, u for asgd,
-xbar for casgd), which skips the blocks of components that hold none of
-the data's features.
+after it returns, by the same count).  Model recovery works in place, in
+the vectors it combines, and ends in the last one (v for sgd, u for asgd,
+xbar for casgd).
 """
 
 from __future__ import annotations
@@ -100,11 +109,18 @@ class LinearModel:
 
 @dataclass
 class SolverState:
-    """Solver state after step t; sums the solver does not keep stay at their defaults."""
+    """Solver state after step t; sums the solver does not keep stay at their defaults.
+
+    With averaging, the vectors span the data's features only: component j
+    of v, u and xbar belongs to feature ``feats[j]`` of the model's ``dim``
+    (see ``scatter``).  Without it, ``feats`` is None and v spans all dim.
+    """
 
     v: DenseVec
     a: float
     t: int
+    feats: np.ndarray | None
+    dim: int
     u: DenseVec | None = None
     c: float = 0.0
     h: float = 0.0
@@ -166,19 +182,20 @@ def _train(
     validate_labels(data, cfg.loss)
     order = draw_indices(cfg.seed, cfg.steps, data.m)
     lam, T, kind = cfg.lam, cfg.steps, cfg.loss
-
-    # casgd writes its model into xbar and frees v and u together: as one
-    # block they raise glibc's dynamic trim threshold above what a call
-    # frees, so the next call reuses their pages instead of faulting in new ones
-    if center:
-        v, u = np.zeros((2, data.dim))
-    else:
-        v = np.zeros(data.dim)
-        u = np.zeros(data.dim) if average else None
-    xbar = mean_vector(data, counter) if center else None
-    theta = 1.0 + squared_norm(xbar, counter) if center else 0.0
-    st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
     from . import _kernel  # here, so that importing sparselin does not import it
+    from .data_io import Dataset  # here, because data_io imports this module
+
+    # only averaging compacts: sgd's one vector becomes the n-length model itself
+    feats, dim = None, data.dim
+    if average:
+        feats, local = np.unique(data.indices, return_inverse=True)
+        data = Dataset(data.indptr, local, data.values, data.labels, feats.size)
+
+    v = np.zeros(data.dim)
+    u = np.zeros(data.dim) if average else None
+    xbar = mean_vector(data, counter) if center else None
+    theta = 1.0 + squared_norm(xbar) if center else 0.0
+    st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
     lib = _kernel.load()
     if lib is None:
         run = partial(_python_steps, order, data, kind, lam, theta, xbar, v, u, st, counter)
@@ -202,7 +219,7 @@ def _train(
                 "lambda may be too small for the data"
             )
         if observer is not None:
-            observer(SolverState(v, a, t0, u, c, h, xbar, theta, z, r, s), p)
+            observer(SolverState(v, a, t0, feats, dim, u, c, h, xbar, theta, z, r, s), p)
 
     scale = 1.0 / (lam * T)
     coeffs, bias = [(-scale, v)], a
@@ -210,11 +227,20 @@ def _train(
         coeffs, bias = [(-h * scale, v), (scale, u)], c
     if center:
         coeffs, bias = coeffs + [(c * scale, xbar)], s
-    # v, u and xbar stay +0.0 on blocks that hold none of the data's features
-    live = np.zeros(-(-data.dim // _kernel.BLOCK), dtype=np.uint8)
-    live[data.indices // _kernel.BLOCK] = 1
-    w = finalize_combine(coeffs, counter, live)
-    return LinearModel(w=w, b=-bias * scale, loss=kind, dim=data.dim)
+    if counter is not None:  # theta and the model: one-time passes, charged at the model's n
+        counter.outside_dense_touches += dim * (1 + center)
+    w = scatter(feats, dim, finalize_combine(coeffs))
+    return LinearModel(w=w, b=-bias * scale, loss=kind, dim=dim)
+
+
+def scatter(feats: np.ndarray | None, dim: int, local: DenseVec) -> DenseVec:
+    """The dim-length vector holding ``local[j]`` at feature ``feats[j]`` and 0
+    elsewhere; ``local`` itself when ``feats`` is None (it spans all dim features)."""
+    if feats is None:
+        return local
+    out = np.zeros(dim)
+    out[feats] = local
+    return out
 
 
 def _charge(counter: TouchCounter, nnz: np.ndarray, t0: int, t1: int,
@@ -307,10 +333,11 @@ def casgd_train(
 def recover_sgd_iterate(state: SolverState, lam: float) -> tuple[DenseVec, float]:
     """(w_t, b_t) = -[v_t, a_t] / (lam*t)."""
     scale = -1.0 / (lam * state.t)
-    return scale * state.v, scale * state.a
+    return scatter(state.feats, state.dim, scale * state.v), scale * state.a
 
 
 def recover_centered_iterate(state: SolverState, lam: float) -> tuple[DenseVec, float]:
     """Current centered-data iterate with its implicit (uncentered-input) bias."""
     scale = -1.0 / (lam * state.t)
-    return scale * (state.v - state.a * state.xbar), scale * state.r
+    w = scale * (state.v - state.a * state.xbar)
+    return scatter(state.feats, state.dim, w), scale * state.r

@@ -11,10 +11,8 @@ the one-time dense passes (``squared_norm``, ``finalize_combine``) charge
 not vector arithmetic, and charge nothing.
 
 The training loop itself runs compiled over the CSR arrays (see
-``solvers``), and so does ``finalize_combine``: one pass that writes the
-model into the last vector's buffer, with no n-length temporary, and skips
-blocks its caller marks as all zero.  Without a compiler, numpy computes the
-same bits in the same buffer.
+``solvers``).  With averaging, its vectors span only the n' features the
+data uses, so the one-time passes here run over n' components, not all n.
 """
 
 from __future__ import annotations
@@ -42,7 +40,11 @@ class TouchCounter:
     """Tallies of vector components read or written, split by locality.
 
     ``loop_dense_touches`` must stay 0 for the sparse solvers; only the
-    naive dense reference implementations charge it.
+    naive dense reference implementations charge it.  A solver charges each
+    one-time dense pass (theta = 1 + |xbar|^2 for casgd, and the model's
+    recovery) at the model's dimension n, even where it makes the pass over
+    only the n' <= n features its data uses: the counts state the cost
+    model O(n + T*k), which holds for any n.
     """
 
     loop_dense_touches: int = 0
@@ -166,52 +168,25 @@ def squared_norm(v: DenseVec, counter: TouchCounter | None = None) -> float:
 def finalize_combine(
     coeffs: Sequence[tuple[float, DenseVec]],
     counter: TouchCounter | None = None,
-    live: np.ndarray | None = None,
 ) -> DenseVec:
-    """Linear combination sum(alpha_j * v_j) of one to three vectors as one
-    O(n) dense pass, written into the last vector's buffer, which is returned.
+    """Linear combination sum(alpha_j * v_j) of one or more vectors, O(n) dense
+    work written into the last vector's buffer, which is returned.
 
     This is the shape of every one-time model recovery the solvers perform
-    after their loops finish.  Both paths round as ((alpha_1 v_1 + alpha_2
-    v_2) + alpha_3 v_3): the compiled kernel makes the one pass with no
-    temporary, numpy a few passes with temporaries.  ``live`` optionally
-    flags blocks of ``_kernel.BLOCK`` components as uint8; where a flag is 0
-    the caller promises that every vector is +0.0, and the kernel reads
-    nothing there and writes only a -0.0 result.  The counter is charged the
-    full pass either way.
+    after their loops finish.  It rounds as ((alpha_1 v_1 + alpha_2 v_2) +
+    alpha_3 v_3), and works in place, with no n-length temporary: the other
+    vectors are overwritten too, so no two of them may share memory.
     """
-    from . import _kernel  # here, so that importing sparselin does not import it
-
-    if not 1 <= len(coeffs) <= 3:
-        raise ValueError("finalize_combine takes one to three (coeff, vector) pairs")
-    *head, (alpha_out, out) = coeffs
-    n = out.size
-    for _, vec in coeffs:
-        if vec.dtype != np.float64 or vec.ndim != 1 or not vec.flags.c_contiguous:
-            raise ValueError("finalize_combine needs contiguous 1-d float64 vectors")
-        if vec.shape[0] != n:
-            raise DimensionError(f"vector length {vec.shape[0]} != {n}")
-    if not out.flags.writeable or any(np.may_share_memory(out, vec) for _, vec in head):
-        raise ValueError("finalize_combine writes into its last vector: it must be "
-                         "writable and share no memory with the others")
-    if live is not None and (live.dtype != np.uint8 or live.shape != (-(-n // _kernel.BLOCK),)
-                             or not live.flags.c_contiguous):
-        raise ValueError("live needs one contiguous uint8 flag per block of components")
+    (alpha_first, first), *tail = coeffs
+    for _, vec in tail:
+        if vec.shape != first.shape:
+            raise DimensionError(f"vector length {vec.shape[0]} != {first.shape[0]}")
     if counter is not None:
-        counter.outside_dense_touches += n
-    lib = _kernel.load()
-    if lib is not None:
-        args = [arg for alpha, vec in coeffs for arg in (vec.ctypes.data, alpha)]
-        lib.sl_combine(n, *args, *[None, 0.0] * (3 - len(coeffs)),
-                       None if live is None else live.ctypes.data)
-        return out
-    total = None  # alpha_1 v_1 (+ alpha_2 v_2), added to the last term at the end
-    for alpha, vec in head:
-        if total is None:
-            total = alpha * vec
-        else:
-            total += alpha * vec
-    out *= alpha_out
-    if total is not None:
-        out += total  # a single addition commutes exactly
-    return out
+        counter.outside_dense_touches += first.shape[0]
+    total = first
+    total *= alpha_first
+    for alpha, vec in tail:
+        vec *= alpha
+        vec += total  # a single addition commutes exactly
+        total = vec
+    return total

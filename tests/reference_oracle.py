@@ -20,12 +20,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .losses import LossKind, loss_subgradient, validate_labels
-from .sparse_core import DenseVec, TouchCounter
-from .solvers import LinearModel, TrainConfig, draw_indices
+from sparselin.losses import LossKind, loss_subgradient, validate_labels
+from sparselin.solvers import LinearModel, TrainConfig, draw_indices
+from sparselin.sparse_core import DenseVec, TouchCounter
 
 if TYPE_CHECKING:
-    from .data_io import Dataset
+    from sparselin.data_io import Dataset
 
 
 @dataclass

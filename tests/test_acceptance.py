@@ -23,6 +23,7 @@ from helpers import (
     shift_dataset,
     shift_vec,
 )
+from reference_oracle import dense_casgd, dense_sgd
 from sparselin import (
     Dataset,
     LinearModel,
@@ -44,7 +45,6 @@ from sparselin import (
     write_model,
 )
 from sparselin.cli import main as cli_main
-from sparselin.reference_oracle import dense_casgd, dense_sgd
 from sparselin.solvers import recover_sgd_iterate
 
 

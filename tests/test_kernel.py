@@ -1,11 +1,12 @@
 """The compiled kernel against its Python reference.
 
-The Python loop (``solvers._python_steps``), the numpy finalize and the
-Python line code of ``data_io`` are what runs when the kernel cannot be
-built or loaded.  Here they are forced by making ``_kernel.load`` report
-that no library could be built, and compared with the compiled path.  The
-two loops differ only in how a sparse dot product is summed, so models agree
-to 1e-12; the finalize and the file readers are bit-identical.
+The Python loop (``solvers._python_steps``) and the Python line code of
+``data_io`` are what runs when the kernel cannot be built or loaded.  Here
+they are forced by making ``_kernel.load`` report that no library could be
+built, and compared with the compiled path.  The two loops differ only in
+how a sparse dot product is summed, so models agree to 1e-12; the file
+readers are bit-identical.  The model recovery is the same numpy code on
+both paths.
 """
 
 import io
@@ -122,27 +123,47 @@ def test_non_finite_error_is_the_same(train):
 
 @pytest.mark.parametrize("terms", [1, 2, 3])
 def test_finalize_bit_identical(terms):
-    # blocks 1 and 3 are +0.0 in every vector and flagged dead; both signs of
-    # the coefficients make the result there +0.0 (skipped) or -0.0 (written)
+    # with and without the kernel, every component rounds as
+    # ((alpha_1 v_1 + alpha_2 v_2) + alpha_3 v_3), signed zeros included
     rng = np.random.default_rng(terms)
-    block = _kernel.BLOCK
-    n = 4 * block + 100
-    live = np.array([1, 0, 1, 0, 1], dtype=np.uint8)
+    n = 2148
     vecs = [rng.normal(size=n) * 10.0 ** rng.integers(-300, 290, size=n) for _ in range(terms)]
-    for vec in vecs:
-        vec[block:2 * block] = vec[3 * block:4 * block] = 0.0
     vecs[0][:50] = 0.0
     vecs[0][50:100] = -0.0
     alphas = rng.normal(size=terms)
     for signs in (1.0, -1.0):
-        outs = []
-        for run, mask in ((finalize_combine, None), (finalize_combine, live),
-                          (lambda *a: on_fallback(finalize_combine, *a), live)):
+        pairs = [(float(signs * alpha), vec.tolist()) for alpha, vec in zip(alphas, vecs)]
+        expected = []
+        for i in range(n):
+            total = pairs[0][0] * pairs[0][1][i]
+            for alpha, vec in pairs[1:]:
+                total = total + alpha * vec[i]
+            expected.append(total)
+        for run in (finalize_combine, lambda *a: on_fallback(finalize_combine, *a)):
             coeffs = [(float(signs * alpha), vec.copy()) for alpha, vec in zip(alphas, vecs)]
-            out = run(coeffs, None, mask)
+            out = run(coeffs)
             assert out is coeffs[-1][1]  # written in place
-            outs.append(out.view(np.int64))
-        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+            assert bits(out) == bits(np.array(expected))
+
+
+@pytest.mark.parametrize("path", ["compiled", "fallback"])
+@pytest.mark.parametrize("train", TRAINERS)
+def test_unused_dimensions_change_nothing(train, path):
+    # widening the feature space changes no bit of the other weights or of
+    # the bias, and leaves the new weights at 0
+    rng = np.random.default_rng(11)
+    data = random_dataset(rng, 60, 25, 6, LossKind.LOG, k_min=1)
+    n = data.dim
+    # values far from 0 make |xbar|^2 > 1, so theta = 1 + |xbar|^2 keeps the
+    # last bits of a sum that depended on n before it ran over n' features
+    data = Dataset(data.indptr, data.indices, data.values + 5.0, data.labels, n)
+    wider = Dataset(data.indptr, data.indices, data.values, data.labels, 4 * n)
+    cfg = TrainConfig(steps=500, lam=0.05, seed=13, loss=LossKind.LOG)
+    run = train if path == "compiled" else lambda *a: on_fallback(train, *a)
+    narrow, wide = run(data, cfg), run(wider, cfg)
+    assert np.setdiff1d(np.arange(n), data.indices).size > 0  # unused ones below n too
+    assert bits(wide.w[:n], np.array([wide.b])) == bits(narrow.w, np.array([narrow.b]))
+    assert not wide.w[n:].any()
 
 
 def test_cold_cache_build_then_reuse(tmp_path, monkeypatch):
@@ -179,7 +200,7 @@ INDICES = (["1"],  # stands for the next increasing index
             "0000000000000000001", "1234567890123456789", "1" * 30])
 COLONS = ([":"], ["::", "", ": "])
 BLANKS = ([" ", "\t", "  "], ["\x0b", "\x0c", "\u0085", "\u00a0", "\u2028", "\x00"])
-ENDINGS = (["\n"], ["\r\n", "\r"])
+ENDINGS = (["\n", "\r\n"], ["\r"])
 LINES = (["1 1:1"], ["", "#", "# 1 1:1", "   ", "\t", "1:1 2:1", "1 3:1 2:1", "1 2:1 2:1"])
 RAW = [b"\x85", b"\xa0", b"\xff", b"\xc3", b"\xed\xa0\x80"]  # bytes that are not UTF-8
 
@@ -310,23 +331,29 @@ class TestScanners:
 
     @pytest.mark.parametrize("labels", [True, False])
     def test_well_formed_lines_never_reach_the_line_code(self, tmp_path, monkeypatch, labels):
-        path = tmp_path / "data.txt"
-        first = b"1 1:0.5 3:-2\n" if labels else b"1:0.5 3:-2\n"
-        path.write_bytes(first + b"-1\t2:1e-3  7:0\n+1 4:.5 20:1\n0.25 1:7.")
-        monkeypatch.setattr(data_io, "CHUNK", 5)
-        reference = data_io.parse_libsvm(io.StringIO(path.read_text()), 20, labels)
-
         def refused(self, raw, line_no):
             raise AssertionError(f"line {line_no} left the compiled scanner: {raw!r}")
 
-        monkeypatch.setattr(data_io._Rows, "add_line", refused)
-        assert dataset_bits(data_io.load_dataset(str(path), 20, labels)) == dataset_bits(reference)
+        monkeypatch.setattr(data_io, "CHUNK", 5)
+        for end in (b"\n", b"\r\n"):
+            path = tmp_path / "data.txt"
+            first = b"1 1:0.5 3:-2\n" if labels else b"1:0.5 3:-2\n"
+            path.write_bytes((first + b"-1\t2:1e-3  7:0\n+1 4:.5 20:1\n0.25 1:7.")
+                             .replace(b"\n", end))
+            reference = data_io.parse_libsvm(io.StringIO(path.read_text()), 20, labels)
+            with monkeypatch.context() as mp:
+                mp.setattr(data_io._Rows, "add_line", refused)
+                loaded = data_io.load_dataset(str(path), 20, labels)
+            assert dataset_bits(loaded) == dataset_bits(reference)
 
-        model = tmp_path / "model.txt"
-        model.write_bytes(b"sparselin-model v1\nloss hinge\ndim 9\nbias 1\n0:1\n3:-0.5\n8:2e-3")
-        reference = data_io.read_model(io.StringIO(model.read_text()))
-        monkeypatch.setattr(data_io._ModelReader, "_weight", refused)
-        assert model_bits(data_io.load_model(str(model))) == model_bits(reference)
+            model = tmp_path / "model.txt"
+            model.write_bytes(b"sparselin-model v1\nloss hinge\ndim 9\nbias 1\n0:1\n3:-0.5\n8:2e-3"
+                              .replace(b"\n", end))
+            reference = data_io.read_model(io.StringIO(model.read_text()))
+            with monkeypatch.context() as mp:
+                mp.setattr(data_io._ModelReader, "_weight", refused)
+                loaded = data_io.load_model(str(model))
+            assert model_bits(loaded) == model_bits(reference)
 
     # Each line below sits after five lines the scanner reads and before one more.
     # 2**64 + 5 is 5 to an int64 that overflows.  1 + 2**-53 + 2**-100 lies just

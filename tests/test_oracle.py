@@ -1,6 +1,7 @@
 import numpy as np
 
 from helpers import instance_family, model_rel_err, rel_err
+from reference_oracle import dense_asgd, dense_casgd, dense_sgd
 from sparselin import (
     Dataset,
     LossKind,
@@ -10,7 +11,6 @@ from sparselin import (
     casgd_train,
     sgd_train,
 )
-from sparselin.reference_oracle import dense_asgd, dense_casgd, dense_sgd
 
 ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
 

@@ -12,6 +12,7 @@ from helpers import (
     random_sparse,
     rel_err,
 )
+from reference_oracle import dense_sgd
 from sparselin import (
     Dataset,
     DimensionError,
@@ -30,7 +31,6 @@ from sparselin import (
     sgd_train,
     write_model,
 )
-from sparselin.reference_oracle import dense_sgd
 from sparselin.solvers import recover_centered_iterate, recover_sgd_iterate
 
 ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
