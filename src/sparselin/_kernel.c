@@ -2,10 +2,10 @@
  * scanners of data_io's LIBSVM and model-file readers.
  *
  * The loop repeats the floating-point operations of the Python loop in the
- * same order, so the kernel must be built with -ffp-contract=off: no
- * multiply-add may be fused.  Only the sparse dot products differ, summing
- * left to right where numpy's BLAS ddot sums in blocks.  With averaging,
- * the loop's vectors span only the features the data uses (see solvers).
+ * same order, sparse dot products included (left to right, as
+ * sparse_core.row_dots sums them), so the two write bit-identical models.
+ * That needs -ffp-contract=off: no multiply-add may be fused.  With
+ * averaging, the loop's vectors span only the features the data uses.
  */
 #include <math.h>
 #include <stdint.h>

@@ -8,14 +8,15 @@ stable -- 0 success, 1 usage or data error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .data_io import Dataset, fmt_float, load_dataset, load_model, save_model
 from .errors import NonFiniteError, SparselinError
-from .losses import LossKind, loss_value, objective_value, penalized, validate_labels
-from .solvers import asgd_train, casgd_train, predict, sgd_train, TrainConfig
+from .losses import LossKind, mean_loss, objective_value, penalized, scores, validate_labels
+from .solvers import asgd_train, casgd_train, sgd_train, TrainConfig
 
 _SOLVERS = {"sgd": sgd_train, "asgd": asgd_train, "casgd": casgd_train}
 _LOSS_NAMES = [k.value for k in LossKind]
@@ -29,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def positive_real(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:  # nan too
+        raise argparse.ArgumentTypeError(f"must be a positive finite real, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sparselin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -38,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--model", required=True, help="output model path")
     train.add_argument("--algo", required=True, choices=sorted(_SOLVERS))
     train.add_argument("--loss", required=True, choices=_LOSS_NAMES)
-    train.add_argument("--lambda", dest="lam", required=True, type=float,
+    train.add_argument("--lambda", dest="lam", required=True, type=positive_real,
                        help="regularization parameter (> 0)")
     train.add_argument("--steps", required=True, type=int, help="number of steps T (>= 1)")
     train.add_argument("--seed", required=True, type=int, help="64-bit sampling seed")
@@ -55,14 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="average loss, objective, and accuracy")
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--lambda", dest="lam", required=True, type=float)
+    ev.add_argument("--lambda", dest="lam", required=True, type=positive_real)
     ev.set_defaults(func=cmd_eval)
     return parser
 
 
 def _validate_train_flags(parser: argparse.ArgumentParser, args) -> None:
-    if not args.lam > 0:
-        parser.error("argument --lambda: must be > 0")
     if args.steps < 1:
         parser.error("argument --steps: must be >= 1")
     if not 0 <= args.seed < 2**64:
@@ -95,7 +101,7 @@ def _refit(data: Dataset, dim: int) -> Dataset:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     data = _refit(load_dataset(args.data, require_labels=False), model.dim)
-    lines = (fmt_float(predict(model, data.row(i))) + "\n" for i in range(data.m))
+    lines = (fmt_float(p) + "\n" for p in scores(model, data).tolist())
     if args.out is None:
         sys.stdout.writelines(lines)
     else:
@@ -108,16 +114,12 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     data = _refit(load_dataset(args.data), model.dim)
     validate_labels(data, model.loss)
-    total, correct = 0.0, 0
-    for i, y in enumerate(data.labels.tolist()):
-        p = predict(model, data.row(i))
-        total += loss_value(model.loss, p, y)
-        correct += p * y > 0
-    avg_loss = total / data.m
+    p = scores(model, data)
+    avg_loss = mean_loss(model.loss, p, data.labels)
     objective = penalized(model, args.lam, avg_loss)
     line = f"avg_loss={fmt_float(avg_loss)} objective={fmt_float(objective)}"
     if model.loss.is_classification:
-        line += f" accuracy={fmt_float(correct / data.m)}"
+        line += f" accuracy={fmt_float(np.count_nonzero(p * data.labels > 0) / data.m)}"
     print(line)
     return 0
 
@@ -127,8 +129,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "train":
         _validate_train_flags(parser, args)
-    elif args.command == "eval" and not args.lam > 0:
-        parser.error("argument --lambda: must be > 0")
     try:
         return args.func(args)
     except NonFiniteError as exc:

@@ -1,4 +1,4 @@
-"""Convex losses, their subderivatives, and the regularized objective.
+"""Convex losses, their subderivatives, dataset scores and the regularized objective.
 
 Prediction-side conventions at the nondifferentiable points are pinned so
 that independent implementations agree bit-for-bit: the absolute loss
@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, LabelError
-from .sparse_core import dot, squared_norm
+from .errors import DimensionError, LabelError, SparselinError
+from .sparse_core import row_dots, squared_norm
 
 if TYPE_CHECKING:
     from .data_io import Dataset
@@ -89,18 +89,34 @@ def validate_labels(data: "Dataset", kind: LossKind) -> None:
         )
 
 
+def scores(model: "LinearModel", data: "Dataset") -> np.ndarray:
+    """w . x + b for every row x, bit for bit as ``predict`` and training score it."""
+    if model.dim != data.dim:
+        raise DimensionError(f"model dim {model.dim} != data dim {data.dim}")
+    with np.errstate(over="ignore"):
+        p = row_dots(model.w, data.indptr, data.indices, data.values) + model.b
+    if not np.isfinite(p).all():
+        i = int(np.isfinite(p).argmin())
+        raise SparselinError(f"example {i + 1}: score {p[i]} is not finite")
+    return p
+
+
+def mean_loss(kind: LossKind, p: np.ndarray, labels: np.ndarray) -> float:
+    """Average ``loss_value`` over the examples, summed in row order."""
+    total = 0.0
+    for pi, y in zip(p.tolist(), labels.tolist()):
+        total += loss_value(kind, pi, y)
+    return total / labels.size
+
+
 def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
     """Regularized objective: (lam/2)(|w|^2 + b^2) + average loss."""
     if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    if model.dim != data.dim:
-        raise DimensionError(f"model dim {model.dim} != data dim {data.dim}")
+    p = scores(model, data)
     if data.m == 0:
         raise ValueError("objective_value needs at least one example")
-    total = 0.0
-    for i, y in enumerate(data.labels.tolist()):
-        total += loss_value(model.loss, dot(model.w, data.row(i)) + model.b, y)
-    return penalized(model, lam, total / data.m)
+    return penalized(model, lam, mean_loss(model.loss, p, data.labels))
 
 
 def penalized(model: "LinearModel", lam: float, avg_loss: float) -> float:

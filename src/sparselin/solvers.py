@@ -32,10 +32,9 @@ call and cached in ``$XDG_CACHE_HOME/sparselin/`` (default
 loop in Python; it runs on its own when no library can be built or loaded
 (no compiler, say), and is the reference the compiled loop is tested
 against.  Both make the same floating-point operations in the same order,
-except that the compiled sparse dot products sum left to right where numpy's
-BLAS ``ddot`` sums in blocks, so the two can write models that differ in
-the last bits.  The loop charges only ``sparse_touches`` (the compiled one
-after it returns, by the same count).  Model recovery works in place, in
+each sparse dot product summed left to right (``sparse_core.row_dots``), so
+they write bit-identical models.  The loop charges only ``sparse_touches``
+(the compiled one after it returns, by the same count).  Model recovery works in place, in
 the vectors it combines, and ends in the last one (v for sgd, u for asgd,
 xbar for casgd).
 """

@@ -10,9 +10,9 @@ the one-time dense passes (``squared_norm``, ``finalize_combine``) charge
 ``outside_dense_touches``.  Zero-filled allocations are memory management,
 not vector arithmetic, and charge nothing.
 
-The training loop itself runs compiled over the CSR arrays (see
-``solvers``).  With averaging, its vectors span only the n' features the
-data uses, so the one-time passes here run over n' components, not all n.
+Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``),
+is summed by ``row_dots`` in the compiled loop's order (see ``solvers``).  With
+averaging, the loop spans only the data's n' features, and so do the passes here.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ DenseVec = np.ndarray
 # The largest dimension whose float64 vector numpy can describe: its size in
 # bytes must fit in a signed pointer-sized integer.
 MAX_DIM = np.iinfo(np.intp).max // 8
+
+BLOCK_ROWS = 1024  # rows per ``row_dots`` step: its temporaries hold one block's nonzeros
 
 
 @dataclass
@@ -126,12 +128,26 @@ def _check_dim(v: DenseVec, x: SparseVec) -> None:
         raise DimensionError(f"sparse dim {x.dim} != dense length {v.shape[0]}")
 
 
+def row_dots(v: DenseVec, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> DenseVec:
+    """v . x for every CSR row x, summed left to right from +0.0 as the compiled
+    loop sums it (``bincount`` adds each weight to its bin in input order)."""
+    out = np.empty(indptr.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check finiteness
+        for r0 in range(0, out.size, BLOCK_ROWS):
+            bounds = indptr[r0:r0 + BLOCK_ROWS + 1]
+            rows = np.arange(bounds.size - 1).repeat(bounds[1:] - bounds[:-1])
+            span = slice(bounds.item(0), bounds.item(-1))
+            out[r0:r0 + BLOCK_ROWS] = np.bincount(rows, v[indices[span]] * values[span],
+                                                  bounds.size - 1)
+    return out
+
+
 def dot(v: DenseVec, x: SparseVec, counter: TouchCounter | None = None) -> float:
-    """Sparse-dense dot product, O(k)."""
+    """Sparse-dense dot product, O(k), summed as ``row_dots`` sums."""
     _check_dim(v, x)
     if counter is not None:
         counter.sparse_touches += x.nnz
-    return float(v[x.indices].dot(x.values))
+    return float(row_dots(v, np.array([0, x.nnz]), x.indices, x.values)[0])
 
 
 def axpy(v: DenseVec, alpha: float, x: SparseVec, counter: TouchCounter | None = None) -> None:

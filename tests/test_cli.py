@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -259,6 +261,55 @@ class TestEval:
         rc = main(["eval", "--model", str(model_path), "--data", str(data), "--lambda", "1"])
         assert rc == 0
         assert "accuracy=0\n" in capsys.readouterr().out
+
+
+class TestRejectedLambda:
+    @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_exits_1_with_one_line_naming_the_flag(self, one_line_file, tmp_path, capsys,
+                                                    command, value):
+        _, model_path = train(one_line_file, tmp_path)
+        capsys.readouterr()
+        argv = {"train": ["train", "--data", one_line_file, "--model", str(tmp_path / "m"),
+                          *TRAIN_FLAGS],
+                "eval": ["eval", "--model", model_path, "--data", one_line_file,
+                         "--lambda", "1"]}[command]
+        argv[argv.index("--lambda") + 1] = value
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"sparselin {command}: error: argument --lambda: "
+            f"must be a positive finite real, got '{value}'"]
+
+
+class TestNonFiniteScore:
+    # 1e300 * 1e10 overflows to inf; a row holding both features sums to nan
+    MODEL = "sparselin-model v1\nloss hinge\ndim 2\nbias 1e308\n0:1e300\n1:-1e300\n"
+
+    @pytest.mark.parametrize("rows, first", [("1 1:1e10\n-1 2:1e10\n", 1),
+                                             ("1 1:1\n-1 2:1e10\n", 2),
+                                             ("1 1:1\n-1 1:1e10 2:1e10\n", 2),
+                                             ("1 1:1\n1 1:1e8\n", 2)])  # 1e308 + bias
+    @pytest.mark.parametrize("command", ["predict", "predict --out", "eval"])
+    def test_exits_1_naming_the_example(self, tmp_path, capsys, command, rows, first):
+        model, data, out = tmp_path / "model.txt", tmp_path / "data.txt", tmp_path / "out.txt"
+        model.write_text(self.MODEL)
+        data.write_text(rows)
+        argv = [command.split()[0], "--model", str(model), "--data", str(data)]
+        argv += {"predict": [], "predict --out": ["--out", str(out)],
+                 "eval": ["--lambda", "1"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RuntimeWarning text included
+            rc = main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"sparselin: error: example {first}: score -?(inf|nan) "
+                            "is not finite\n", captured.err)
+        assert not out.exists()
 
 
 class TestEntryPoint:

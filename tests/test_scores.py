@@ -1,0 +1,109 @@
+"""Whole-dataset scores against a scalar left-to-right sum and per-row ``predict``.
+
+``row_dots`` sums each row with ``bincount`` one block of rows at a time;
+the scalar loop below is the order the compiled training loop uses.  Every
+comparison is on int64 views, so the sign of a zero counts.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparselin import Dataset, LinearModel, LossKind, SparselinError, predict, sparse_core
+from sparselin.cli import _refit
+from sparselin.losses import scores
+from sparselin.sparse_core import BLOCK_ROWS, row_dots
+
+# products and sums of up to 12 of them stay finite
+wide = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+def scalar_row_dots(w, data):
+    w, indices, values = w.tolist(), data.indices.tolist(), data.values.tolist()
+    out = []
+    for lo, hi in zip(data.indptr[:-1].tolist(), data.indptr[1:].tolist()):
+        d = 0.0
+        for j in range(lo, hi):
+            d += w[indices[j]] * values[j]
+        out.append(d)
+    return out
+
+
+def assert_scores_match(w, b, data):
+    model = LinearModel(w=w, b=b, loss=LossKind.SQUARED, dim=data.dim)
+    reference = scalar_row_dots(w, data)
+    assert bits(row_dots(w, data.indptr, data.indices, data.values)) == bits(reference)
+    p = scores(model, data)
+    assert bits(p) == bits([d + b for d in reference])
+    assert bits(p) == bits([predict(model, data.row(i)) for i in range(data.m)])
+
+
+def random_corpus(rng, m, dim, k_max):
+    ks = rng.integers(0, k_max + 1, size=m)
+    ks[::3] = 0  # empty rows, at block ends too
+    indices = np.concatenate([np.sort(rng.choice(dim, k, replace=False)) for k in ks] + [[]])
+    # magnitudes far apart, so that the order of a sum shows in its last bits
+    values = rng.normal(size=indices.size) * 10.0 ** rng.integers(-8, 9, size=indices.size)
+    return Dataset(np.concatenate(([0], np.cumsum(ks))), indices, values, np.zeros(m), dim)
+
+
+@st.composite
+def scored_corpora(draw):
+    dim = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 30))
+    rows = [sorted(draw(st.sets(st.integers(0, dim - 1), max_size=dim))) for _ in range(m)]
+    indices = [j for row in rows for j in row]
+    values = draw(st.lists(wide, min_size=len(indices), max_size=len(indices)))
+    data = Dataset(np.cumsum([0] + [len(row) for row in rows]), indices, values, np.zeros(m), dim)
+    w = np.array(draw(st.lists(wide, min_size=dim, max_size=dim)))
+    return data, w, draw(wide), draw(st.sampled_from([1, 2, 3, 7, BLOCK_ROWS]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_corpora())
+def test_random_corpora(case):
+    data, w, b, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sparse_core, "BLOCK_ROWS", block)
+        assert_scores_match(w, b, data)
+
+
+@pytest.mark.parametrize("m", [0, 1, BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
+@pytest.mark.parametrize("b", [0.0, -0.0, 0.375])
+def test_empty_rows_block_ends_and_signed_zero_bias(m, b):
+    rng = np.random.default_rng(m)
+    data = random_corpus(rng, m, 50, 9)
+    w = rng.normal(size=50) * 10.0 ** rng.integers(-8, 9, size=50)
+    w[:5] = -0.0
+    assert_scores_match(w, b, data)
+
+
+@pytest.mark.parametrize("model_dim", [7, 40, 90])
+def test_data_of_another_dimension_through_refit(model_dim):
+    # a narrower model drops the data's extra features; a wider one keeps every row
+    rng = np.random.default_rng(model_dim)
+    data = _refit(random_corpus(rng, 300, 40, 12), model_dim)
+    assert data.dim == model_dim
+    assert_scores_match(rng.normal(size=model_dim), -0.0, data)
+
+
+@pytest.mark.parametrize("rows, first", [([[0], [1]], 1), ([[], [0, 1]], 2), ([[2], [1]], 2),
+                                         ([[2], [3]], 2)])
+def test_first_non_finite_score_raises_without_a_warning(rows, first):
+    # 1e300 * 1e10 overflows; a row holding features 0 and 1 sums inf + -inf;
+    # feature 3 scores 1e308, which overflows only when the bias is added
+    data = Dataset(np.cumsum([0] + [len(r) for r in rows]), sum(rows, []),
+                   [1e10] * len(sum(rows, [])), np.ones(len(rows)), 4)
+    model = LinearModel(w=np.array([1e300, -1e300, 1.0, 1e298]), b=1e308, loss=LossKind.HINGE,
+                        dim=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SparselinError, match=f"^example {first}: score .* is not finite$"):
+            scores(model, data)
