@@ -1,5 +1,6 @@
-/* The step loop of sparselin.solvers._train over CSR arrays, and the
- * scanners of data_io's LIBSVM and model-file readers.
+/* The step loop of sparselin.solvers._train over CSR arrays, the scanners
+ * of data_io's LIBSVM and model-file readers, and the float formatter of
+ * data_io's writers (sl_format).
  *
  * The loop repeats the floating-point operations of the Python loop in the
  * same order, sparse dot products included (left to right, as
@@ -10,6 +11,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { ABSOLUTE, SQUARED, HINGE, LOG };  /* solvers._LOSS_CODES */
 enum { A, C, H, Z, R, S, P, G };          /* slots of the scalar state array */
@@ -231,4 +233,160 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, doubl
     st[0] = prev;
     st[1] = lines;
     return p - buf;
+}
+
+
+/* Shortest round-trip formatting: Giulietti's Schubfach ("The Schubfach way
+ * to render doubles", 2020), as in Java's DoubleToDecimal, but with no
+ * minimum of two digits.  A finite double v = c 2^q is written with the
+ * fewest decimal digits that read back as v, and of those the nearest to v
+ * (ties to an even last digit): what repr does.  g holds, for k = -324..292,
+ * the 126-bit g = g1 2^63 + g0 = floor(10^-k 2^-r) + 1, r chosen so that
+ * 2^125 <= 10^-k 2^-r < 2^126; _kernel.py computes it. */
+#define C_MIN (1ULL << 52)
+#define Q_MIN (-1074)
+#define MASK63 ((1ULL << 63) - 1)
+
+/* floor(q log10 2), floor(log10(3/4 2^q)) and floor(e log2 10) for the |q|, |e| used here */
+static int flog10pow2(int q) { return (int)(((int64_t)q * 661971961083LL) >> 41); }
+static int flog10three_quarters_pow2(int q)
+{
+    return (int)(((int64_t)q * 661971961083LL - 274743187321LL) >> 41);
+}
+static int flog2pow10(int e) { return (int)(((int64_t)e * 913124641741LL) >> 38); }
+
+/* cp g 2^-127 rounded to odd */
+static uint64_t rop(uint64_t g1, uint64_t g0, uint64_t cp)
+{
+    unsigned __int128 y = (unsigned __int128)g1 * cp;
+    uint64_t x1 = (uint64_t)(((unsigned __int128)g0 * cp) >> 64);
+    uint64_t z = ((uint64_t)y >> 1) + x1;
+    return ((uint64_t)(y >> 64) + (z >> 63)) | (((z & MASK63) + MASK63) >> 63);
+}
+
+/* The decimal f 10^*e chosen for c 2^q, returning f, which may end in zeros. */
+static uint64_t shortest(const uint64_t *g, int q, uint64_t c, int *e)
+{
+    uint64_t out = c & 1, cb = c << 2, cbr = cb + 2, cbl, vb, vbl, vbr, s, t;
+    int k, h;
+    if (c != C_MIN || q == Q_MIN) {
+        cbl = cb - 2;
+        k = flog10pow2(q);
+    } else {  /* at a power of two the interval below v is half as wide */
+        cbl = cb - 1;
+        k = flog10three_quarters_pow2(q);
+    }
+    h = q + flog2pow10(-k) + 2;
+    g += 2 * (k + 324);
+    vb = rop(g[0], g[1], cb << h);
+    vbl = rop(g[0], g[1], cbl << h);
+    vbr = rop(g[0], g[1], cbr << h);
+    s = vb >> 2;
+    *e = k;
+    if (s >= 10) {  /* one digit less (Java starts at s >= 100, to keep two digits) */
+        uint64_t sp = s / 10 * 10, tp = sp + 10;
+        int upin = vbl + out <= sp << 2, wpin = (tp << 2) + out <= vbr;
+        if (upin != wpin)
+            return upin ? sp : tp;
+    }
+    t = s + 1;
+    int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (uin != win)
+        return uin ? s : t;
+    /* both are in: the nearer, or the even one at a tie (vb's two fraction bits are exact) */
+    return (vb & 3) < 2 || ((vb & 3) == 2 && !(s & 1)) ? s : t;
+}
+
+/* The decimal digits of f, written backwards to end; returns their start. */
+static char *decimal(uint64_t f, char *end)
+{
+    do
+        *--end = (char)('0' + f % 10);
+    while (f /= 10);
+    return end;
+}
+
+/* The finite x at p as data_io.fmt_float writes it (repr without a final
+ * ".0"); at most 24 bytes.  Returns the end. */
+static char *format_double(const uint64_t *g, double x, char *p)
+{
+    uint64_t bits, f;
+    char digits[20], *d;
+    int bq, e, n, point;
+    memcpy(&bits, &x, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    bq = (int)(bits >> 52) & 0x7ff;
+    f = bits & (C_MIN - 1);
+    if (!bq && !f) {
+        *p++ = '0';
+        return p;
+    }
+    f = bq ? shortest(g, bq - 1075, C_MIN | f, &e) : shortest(g, Q_MIN, f, &e);
+    for (; f % 10 == 0; f /= 10)
+        e++;
+    d = decimal(f, digits + sizeof digits);
+    n = (int)(digits + sizeof digits - d);
+    point = e + n;  /* x = 0.d 10^point */
+    if (point <= -4 || point > 16) {
+        *p++ = *d;
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        e = point - 1;
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = abs(e);
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (point <= 0) {  /* "0." and -point zeros */
+        memcpy(p, "0.000", 2 - point);
+        memcpy(p + 2 - point, d, n);
+        p += 2 - point + n;
+    } else if (point >= n) {
+        memcpy(p, d, n);
+        memset(p + n, '0', point - n);
+        p += point;
+    } else {
+        memcpy(p, d, point);
+        p[point] = '.';
+        memcpy(p + point + 1, d + point, n - point);
+        p += n + 1;
+    }
+    return p;
+}
+
+/* Lines of x[pos, end) into buf, as many whole ones as fit in cap bytes:
+ * with weights "<i>:<float>\n" for each nonzero x[i] (a model's weight
+ * lines), without "<float>\n" for every x[i]; each float as format_double
+ * writes it, so every x must be finite.  *stop gets the index of the first
+ * x not written.  Returns the bytes written. */
+int64_t sl_format(const double *x, int64_t pos, int64_t end, int weights, const uint64_t *g,
+                  char *buf, int64_t cap, int64_t *stop)
+{
+    char line[48], digits[20], *p, *d;  /* 19 digits, ':', 24 bytes of float and '\n' */
+    int64_t used = 0;
+    for (; pos < end; pos++) {
+        if (weights && x[pos] == 0.0)
+            continue;
+        p = line;
+        if (weights) {
+            d = decimal((uint64_t)pos, digits + sizeof digits);
+            memcpy(p, d, digits + sizeof digits - d);
+            p += digits + sizeof digits - d;
+            *p++ = ':';
+        }
+        p = format_double(g, x[pos], p);
+        *p++ = '\n';
+        if (p - line > cap - used)
+            break;
+        memcpy(buf + used, line, p - line);
+        used += p - line;
+    }
+    *stop = pos;
+    return used;
 }

@@ -1,8 +1,11 @@
 """Builds, caches and loads the compiled kernel in ``_kernel.c``.
 
-It holds the training loop (``sl_steps``) and the scanners of the LIBSVM
-and model-file readers (``sl_scan``, ``sl_weights``; see ``data_io``), so
-training, ``predict`` and ``eval`` load it; ``import sparselin`` does not.
+It holds the training loop (``sl_steps``), the scanners of the LIBSVM
+and model-file readers (``sl_scan``, ``sl_weights``) and the shortest
+round-trip float formatter of the model and prediction writers
+(``sl_format``; see ``data_io``), so training, ``predict`` and ``eval`` load
+it; ``import sparselin`` does not.  ``sl_format`` reads a table of 126-bit
+powers of ten, which ``tens`` computes with Python integers on first use.
 
 The C source ships inside the package and is compiled on first use with the
 system's ``cc`` into ``$XDG_CACHE_HOME/sparselin/`` (default
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import tempfile
 import zlib
@@ -72,7 +76,25 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.sl_scan.restype = i64
     lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]
     lib.sl_weights.restype = i64
+    lib.sl_format.argtypes = [ptr, i64, i64, ctypes.c_int, ptr, ptr, i64, ptr]
+    lib.sl_format.restype = i64
     return lib
+
+
+@functools.cache
+def tens() -> ctypes.Array:
+    """``sl_format``'s table: for k = -324..292, g = floor(10^-k 2^-r) + 1 with r
+    such that 2^125 <= 10^-k 2^-r < 2^126, as the words g >> 63 and g mod 2^63."""
+    words = []
+    for k in range(-324, 293):
+        p = 10 ** abs(k)
+        b = p.bit_length()
+        if k <= 0:  # 10^-k = p, r = b - 126
+            g = (p >> b - 126 if b > 126 else p << 126 - b) + 1
+        else:  # 10^-k = 1/p, r = -b - 125 (p is no power of 2)
+            g = (1 << b + 125) // p + 1
+        words += (g >> 63, g & ((1 << 63) - 1))
+    return (ctypes.c_uint64 * len(words))(*words)
 
 
 def _open() -> ctypes.CDLL | None:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .data_io import Dataset, fmt_float, load_dataset, load_model, save_model
+from .data_io import Dataset, fmt_float, load_dataset, load_model, save_model, write_floats
 from .errors import NonFiniteError, SparselinError
 from .losses import LossKind, mean_loss, objective_value, penalized, scores, validate_labels
 from .solvers import asgd_train, casgd_train, sgd_train, TrainConfig
@@ -101,12 +101,12 @@ def _refit(data: Dataset, dim: int) -> Dataset:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     data = _refit(load_dataset(args.data, require_labels=False), model.dim)
-    lines = (fmt_float(p) + "\n" for p in scores(model, data).tolist())
+    p = scores(model, data)
     if args.out is None:
-        sys.stdout.writelines(lines)
+        write_floats(p, sys.stdout, weights=False)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as out:
-            out.writelines(lines)
+            write_floats(p, out, weights=False)
     return 0
 
 

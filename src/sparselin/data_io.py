@@ -41,7 +41,15 @@ Model files (text, version ``v1``)::
     2:-0.5
 
 Floats are serialized with the shortest decimal representation that parses
-back to the identical bits, so write/read round-trips are exact.
+back to the identical bits, and the nearest of those, laid out as ``repr``
+lays them out without a final ``.0`` (``fmt_float``), so write/read
+round-trips are exact.  A weight line is written for each nonzero weight
+(``-0.0`` is dropped as ``0.0`` is).  ``write_model`` and the ``predict``
+command write their lines with ``write_floats``: where the kernel loads, its
+formatter (``sl_format``, Schubfach's shortest-digit search) fills one
+reused ``CHUNK``-byte buffer at a time, which goes to the text stream, so no
+whole-file buffer is built; without the kernel each float goes through
+``fmt_float``.  Both give the same bytes, which the test suite checks.
 """
 
 from __future__ import annotations
@@ -66,8 +74,9 @@ from .solvers import LinearModel
 from .sparse_core import MAX_DIM, SparseVec, check_csr
 
 MODEL_MAGIC = "sparselin-model v1"
-CHUNK = 1 << 16  # bytes per read of load_dataset and load_model: their buffers stay small
-_WRITE_BATCH = 512  # weight lines formatted per write; larger batches raise the peak RSS
+CHUNK = 1 << 16  # bytes per read of load_dataset and load_model, and per write of write_floats
+LINE_MAX = 45  # the longest line sl_format writes: 19 digits, ':', 24 bytes of float, '\n'
+_WRITE_BATCH = 512  # weight lines per write without the kernel; larger batches raise the peak RSS
 
 
 @dataclass(eq=False)
@@ -315,18 +324,44 @@ def load_dataset(
     return rows.dataset()
 
 
+def write_floats(x: np.ndarray, stream: IO[str], weights: bool) -> None:
+    """The finite float64 array ``x`` as lines of text: with ``weights``,
+    ``<i>:<float>`` for each nonzero x[i] (a model's weight lines), else
+    ``<float>`` for every x[i]; each float as ``fmt_float`` writes it.
+    Compiled where the kernel loads: ``sl_format`` fills one reused buffer of
+    ``CHUNK`` bytes, which goes to ``stream`` as text."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    lib = _kernel.load()
+    if lib is None:
+        if not weights:
+            stream.writelines(fmt_float(v) + "\n" for v in x.tolist())
+            return
+        nonzero = np.flatnonzero(x)
+        for lo in range(0, nonzero.size, _WRITE_BATCH):
+            idx = nonzero[lo:lo + _WRITE_BATCH]
+            stream.write("".join(f"{i}:{fmt_float(v)}\n"
+                                 for i, v in zip(idx.tolist(), x[idx].tolist())))
+        return
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    buf, stop = bytearray(max(CHUNK, LINE_MAX)), np.zeros(1, np.int64)
+    view = np.frombuffer(buf, np.uint8)  # holds buf's export: it cannot be resized or moved
+    while stop[0] < x.size:
+        n = lib.sl_format(x.ctypes.data, int(stop[0]), x.size, weights, _kernel.tens(),
+                          view.ctypes.data, len(buf), stop.ctypes.data)
+        stream.write(buf[:n].decode("ascii"))
+
+
 def write_model(model: LinearModel, stream: IO[str]) -> None:
-    if not math.isfinite(model.b) or not np.all(np.isfinite(model.w)):
+    # min and max carry a nan or an infinity, without an n-long temporary; initial covers dim 0
+    if not all(map(math.isfinite, (model.b, np.min(model.w, initial=0.0),
+                                   np.max(model.w, initial=0.0)))):
         raise FormatError("model contains non-finite values")
     stream.write(MODEL_MAGIC + "\n")
     stream.write(f"loss {model.loss.value}\n")
     stream.write(f"dim {model.dim}\n")
     stream.write(f"bias {fmt_float(model.b)}\n")
-    nonzero = np.flatnonzero(model.w)
-    for lo in range(0, nonzero.size, _WRITE_BATCH):
-        idx = nonzero[lo:lo + _WRITE_BATCH]
-        stream.write("".join(f"{i}:{fmt_float(v)}\n"
-                             for i, v in zip(idx.tolist(), model.w[idx].tolist())))
+    write_floats(model.w, stream, weights=True)
 
 
 def _header_value(line: str, key: str, parse):

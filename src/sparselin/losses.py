@@ -120,5 +120,16 @@ def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
 
 
 def penalized(model: "LinearModel", lam: float, avg_loss: float) -> float:
-    """The objective from a precomputed average loss: (lam/2)(|w|^2 + b^2) + avg_loss."""
-    return 0.5 * lam * (squared_norm(model.w) + model.b * model.b) + avg_loss
+    """The objective from a precomputed average loss: (lam/2)(|w|^2 + b^2) + avg_loss.
+
+    A term that overflows (a model too large for the data or for λ) is an
+    error naming it, never an objective of inf."""
+    if not math.isfinite(avg_loss):
+        raise SparselinError(f"average loss {avg_loss} is not finite")
+    with np.errstate(over="ignore"):
+        penalty = 0.5 * lam * (squared_norm(model.w) + model.b * model.b)
+    if not math.isfinite(penalty):
+        raise SparselinError(f"penalty (lambda/2)(|w|^2 + b^2) = {penalty} is not finite")
+    if not math.isfinite(penalty + avg_loss):
+        raise SparselinError(f"objective {penalty} + {avg_loss} is not finite")
+    return penalty + avg_loss

@@ -312,6 +312,40 @@ class TestNonFiniteScore:
         assert not out.exists()
 
 
+class TestNonFiniteObjective:
+    # every score is finite, but the penalty or the average loss overflows
+    @pytest.mark.parametrize("model, rows, message", [
+        ("loss hinge\ndim 4\nbias 0\n0:1e300\n1:-1e300\n", "1 3:1\n",
+         "penalty (lambda/2)(|w|^2 + b^2) = inf is not finite"),
+        ("loss squared\ndim 2\nbias 0\n0:1e200\n", "1 1:1\n", "average loss inf is not finite"),
+    ])
+    def test_eval_exits_1_naming_the_term(self, tmp_path, capsys, model, rows, message):
+        model_path, data = tmp_path / "model.txt", tmp_path / "data.txt"
+        model_path.write_text("sparselin-model v1\n" + model)
+        data.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RuntimeWarning text included
+            rc = main(["eval", "--model", str(model_path), "--data", str(data), "--lambda", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sparselin: error: {message}\n"
+
+    def test_train_writes_the_model_then_exits_1(self, one_line_file, tmp_path, capsys):
+        # one step with lambda 1e-200 gives w = b = 2e200: finite, but its loss overflows
+        model_path = tmp_path / "model.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--data", one_line_file, "--model", str(model_path),
+                       "--algo", "sgd", "--loss", "squared", "--lambda", "1e-200",
+                       "--steps", "1", "--seed", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sparselin: error: average loss inf is not finite\n"
+        assert model_path.read_text().endswith("bias 2e+200\n0:2e+200\n")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         data = tmp_path / "train.txt"

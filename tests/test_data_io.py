@@ -22,6 +22,7 @@ from sparselin import (
     write_libsvm,
     write_model,
 )
+from sparselin import _kernel
 from sparselin.data_io import fmt_float
 
 
@@ -256,10 +257,17 @@ class TestModelFile:
         with pytest.raises(FormatError):
             read_model(io.StringIO(text))
 
-    def test_non_finite_model_not_written(self):
-        model = LinearModel(w=np.array([np.nan]), b=0.0, loss=LossKind.LOG, dim=1)
-        with pytest.raises(FormatError):
-            write_model(model, io.StringIO())
+    def test_non_finite_model_not_written(self, monkeypatch):
+        for kernel in (True, False):
+            if not kernel:
+                monkeypatch.setattr(_kernel, "load", lambda: None)
+            for w, b in (([np.nan], 0.0), ([0.0, np.inf], 0.0), ([-np.inf, 1.0], 0.0),
+                         ([1.0], np.nan)):
+                model = LinearModel(w=np.array(w), b=b, loss=LossKind.LOG, dim=len(w))
+                buf = io.StringIO()
+                with pytest.raises(FormatError):
+                    write_model(model, buf)
+                assert buf.getvalue() == ""  # not one byte, with or without the kernel
 
     def test_truncated_file_rejected(self):
         with pytest.raises(FormatError):

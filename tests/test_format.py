@@ -1,0 +1,202 @@
+"""The compiled float formatter (``sl_format``) against ``fmt_float``.
+
+``data_io.write_floats`` writes a model's weight lines and ``predict``'s
+output through ``sl_format`` where the kernel loads, and through
+``fmt_float`` (Python's ``repr``) where it does not.  Both must give the same
+bytes for every finite double: the shortest digits that read back as the
+double, the nearest of those, laid out as ``repr`` lays them out.
+"""
+
+import io
+import math
+import os
+import shutil
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sparselin import _kernel, data_io
+from sparselin.cli import main
+from sparselin.data_io import fmt_float, write_floats
+
+HERE = Path(__file__).resolve().parent
+
+
+def expected(values, weights):
+    if weights:
+        return "".join(f"{i}:{fmt_float(v)}\n" for i, v in enumerate(values) if v != 0.0)
+    return "".join(f"{fmt_float(v)}\n" for v in values)
+
+
+def formatted(values, weights):
+    out = io.StringIO()
+    write_floats(np.array(values, dtype=np.float64), out, weights)
+    return out.getvalue()
+
+
+def from_bits(patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+def edge_values():
+    twos = [2.0 ** e for e in range(-1074, 1024)]  # the rounding interval is asymmetric there
+    values = twos + [3.0 * x for x in twos[:-1]]
+    values += from_bits(range(1, 64))  # the smallest subnormals, where shortest is 1 or 2 digits
+    values += [from_bits([(1 << 52) - 1])[0], sys.float_info.min, sys.float_info.max,
+               2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e15, 1e16, 9999999999999998.0,
+               1e-4, 9.999999999999999e-05, 1e-5, 1.0, 2.0, 10.0, 100.0, 123456789.0,
+               1e15 + 1, 0.1, 0.2, 0.3, 1 / 3, 2 / 3, 5e-324, 1.5, 123.456]
+    for k in range(-323, 309):  # each power of ten and its neighbours
+        x = float(f"1e{k}")
+        values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    values = [v for v in values if math.isfinite(v)]
+    return values + [-v for v in values]
+
+
+EDGES = edge_values()
+
+
+@pytest.fixture(autouse=True)
+def compiled():
+    # without the kernel every test here would compare fmt_float with itself
+    assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
+
+
+@pytest.mark.parametrize("weights", [False, True])
+def test_edge_values(weights):
+    values = EDGES + [0.0, -0.0]
+    assert formatted(values, weights) == expected(values, weights)
+
+
+def test_zeros_and_layout():
+    assert formatted([0.0, -0.0, 1e16, 1e-5, 1e-4, 100.0, -2.5, 5e-324], False) == (
+        "0\n-0\n1e+16\n1e-05\n0.0001\n100\n-2.5\n5e-324\n")
+    assert formatted([0.0, -0.0, 2.0, 0.0, -1e300], True) == "2:2\n4:-1e+300\n"
+    assert formatted([], False) == formatted([], True) == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=60), st.booleans())
+def test_raw_bit_patterns(patterns, weights):
+    values = [v for v in from_bits(patterns) if math.isfinite(v)]
+    assert formatted(values, weights) == expected(values, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60),
+       st.booleans())
+def test_floats(values, weights):
+    assert formatted(values, weights) == expected(values, weights)
+
+
+@pytest.mark.parametrize("weights", [False, True])
+def test_buffer_boundary(weights):
+    # with room for the longest line only, every call stops at a line that
+    # does not fit and the next call resumes there; with less, nothing is written
+    lib, table = _kernel.load(), _kernel.tens()
+    x = np.array(EDGES[::7] + [0.0, -0.0] * 5)
+    text = expected(x.tolist(), weights).encode()
+    longest = max(len(line) + 1 for line in text.split(b"\n")[:-1])
+    stop = np.zeros(1, np.int64)
+    for cap in (longest, longest + 1, 2 * longest - 1, 1000):
+        buf, pos, out, calls = bytearray(cap), 0, b"", 0
+        address = np.frombuffer(buf, np.uint8).ctypes.data
+        while pos < x.size:
+            n = lib.sl_format(x.ctypes.data, pos, x.size, weights, table, address, cap,
+                              stop.ctypes.data)
+            assert 0 < n <= cap or stop[0] == x.size
+            assert buf[:n].endswith(b"\n") or n == 0
+            out += bytes(buf[:n])
+            pos, calls = int(stop[0]), calls + 1
+        assert out == text
+        assert calls > len(text) // cap
+    first = text.split(b"\n")[0]
+    buf = bytearray(len(first))
+    n = lib.sl_format(x.ctypes.data, 0, x.size, weights, table,
+                      np.frombuffer(buf, np.uint8).ctypes.data, len(buf), stop.ctypes.data)
+    assert n == 0 and stop[0] == 0
+
+
+def test_write_floats_splits_at_the_buffer(monkeypatch):
+    monkeypatch.setattr(data_io, "CHUNK", 64)
+    values = EDGES[::3]
+    assert formatted(values, False) == expected(values, False)
+    assert formatted(values, True) == expected(values, True)
+
+
+def test_table_entries():
+    # each g against its definition: 10^-k = beta 2^r with 2^125 <= beta < 2^126,
+    # g = floor(beta) + 1 = g1 2^63 + g0
+    table = list(_kernel.tens())
+    assert len(table) == 2 * (292 + 324 + 1)
+    for i, k in enumerate(range(-324, 293)):
+        g1, g0 = table[2 * i], table[2 * i + 1]
+        assert 0 <= g0 < 2 ** 63 and 0 <= g1 < 2 ** 63
+        power = Fraction(10) ** -k
+        r = math.floor(-k * math.log2(10)) - 125
+        while power / Fraction(2) ** r >= 2 ** 126:
+            r += 1
+        while power / Fraction(2) ** r < 2 ** 125:
+            r -= 1
+        assert g1 * 2 ** 63 + g0 == math.floor(power / Fraction(2) ** r) + 1
+
+
+def test_commands_write_the_same_bytes_without_the_kernel(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(8)
+    rows = []
+    for _ in range(300):
+        idx = np.sort(rng.choice(2000, size=6, replace=False)) + 1
+        vals = rng.normal(size=6) * 10.0 ** rng.integers(-8, 8, size=6)
+        rows.append(f"{rng.choice([-1, 1])} "
+                    + " ".join(f"{j}:{v!r}" for j, v in zip(idx.tolist(), vals.tolist())))
+    data = tmp_path / "data.txt"
+    data.write_text("\n".join(rows) + "\n")
+    outputs = []
+    for path in ("compiled", "fallback"):
+        if path == "fallback":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        run = []
+        for algo in ("sgd", "asgd", "casgd"):
+            model = tmp_path / f"{algo}-{path}.txt"
+            assert main(["train", "--data", str(data), "--model", str(model), "--algo", algo,
+                         "--loss", "hinge", "--lambda", "1e-3", "--steps", "2000",
+                         "--seed", "5"]) == 0
+            out = tmp_path / f"{algo}-{path}.out"
+            assert main(["predict", "--model", str(model), "--data", str(data),
+                         "--out", str(out)]) == 0
+            assert main(["predict", "--model", str(model), "--data", str(data)]) == 0
+            run += [model.read_bytes(), out.read_bytes(), capsys.readouterr().out]
+        outputs.append(run)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].count(b"\n") > 1000  # the sgd model: over a thousand weight lines
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_sanitized_build(tmp_path):
+    # sl_format built with AddressSanitizer and UBSan, writing into a malloc'ed
+    # buffer of exactly the cap it is given
+    exe = tmp_path / "format_driver"
+    proc = subprocess.run(["cc", "-O1", "-g", "-ffp-contract=off",
+                           "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+                           "-Wall", "-Wextra", "-Werror", "-o", str(exe),
+                           str(HERE / "format_driver.c"), _kernel._SOURCE, "-lm"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    values = EDGES + [0.0, -0.0]
+    table = " ".join(f"{w:x}" for w in _kernel.tens())
+    bits = " ".join(f"{b:x}" for b in np.array(values).view(np.uint64).tolist())
+    env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0")
+    for weights in (0, 1):
+        text = expected(values, weights)
+        longest = max(len(line) + 1 for line in text.splitlines())
+        for cap in (longest, 4096):
+            run = subprocess.run([str(exe), str(weights), str(cap)], input=f"{table} {bits}",
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout == text

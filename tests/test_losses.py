@@ -12,11 +12,13 @@ from sparselin import (
     LinearModel,
     LossKind,
     SparseVec,
+    SparselinError,
     loss_subgradient,
     loss_value,
     objective_value,
     validate_labels,
 )
+from sparselin.losses import penalized
 
 preds = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 reg_labels = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -140,6 +142,17 @@ class TestObjective:
         model = LinearModel.zero(2, LossKind.SQUARED)
         with pytest.raises(DimensionError):
             objective_value(model, data, 1.0)
+
+    @pytest.mark.parametrize("w, avg_loss, term", [
+        (1e200, 0.0, "penalty"),        # |w|^2 overflows
+        (0.0, math.inf, "average loss"),
+        (1e154, 1.7e308, "objective"),  # each term finite, their sum not
+    ])
+    def test_non_finite_term_is_an_error(self, w, avg_loss, term):
+        model = LinearModel(w=np.array([w]), b=0.0, loss=LossKind.SQUARED, dim=1)
+        with np.errstate(all="raise"):  # and no numpy warning
+            with pytest.raises(SparselinError, match=f"^{term} .* is not finite$"):
+                penalized(model, 1.0, avg_loss)
 
 
 class TestValidateLabels:
