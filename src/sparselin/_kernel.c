@@ -1,6 +1,8 @@
 /* The step loop of sparselin.solvers._train over CSR arrays, the scanners
- * of data_io's LIBSVM and model-file readers, and the float formatter of
- * data_io's writers (sl_format).
+ * of data_io's LIBSVM and model-file readers with their decimal-to-double
+ * converter (number: Clinger's exact path and Eisel-Lemire, strtod only
+ * where those cannot decide), and the float formatter of data_io's writers
+ * (sl_format).
  *
  * The loop repeats the floating-point operations of the Python loop in the
  * same order, sparse dot products included (left to right, as
@@ -91,13 +93,13 @@ int64_t sl_steps(const int64_t *order, const int64_t *indptr, const int64_t *idx
 /* The scanners read the lines of buf[pos, end) that fit a narrow grammar and
  * stop at the start of the first line that does not; data_io hands that line
  * to its Python line code and calls them again after it.  Numbers match
- * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, are converted with strtod and must be
- * finite; indices are at most 18 plain digits; tokens are separated by spaces
- * or tabs; a line ends with "\n", with "\r\n" (one line end to text-mode
- * reading too) or at end.  Only ASCII is accepted, so no lone '\r' (a line
- * break of its own to text-mode reading) or other whitespace ever reaches a
- * token.  buf[end] must be a NUL byte, as in every Python bytes object: each
- * token scan stops there. */
+ * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?, are converted as number() below says and
+ * must be finite; indices are at most 18 plain digits; tokens are separated
+ * by spaces or tabs; a line ends with "\n", with "\r\n" (one line end to
+ * text-mode reading too) or at end.  Only ASCII is accepted, so no lone '\r'
+ * (a line break of its own to text-mode reading) or other whitespace ever
+ * reaches a token.  buf[end] must be a NUL byte, as in every Python bytes
+ * object: each token scan stops there. */
 static int digit(char c) { return c >= '0' && c <= '9'; }
 static int blank(char c) { return c == ' ' || c == '\t'; }
 /* The length of the line break at p < end: 1 for "\n", 2 for "\r\n", else 0. */
@@ -110,19 +112,102 @@ static int token_end(const char *p, const char *end)
     return p == end || blank(*p) || line_break(p);
 }
 
+/* Decimal to double, correctly rounded (to nearest, ties to even) as strtod
+ * and Python's float round.  A decimal w 10^q with at most 19 significant
+ * digits w < 2^64 takes Clinger's exact path where w <= 2^53 and |q| <= 22:
+ * w and 10^q are exact doubles, so one IEEE multiply or divide rounds
+ * correctly.  Any other w takes Eisel and Lemire's algorithm (Lemire,
+ * "Number parsing at a gigabyte per second", 2021; Mushtak and Lemire, "Fast
+ * number parsing without fallback", 2023), which rounds w 5^q 2^q from a
+ * 128-bit approximation of 5^q.  fives holds, for q = FIVE_MIN..FIVE_MAX, the
+ * words f1 2^64 + f0 of 5^q scaled by a power of two into [2^127, 2^128)
+ * (truncated for q >= 0, from above for q < 0, as fast_float's table;
+ * _kernel.py computes it).  A decimal with more digits is cut to its first
+ * 19, w, and converted where w and w + 1 round alike.  strtod decides the
+ * rest: a cut decimal whose w and w + 1 round apart, and the product the
+ * 2021 paper could not decide (the later proof shows it never occurs). */
+#define FIVE_MIN (-342)  /* below it w 10^q rounds to 0 for every w < 2^64 */
+#define FIVE_MAX 308     /* above it w 10^q overflows for every w >= 1 */
+#define UNDECIDED UINT64_MAX  /* a nan's bits: no result of eisel_lemire */
+
+static const double exact_tens[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+                                    1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19,
+                                    1e20, 1e21, 1e22};
+
+/* The bits of w 10^q rounded, for 0 < w < 2^64 and FIVE_MIN <= q <= FIVE_MAX
+ * (an infinity past the largest double), or UNDECIDED. */
+static uint64_t eisel_lemire(const uint64_t *fives, uint64_t w, int q)
+{
+    const uint64_t *f = fives + 2 * (q - FIVE_MIN);
+    int lz = __builtin_clzll(w), upper, shift, e;
+    unsigned __int128 z;
+    uint64_t hi, lo, m;
+    w <<= lz;
+    z = (unsigned __int128)w * f[0];
+    hi = (uint64_t)(z >> 64);
+    lo = (uint64_t)z;
+    if ((hi & 0x1ff) == 0x1ff) {  /* a carry from f0's part could reach the bits kept */
+        z = (unsigned __int128)w * f[1];
+        lo += (uint64_t)(z >> 64);
+        hi += lo < (uint64_t)(z >> 64);
+    }
+    if (lo == UINT64_MAX && (q < -27 || q > 55))  /* 5^q is inexact in the table there */
+        return UNDECIDED;
+    upper = (int)(hi >> 63);
+    shift = upper + 9;
+    m = hi >> shift;  /* 54 bits: the double's 53 and a rounding bit */
+    e = ((217706 * q) >> 16) + 63 + upper - lz + 1023;  /* floor(q log2 10) = (217706 q) >> 16 */
+    if (e <= 0) {  /* subnormal, or rounding up to the smallest normal double */
+        if (1 - e >= 64)
+            return 0;
+        m >>= 1 - e;
+        m += m & 1;
+        return m >> 1;  /* 2^52, the smallest normal, carries into the exponent field */
+    }
+    /* a product that ends in zeros past m may be a tie of two doubles: round it to even */
+    if (lo <= 1 && q >= -4 && q <= 23 && (m & 3) == 1 && m << shift == hi)
+        m &= ~1ULL;
+    m += m & 1;
+    m >>= 1;
+    if (m >> 53) {
+        m = 1ULL << 52;
+        e++;
+    }
+    if (e >= 0x7ff)
+        return 0x7ffULL << 52;
+    return (m & ((1ULL << 52) - 1)) | (uint64_t)e << 52;
+}
+
 /* The number at p into *out; returns the end of its token, or NULL. */
-static const char *number(const char *p, double *out)
+static const char *number(const char *p, const uint64_t *fives, double *out)
 {
     const char *s = p, *q;
     char *e;
-    int digits = 0;
+    uint64_t w = 0, bits;
+    int64_t exp10 = 0, x = 0;
+    int n = 0, digits = 0, cut = 0, neg = *p == '-';
+    double d;
     if (*p == '+' || *p == '-')
         p++;
-    for (; digit(*p); p++)
-        digits++;
+    for (; digit(*p); p++, digits++) {  /* w takes the first 19 significant digits, cut the rest */
+        if (n < 19) {
+            w = 10 * w + (uint64_t)(*p - '0');
+            n += w != 0;
+        } else {
+            exp10++;
+            cut |= *p != '0';
+        }
+    }
     if (*p == '.')
-        for (p++; digit(*p); p++)
-            digits++;
+        for (p++; digit(*p); p++, digits++) {
+            if (n < 19) {
+                w = 10 * w + (uint64_t)(*p - '0');
+                n += w != 0;
+                exp10--;
+            } else {
+                cut |= *p != '0';
+            }
+        }
     if (!digits)
         return NULL;
     if (*p == 'e' || *p == 'E') {
@@ -130,10 +215,26 @@ static const char *number(const char *p, double *out)
         if (!digit(*q))
             return NULL;
         for (p = q; digit(*p); p++)
-            ;
+            if (x < 1000000000000000000LL / 10)  /* past it, 0 or an overflow however long the token */
+                x = 10 * x + (*p - '0');
+        exp10 += q[-1] == '-' ? -x : x;
     }
-    *out = strtod(s, &e);  /* the check of e also refuses a locale's other decimal point */
-    return e == p && isfinite(*out) ? p : NULL;
+    if (w == 0 || exp10 < FIVE_MIN) {
+        d = 0.0;
+    } else if (exp10 > FIVE_MAX) {
+        return NULL;
+    } else if (!cut && w <= 1ULL << 53 && exp10 >= -22 && exp10 <= 22) {
+        d = exp10 < 0 ? (double)w / exact_tens[-exp10] : (double)w * exact_tens[exp10];
+    } else {
+        bits = eisel_lemire(fives, w, (int)exp10);
+        if (bits == UNDECIDED || (cut && bits != eisel_lemire(fives, w + 1, (int)exp10))) {
+            *out = strtod(s, &e);  /* the check of e also refuses a locale's other decimal point */
+            return e == p && isfinite(*out) ? p : NULL;
+        }
+        memcpy(&d, &bits, sizeof d);
+    }
+    *out = neg ? -d : d;
+    return isfinite(d) ? p : NULL;
 }
 
 /* The index at p (at most 18 digits, so below 2^60) into *out; the end of its digits, or NULL. */
@@ -155,10 +256,10 @@ static const char *index_digits(const char *p, int64_t *out)
  * holds a ':' is all features with label 0.  Row r's label goes to labels[r]
  * and base plus the nonzeros so far to indptr[r]; the nonzeros go to idx
  * (0-based) and val, :0 values dropped.  count gets the rows and nonzeros
- * written.  Returns where the scan stopped. */
+ * written; fives is number()'s table.  Returns where the scan stopped. */
 int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t limit,
-                int64_t base, int64_t *indptr, double *labels, int64_t *idx, double *val,
-                int64_t *count)
+                int64_t base, const uint64_t *fives, int64_t *indptr, double *labels,
+                int64_t *idx, double *val, int64_t *count)
 {
     const char *p = buf + pos, *stop = buf + end, *line, *q;
     int64_t rows = 0, nnz = 0, row_start, prev, j;
@@ -173,7 +274,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
         for (q = p; !labeled && !token_end(q, stop) && *q != ':'; q++)
             ;
         if (labeled || *q != ':') {
-            p = number(p, &y);
+            p = number(p, fives, &y);
             if (!p || !token_end(p, stop))
                 goto refuse;
         }
@@ -185,7 +286,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
             p = index_digits(p, &j);
             if (!p || *p != ':' || j <= prev || j > limit)
                 goto refuse;
-            p = number(p + 1, &v);
+            p = number(p + 1, fives, &v);
             if (!p || !token_end(p, stop))
                 goto refuse;
             prev = j;
@@ -211,9 +312,10 @@ refuse:
 
 /* Model weight lines "<idx>:<float>", 0-based indices, strictly increasing
  * after st[0] and below dim, each stored into w.  st[0] gets the last index
- * and st[1] the lines read.  Returns where the scan stopped. */
-int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, double *w,
-                   int64_t *st)
+ * and st[1] the lines read; fives is number()'s table.  Returns where the
+ * scan stopped. */
+int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim,
+                   const uint64_t *fives, double *w, int64_t *st)
 {
     const char *p = buf + pos, *stop = buf + end, *q;
     int64_t prev = st[0], lines = 0, j;
@@ -222,7 +324,7 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, doubl
         q = index_digits(p, &j);
         if (!q || *q != ':' || j <= prev || j >= dim)
             break;
-        q = number(q + 1, &v);
+        q = number(q + 1, fives, &v);
         if (!q || !(q == stop || line_break(q)))
             break;
         w[j] = v;

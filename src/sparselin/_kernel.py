@@ -4,8 +4,12 @@ It holds the training loop (``sl_steps``), the scanners of the LIBSVM
 and model-file readers (``sl_scan``, ``sl_weights``) and the shortest
 round-trip float formatter of the model and prediction writers
 (``sl_format``; see ``data_io``), so training, ``predict`` and ``eval`` load
-it; ``import sparselin`` does not.  ``sl_format`` reads a table of 126-bit
-powers of ten, which ``tens`` computes with Python integers on first use.
+it; ``import sparselin`` does not.  The scanners convert decimals to doubles
+themselves, correctly rounded, with Clinger's exact path and the
+Eisel-Lemire algorithm, and call ``strtod`` only for the rare decimal of
+more than 19 digits those cannot decide.  That converter reads a table of
+128-bit powers of five, and ``sl_format`` one of 126-bit powers of ten;
+``fives`` and ``tens`` compute them with Python integers on first use.
 
 The C source ships inside the package and is compiled on first use with the
 system's ``cc`` into ``$XDG_CACHE_HOME/sparselin/`` (default
@@ -72,9 +76,9 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.sl_steps.argtypes = [ptr] * 5 + [ctypes.c_int, dbl, dbl] + [ptr] * 4 + [i64, i64]
     lib.sl_steps.restype = i64
-    lib.sl_scan.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, i64, i64] + [ptr] * 5
+    lib.sl_scan.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, i64, i64] + [ptr] * 6
     lib.sl_scan.restype = i64
-    lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]
+    lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, ptr]
     lib.sl_weights.restype = i64
     lib.sl_format.argtypes = [ptr, i64, i64, ctypes.c_int, ptr, ptr, i64, ptr]
     lib.sl_format.restype = i64
@@ -95,6 +99,29 @@ def tens() -> ctypes.Array:
             g = (1 << b + 125) // p + 1
         words += (g >> 63, g & ((1 << 63) - 1))
     return (ctypes.c_uint64 * len(words))(*words)
+
+
+@functools.cache
+def fives() -> ctypes.Array:
+    """The number reader's table of ``sl_scan`` and ``sl_weights``: for
+    q = -342..308, 5^q scaled by a power of two into [2^127, 2^128), as the
+    words c >> 64 and c mod 2^64.  For q >= 0 it is 5^q truncated; for
+    q < 0 the reciprocal 2^b / 5^-q rounded down plus one, b = z + 127 with
+    2^(z-1) < 5^-q < 2^z, or for q < -27 b = 2z + 128 and that then
+    truncated (fast_float's table, which the error analysis covers)."""
+    qs = range(-342, 309)
+    words = (ctypes.c_uint64 * (2 * len(qs)))()
+    p = 5 ** -qs[0]
+    for i, q in enumerate(qs):
+        z = p.bit_length()
+        if q >= 0:
+            c = p << 128 - z if z < 128 else p >> z - 128
+        else:
+            c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p + 1
+            c >>= max(0, c.bit_length() - 128)
+        words[2 * i], words[2 * i + 1] = c >> 64, c & (1 << 64) - 1
+        p = p // 5 if q < 0 else p * 5
+    return words
 
 
 def _open() -> ctypes.CDLL | None:

@@ -18,18 +18,22 @@ path-based ``load_dataset`` and ``load_model`` read the file in binary, in
 blocks of whole lines taken ``CHUNK`` bytes at a time (a partial last line
 is carried over), and hand each block to a compiled scanner (``sl_scan``,
 ``sl_weights`` in ``_kernel.c``).  A scanner accepts one narrow form: ASCII
-numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` converted with ``strtod`` and
-finite, indices of at most 18 plain digits, space or tab between tokens,
-``'\\n'`` or ``'\\r\\n'`` at the end of each line, and the same index checks
-as the line code.  At the first line outside that form it stops; that line
-is decoded and split as text-mode reading would (universal newlines) and
-goes to the same Python line code as ``parse_libsvm``/``read_model``, which
-raises the usual error with its line number or accepts it (a comment, a
-blank line, ``1_0``, a lone ``'\\r'``), and scanning resumes after it.  So
-both readers give bit-identical arrays and the same errors with or without
-the kernel; without it (no compiler, say) every line takes the Python line
-code.  Bytes that are not UTF-8 are a ``ParseError``/``FormatError``
-naming their line.
+numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` that are finite, indices of
+at most 18 plain digits, space or tab between tokens, ``'\\n'`` or
+``'\\r\\n'`` at the end of each line, and the same index checks as the line
+code.  At the first line outside that form it stops; that line is decoded
+and split as text-mode reading would (universal newlines) and goes to the
+same Python line code as ``parse_libsvm``/``read_model``, which raises the
+usual error with its line number or accepts it (a comment, a blank line,
+``1_0``, a lone ``'\\r'``), and scanning resumes after it.  The scanners
+convert numbers themselves, correctly rounded as ``float`` rounds:
+Clinger's exact path (one IEEE multiply or divide) where the digits and
+exponent are small, else the Eisel-Lemire algorithm over a table of 128-bit
+powers of five (``_kernel.fives``), and ``strtod`` only for a decimal of
+more than 19 significant digits that these cannot decide.  So both readers
+give bit-identical arrays and the same errors with or without the kernel;
+without it (no compiler, say) every line takes the Python line code.  Bytes
+that are not UTF-8 are a ``ParseError``/``FormatError`` naming their line.
 
 Model files (text, version ``v1``)::
 
@@ -200,8 +204,9 @@ class _Rows:
         self.indptr.append(len(self.indices))
         self.labels.append(y)
 
-    def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
-        """``sl_scan`` over ``block`` from ``pos``: where it stopped, and the line number reached."""
+    def scan(self, lib, fives, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
+        """``sl_scan`` over ``block`` from ``pos``, reading numbers with the table
+        ``fives`` (``_kernel.fives``): where it stopped, and the line number reached."""
         # an accepted line takes at least 2 bytes ("1\n"), a kept nonzero at least 4 (" 1:1")
         cap = len(block) - pos + 1
         if not self.scratch or self.scratch[0].size < cap // 2:
@@ -214,7 +219,7 @@ class _Rows:
             self.pointers = [a.ctypes.data for a in self.scratch]
         # indices the scanner accepts stay below 10**18 < MAX_DIM, so the clamp changes nothing
         stop = lib.sl_scan(block, pos, len(block), self.require_labels,
-                           min(self.limit, MAX_DIM), len(self.indices), *self.pointers)
+                           min(self.limit, MAX_DIM), len(self.indices), fives, *self.pointers)
         *out, count = self.scratch
         rows, nnz = count.tolist()
         for buf, a, n in zip((self.indptr, self.labels, self.indices, self.values), out,
@@ -319,8 +324,8 @@ def load_dataset(
     from . import _kernel  # here, so that importing sparselin does not import it
 
     rows, lib = _Rows(dim_override, require_labels), _kernel.load()
-    _read_lines(path, None if lib is None else partial(rows.scan, lib), rows.add_line,
-                ParseError)
+    _read_lines(path, None if lib is None else partial(rows.scan, lib, _kernel.fives()),
+                rows.add_line, ParseError)
     return rows.dataset()
 
 
@@ -432,12 +437,13 @@ class _ModelReader:
         self.prev = idx
         self.w[idx] = val
 
-    def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
-        """``sl_weights`` over ``block`` from ``pos``: where it stopped, and the line number reached."""
+    def scan(self, lib, fives, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
+        """``sl_weights`` over ``block`` from ``pos``, reading numbers with the table
+        ``fives`` (``_kernel.fives``): where it stopped, and the line number reached."""
         if self.w is None:  # the header is read line by line
             return pos, line_no
         self.state[0] = self.prev
-        stop = lib.sl_weights(block, pos, len(block), self.w.size, self.w.ctypes.data,
+        stop = lib.sl_weights(block, pos, len(block), self.w.size, fives, self.w.ctypes.data,
                               self.state.ctypes.data)
         self.prev, lines = self.state.tolist()
         return stop, line_no + lines
@@ -462,8 +468,8 @@ def load_model(path: str) -> LinearModel:
     from . import _kernel  # here, so that importing sparselin does not import it
 
     reader, lib = _ModelReader(), _kernel.load()
-    _read_lines(path, None if lib is None else partial(reader.scan, lib), reader.add_line,
-                lambda line_no, message: FormatError(message, line_no))
+    _read_lines(path, None if lib is None else partial(reader.scan, lib, _kernel.fives()),
+                reader.add_line, lambda line_no, message: FormatError(message, line_no))
     return reader.model()
 
 

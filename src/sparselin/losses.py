@@ -102,11 +102,27 @@ def scores(model: "LinearModel", data: "Dataset") -> np.ndarray:
 
 
 def mean_loss(kind: LossKind, p: np.ndarray, labels: np.ndarray) -> float:
-    """Average ``loss_value`` over the examples, summed in row order."""
-    total = 0.0
-    for pi, y in zip(p.tolist(), labels.tolist()):
-        total += loss_value(kind, pi, y)
-    return total / labels.size
+    """Average ``loss_value`` over the examples, summed in row order.
+
+    Labels must be valid for the loss (``validate_labels``).  Hinge, squared
+    and absolute loss repeat ``loss_value``'s IEEE operations elementwise,
+    and ``cumsum`` adds left to right where ``np.sum`` would add pairwise, so
+    the result is bit for bit that of the per-row loop the log loss keeps."""
+    if kind is LossKind.LOG:
+        total = 0.0
+        for pi, y in zip(p.tolist(), labels.tolist()):
+            total += loss_value(kind, pi, y)
+        return total / labels.size
+    with np.errstate(over="ignore"):  # an inf here is penalized's error, as in the loop
+        if kind is LossKind.SQUARED:
+            d = p - labels
+            per_row = 0.5 * d * d
+        elif kind is LossKind.HINGE:
+            m = 1.0 - p * labels
+            per_row = np.where(m > 0.0, m, 0.0)
+        else:
+            per_row = np.abs(p - labels)
+        return float(np.cumsum(per_row)[-1]) / labels.size
 
 
 def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
@@ -116,6 +132,7 @@ def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
     p = scores(model, data)
     if data.m == 0:
         raise ValueError("objective_value needs at least one example")
+    validate_labels(data, model.loss)
     return penalized(model, lam, mean_loss(model.loss, p, data.labels))
 
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 
 from sparselin import (
@@ -139,3 +143,62 @@ def shift_dataset(data: Dataset, delta: np.ndarray) -> Dataset:
     return Dataset.from_rows(
         [(shift_vec(data.row(i), delta), y) for i, y in enumerate(data.labels)], data.dim
     )
+
+
+def _exact_decimal(x) -> str:
+    """The dyadic rational x (a Fraction) as an exact decimal ``<digits>e-<k>``."""
+    k = max(x.denominator.bit_length() - 1, 0)  # the denominator is 2^k
+    return f"{x.numerator * 5 ** k}e-{k}"
+
+
+def _midpoints() -> list[str]:
+    """For doubles where rounding is hardest, the exact decimal halfway to the
+    next double up, and the decimals one unit in its last digit below and
+    above: a tie rounds to the even neighbour, the others away from it."""
+    out = []
+    for x in (5e-324, 1e-323, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+              1e-300, 7.038531e-26, 1.0, 2.0, 2.0 ** 52, 2.0 ** 53, 1e23,
+              sys.float_info.max):
+        up = math.nextafter(x, math.inf)
+        mid = (Fraction(x) + (Fraction(up) if up < math.inf else Fraction(2) ** 1024)) / 2
+        digits, _, exp = _exact_decimal(mid).partition("e")
+        for n in (int(digits) - 1, int(digits), int(digits) + 1):
+            out.append(f"{n}e{exp}")
+    return out
+
+
+# Decimal strings at the edges of the compiled number reader (number() in
+# _kernel.c), each read as Python's float reads it or, where that is not
+# finite, refused.  The last ones are exact midpoints of neighbouring doubles.
+NUMBER_EDGES = [
+    # 2^53 and its neighbours: Clinger's exact path ends at 2^53; 2^53 + 1 is a tie
+    "9007199254740991", "9007199254740992", "9007199254740993", "9007199254740994",
+    "9007199254740995", "9007199254740993.0", "9.007199254740993e15",
+    # the largest subnormal and the smallest normal double
+    "2.2250738585072011e-308", "2.2250738585072014e-308", "2.2250738585072012e-308",
+    # the smallest subnormal, and half of it, which ties to 0, and just above half
+    "4.9406564584124654e-324", "5e-324", "3e-324", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "1e-323",
+    # the largest double, the decimals that still round to it, and one that overflows
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623158079e308",
+    "1.7976931348623159e308", "1e308", "1e309", "-1e309",
+    # zeros and underflow
+    "-0", "0", "+0", "0e999", "-0e-999", "0.000", ".0e0", "1e-400", "-1e-400", "1e-342",
+    "1e-343", "9999999999999999999e-342", "9999999999999999999e-343",
+    # 19 and 20 significant digits: up to 19 the mantissa is read whole, past it cut
+    "1000000000000000000", "9999999999999999999", "10000000000000000000",
+    "99999999999999999999", "1844674407370955161", "18446744073709551615",
+    "18446744073709551616", "1234567890123456789", "12345678901234567890",
+    "1234567890123456789.5", "0.00000000000000000000012345678901234567891",
+    "9007199254740993.00000000000000000001", "9007199254740992.99999999999999999999",
+    "100000000000000000000000000000000000000e-38", "123456789012345678901234567890e-30",
+    # the exact path's limits (above 2^53, w as a double is rounded once too
+    # often), and hard cases from the Eisel-Lemire literature
+    "1e22", "1e23", "1e-22", "1e-23", "9039171559262585e-22", "11507007968910921e17", "4503599627370496.5", "4503599627370497.5",
+    "7.038531e-26", "0.1", "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203124",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "2.000000000000000444089209850062616169452667236328125",
+    "8.98846567431158e307", "123456789.123456789e-5", "1e+0000000000000000000000000010",
+    "1e-99999999999999999999999999999", "1e99999999999999999999999999999",
+] + _midpoints()

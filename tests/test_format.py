@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import NUMBER_EDGES
 from sparselin import _kernel, data_io
 from sparselin.cli import main
 from sparselin.data_io import fmt_float, write_floats
@@ -177,17 +178,22 @@ def test_commands_write_the_same_bytes_without_the_kernel(tmp_path, monkeypatch,
     assert outputs[0][0].count(b"\n") > 1000  # the sgd model: over a thousand weight lines
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_sanitized_build(tmp_path):
-    # sl_format built with AddressSanitizer and UBSan, writing into a malloc'ed
-    # buffer of exactly the cap it is given
-    exe = tmp_path / "format_driver"
+def sanitized(tmp_path, driver):
+    """``driver`` (a C file here) linked with the kernel under AddressSanitizer and UBSan."""
+    exe = tmp_path / driver.removesuffix(".c")
     proc = subprocess.run(["cc", "-O1", "-g", "-ffp-contract=off",
                            "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
                            "-Wall", "-Wextra", "-Werror", "-o", str(exe),
-                           str(HERE / "format_driver.c"), _kernel._SOURCE, "-lm"],
+                           str(HERE / driver), _kernel._SOURCE, "-lm"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return exe
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_sanitized_build(tmp_path):
+    # sl_format writing into a malloc'ed buffer of exactly the cap it is given
+    exe = sanitized(tmp_path, "format_driver.c")
     values = EDGES + [0.0, -0.0]
     table = " ".join(f"{w:x}" for w in _kernel.tens())
     bits = " ".join(f"{b:x}" for b in np.array(values).view(np.uint64).tolist())
@@ -200,3 +206,14 @@ def test_sanitized_build(tmp_path):
                                  capture_output=True, text=True, env=env)
             assert run.returncode == 0, run.stderr
             assert run.stdout == text
+
+    # sl_weights reading each edge token from a buffer that ends at the token's
+    # NUL; a token Python reads as an infinity is refused, and w stays 0
+    exe = sanitized(tmp_path, "read_driver.c")
+    table = " ".join(f"{w:x}" for w in _kernel.fives())
+    run = subprocess.run([str(exe)], input=table + "\n" + "".join(t + "\n" for t in NUMBER_EDGES),
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    want = [f"1 {np.float64(float(t)).view(np.uint64):x}" if math.isfinite(float(t)) else "0 0"
+            for t in NUMBER_EDGES]
+    assert run.stdout.splitlines() == want

@@ -7,23 +7,29 @@ built, and compared with the compiled path.  Both loops make the same
 floating-point operations in the same order, each sparse dot product summed
 left to right (``sparse_core.row_dots``), so the models, the per-step
 predictions and the file readers' output are bit-identical.  The model
-recovery is the same numpy code on both paths.
+recovery is the same numpy code on both paths.  The scanners' own
+decimal-to-double conversion is checked against Python's ``float``, bit for
+bit, on generated and edge-case decimals.
 """
 
 import io
+import math
 import os
 import subprocess
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_LOSSES, random_dataset, shift_dataset
+from helpers import ALL_LOSSES, NUMBER_EDGES, random_dataset, shift_dataset
 from sparselin import (
     Dataset,
+    FormatError,
     LossKind,
     NonFiniteError,
+    ParseError,
     SparseVec,
     SparselinError,
     TouchCounter,
@@ -428,3 +434,109 @@ class TestScanners:
         assert b"".join(blocks) == body
         assert all(block.endswith(b"\n") for block in blocks[:-1])
         assert sizes and all(0 < n <= 64 for n in sizes)
+
+
+# ---- the number reader ------------------------------------------------------
+
+@st.composite
+def decimal_token(draw):
+    """A token of the scanners' number grammar: 1-40 significant digits with
+    leading and trailing zeros, the point anywhere or nowhere, a sign, and an
+    exponent from -400 to 400 with either sign, perhaps with leading zeros."""
+    n = draw(st.integers(1, 40))
+    body = ("0" * draw(st.integers(0, 3)) + str(draw(st.integers(10 ** (n - 1), 10 ** n - 1)))
+            + "0" * draw(st.integers(0, 3)))
+    point = draw(st.one_of(st.none(), st.integers(0, len(body))))
+    if point is not None:
+        body = body[:point] + "." + body[point:]
+    token = draw(st.sampled_from(["", "+", "-"])) + body
+    exp = draw(st.one_of(st.none(), st.integers(-400, 400)))
+    if exp is not None:
+        sign = "-" if exp < 0 else draw(st.sampled_from(["", "+"]))
+        token += draw(st.sampled_from("eE")) + sign + "0" * draw(st.integers(0, 2)) + str(abs(exp))
+    return token
+
+
+def read_back(tmp_path, tokens):
+    """Each token read by the compiled readers: as a weight of ``load_model``, and
+    as a label and a feature value of ``load_dataset``, with the Python line code
+    made to fail so that every line must pass through the scanners."""
+    def refused(self, raw, line_no):
+        raise AssertionError(f"line {line_no} left the compiled scanner: {raw!r}")
+
+    model = tmp_path / "model.txt"
+    model.write_text(f"sparselin-model v1\nloss log\ndim {len(tokens)}\nbias 0\n"
+                     + "".join(f"{i}:{t}\n" for i, t in enumerate(tokens)))
+    data = tmp_path / "data.txt"
+    data.write_text("".join(f"{t} 1:{t}\n" for t in tokens))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_io._ModelReader, "_weight", refused)
+        mp.setattr(data_io._Rows, "add_line", refused)
+        w = data_io.load_model(str(model)).w
+        loaded = data_io.load_dataset(str(data))
+    return w, loaded.labels, loaded.values
+
+
+def check_tokens(tmp_path, tokens):
+    """The readers give Python's float of each token bit for bit, or, where that
+    is not finite, the error of the Python line code."""
+    values = [float(t) for t in tokens]
+    finite = [t for t, v in zip(tokens, values) if math.isfinite(v)]
+    if finite:
+        w, labels, nonzero = read_back(tmp_path, finite)
+        want = np.array([float(t) for t in finite])
+        assert bits(w, labels, nonzero) == bits(want, want, want[want != 0.0])
+    for t in set(tokens) - set(finite):
+        model = tmp_path / "model.txt"
+        model.write_text(f"sparselin-model v1\nloss log\ndim 2\nbias 0\n0:1\n1:{t}\n")
+        got = outcome(data_io.load_model, str(model))
+        assert got[:2] == (FormatError, "line 6: weight 1 is not finite")
+        assert got == outcome(text_mode, data_io.read_model, model)
+        for line, message in ((f"{t} 1:1", "non-finite label"),
+                              (f"1 1:{t}", "non-finite feature value")):
+            data = tmp_path / "data.txt"
+            data.write_text(f"1 1:1\n{line}\n")
+            got = outcome(data_io.load_dataset, str(data))
+            assert got[:2] == (ParseError, f"line 2: {message} {t!r}")
+            assert got == outcome(text_mode, data_io.parse_libsvm, data)
+
+
+class TestNumbers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(decimal_token(), min_size=1, max_size=12))
+    def test_matches_python_float(self, scratch_dir, tokens):
+        check_tokens(scratch_dir, tokens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=12),
+           st.sampled_from(["{!r}", "{:.17g}", "{:.25e}", "{:.40g}"]))
+    def test_printed_doubles_read_back(self, scratch_dir, patterns, layout):
+        doubles = np.array(patterns, dtype=np.uint64).view(np.float64).tolist()
+        check_tokens(scratch_dir, [layout.format(x) for x in doubles if math.isfinite(x)] or ["1"])
+
+    def test_table_entries(self):
+        # each c = f1 2^64 + f0 against its definition: 5^q 2^s in [2^127, 2^128),
+        # truncated for q >= 0 (exact up to 5^55), rounded down plus one for
+        # -27 <= q < 0, and within one of it below that
+        table = list(_kernel.fives())
+        assert len(table) == 2 * (308 + 342 + 1)
+        for i, q in enumerate(range(-342, 309)):
+            c = table[2 * i] << 64 | table[2 * i + 1]
+            power = Fraction(5) ** q
+            s = 127 - math.floor(q * math.log2(5))
+            while power * Fraction(2) ** s >= 2 ** 128:
+                s -= 1
+            while power * Fraction(2) ** s < 2 ** 127:
+                s += 1
+            scaled = math.floor(power * Fraction(2) ** s)
+            if q >= 0:
+                assert c == scaled
+            elif q >= -27:
+                assert c == scaled + 1
+            else:
+                assert scaled <= c <= scaled + 1
+            assert 2 ** 127 <= c < 2 ** 128
+
+    def test_edges(self, tmp_path):
+        check_tokens(tmp_path, NUMBER_EDGES)
+        assert sum(not math.isfinite(float(t)) for t in NUMBER_EDGES) >= 3

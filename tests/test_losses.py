@@ -18,7 +18,7 @@ from sparselin import (
     objective_value,
     validate_labels,
 )
-from sparselin.losses import penalized
+from sparselin.losses import mean_loss, penalized
 
 preds = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 reg_labels = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -153,6 +153,41 @@ class TestObjective:
         with np.errstate(all="raise"):  # and no numpy warning
             with pytest.raises(SparselinError, match=f"^{term} .* is not finite$"):
                 penalized(model, 1.0, avg_loss)
+
+
+def row_loop_mean(kind, ps, ys):
+    """The per-row reference: ``loss_value`` summed in row order."""
+    total = 0.0
+    for p, y in zip(ps, ys):
+        total += loss_value(kind, p, y)
+    return total / len(ys)
+
+
+# scores of every magnitude, the signed zeros, and the hinge kink p*y == 1 at p = y = +-1
+SCORES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+class TestMeanLoss:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(LossKind)), st.data())
+    def test_bit_identical_to_row_loop(self, kind, data):
+        m = data.draw(st.integers(1, 64))  # np.sum would add pairwise from 8 rows on
+        ys = data.draw(st.lists(labels_for(kind), min_size=m, max_size=m))
+        ps = data.draw(st.lists(SCORES, min_size=m, max_size=m))
+        got = mean_loss(kind, np.array(ps), np.array(ys))
+        assert (np.float64(got).view(np.int64)
+                == np.float64(row_loop_mean(kind, ps, ys)).view(np.int64))
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    @pytest.mark.parametrize("ps, ys", [
+        ([1.0], [1.0]), ([-1.0], [-1.0]),  # hinge's kink, m = 1
+        ([0.0], [1.0]), ([-0.0], [-1.0]), ([-0.0, 0.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0]),
+    ])
+    def test_edges(self, kind, ps, ys):
+        got = mean_loss(kind, np.array(ps), np.array(ys))
+        assert (np.float64(got).view(np.int64)
+                == np.float64(row_loop_mean(kind, ps, ys)).view(np.int64))
 
 
 class TestValidateLabels:
