@@ -15,6 +15,8 @@
 #include <stdlib.h>
 #include <string.h>
 
+extern const uint64_t sl_fives[], sl_tens[];  /* number's and sl_format's; see _kernel.compile_c */
+
 enum { ABSOLUTE, SQUARED, HINGE, LOG };  /* solvers._LOSS_CODES */
 enum { A, C, H, Z, R, S, P, G };          /* slots of the scalar state array */
 
@@ -119,10 +121,10 @@ static int token_end(const char *p, const char *end)
  * correctly.  Any other w takes Eisel and Lemire's algorithm (Lemire,
  * "Number parsing at a gigabyte per second", 2021; Mushtak and Lemire, "Fast
  * number parsing without fallback", 2023), which rounds w 5^q 2^q from a
- * 128-bit approximation of 5^q.  fives holds, for q = FIVE_MIN..FIVE_MAX, the
- * words f1 2^64 + f0 of 5^q scaled by a power of two into [2^127, 2^128)
+ * 128-bit approximation of 5^q.  sl_fives holds, for q = FIVE_MIN..FIVE_MAX,
+ * the words f1 2^64 + f0 of 5^q scaled by a power of two into [2^127, 2^128)
  * (truncated for q >= 0, from above for q < 0, as fast_float's table;
- * _kernel.py computes it).  A decimal with more digits is cut to its first
+ * _kernel.fives defines it).  A decimal with more digits is cut to its first
  * 19, w, and converted where w and w + 1 round alike.  strtod decides the
  * rest: a cut decimal whose w and w + 1 round apart, and the product the
  * 2021 paper could not decide (the later proof shows it never occurs). */
@@ -136,9 +138,9 @@ static const double exact_tens[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
 
 /* The bits of w 10^q rounded, for 0 < w < 2^64 and FIVE_MIN <= q <= FIVE_MAX
  * (an infinity past the largest double), or UNDECIDED. */
-static uint64_t eisel_lemire(const uint64_t *fives, uint64_t w, int q)
+static uint64_t eisel_lemire(uint64_t w, int q)
 {
-    const uint64_t *f = fives + 2 * (q - FIVE_MIN);
+    const uint64_t *f = sl_fives + 2 * (q - FIVE_MIN);
     int lz = __builtin_clzll(w), upper, shift, e;
     unsigned __int128 z;
     uint64_t hi, lo, m;
@@ -179,7 +181,7 @@ static uint64_t eisel_lemire(const uint64_t *fives, uint64_t w, int q)
 }
 
 /* The number at p into *out; returns the end of its token, or NULL. */
-static const char *number(const char *p, const uint64_t *fives, double *out)
+static const char *number(const char *p, double *out)
 {
     const char *s = p, *q;
     char *e;
@@ -226,8 +228,8 @@ static const char *number(const char *p, const uint64_t *fives, double *out)
     } else if (!cut && w <= 1ULL << 53 && exp10 >= -22 && exp10 <= 22) {
         d = exp10 < 0 ? (double)w / exact_tens[-exp10] : (double)w * exact_tens[exp10];
     } else {
-        bits = eisel_lemire(fives, w, (int)exp10);
-        if (bits == UNDECIDED || (cut && bits != eisel_lemire(fives, w + 1, (int)exp10))) {
+        bits = eisel_lemire(w, (int)exp10);
+        if (bits == UNDECIDED || (cut && bits != eisel_lemire(w + 1, (int)exp10))) {
             *out = strtod(s, &e);  /* the check of e also refuses a locale's other decimal point */
             return e == p && isfinite(*out) ? p : NULL;
         }
@@ -256,10 +258,10 @@ static const char *index_digits(const char *p, int64_t *out)
  * holds a ':' is all features with label 0.  Row r's label goes to labels[r]
  * and base plus the nonzeros so far to indptr[r]; the nonzeros go to idx
  * (0-based) and val, :0 values dropped.  count gets the rows and nonzeros
- * written; fives is number()'s table.  Returns where the scan stopped. */
+ * written.  Returns where the scan stopped. */
 int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t limit,
-                int64_t base, const uint64_t *fives, int64_t *indptr, double *labels,
-                int64_t *idx, double *val, int64_t *count)
+                int64_t base, int64_t *indptr, double *labels, int64_t *idx, double *val,
+                int64_t *count)
 {
     const char *p = buf + pos, *stop = buf + end, *line, *q;
     int64_t rows = 0, nnz = 0, row_start, prev, j;
@@ -274,7 +276,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
         for (q = p; !labeled && !token_end(q, stop) && *q != ':'; q++)
             ;
         if (labeled || *q != ':') {
-            p = number(p, fives, &y);
+            p = number(p, &y);
             if (!p || !token_end(p, stop))
                 goto refuse;
         }
@@ -286,7 +288,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
             p = index_digits(p, &j);
             if (!p || *p != ':' || j <= prev || j > limit)
                 goto refuse;
-            p = number(p + 1, fives, &v);
+            p = number(p + 1, &v);
             if (!p || !token_end(p, stop))
                 goto refuse;
             prev = j;
@@ -312,10 +314,9 @@ refuse:
 
 /* Model weight lines "<idx>:<float>", 0-based indices, strictly increasing
  * after st[0] and below dim, each stored into w.  st[0] gets the last index
- * and st[1] the lines read; fives is number()'s table.  Returns where the
- * scan stopped. */
-int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim,
-                   const uint64_t *fives, double *w, int64_t *st)
+ * and st[1] the lines read.  Returns where the scan stopped. */
+int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, double *w,
+                   int64_t *st)
 {
     const char *p = buf + pos, *stop = buf + end, *q;
     int64_t prev = st[0], lines = 0, j;
@@ -324,7 +325,7 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim,
         q = index_digits(p, &j);
         if (!q || *q != ':' || j <= prev || j >= dim)
             break;
-        q = number(q + 1, fives, &v);
+        q = number(q + 1, &v);
         if (!q || !(q == stop || line_break(q)))
             break;
         w[j] = v;
@@ -342,9 +343,9 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim,
  * to render doubles", 2020), as in Java's DoubleToDecimal, but with no
  * minimum of two digits.  A finite double v = c 2^q is written with the
  * fewest decimal digits that read back as v, and of those the nearest to v
- * (ties to an even last digit): what repr does.  g holds, for k = -324..292,
- * the 126-bit g = g1 2^63 + g0 = floor(10^-k 2^-r) + 1, r chosen so that
- * 2^125 <= 10^-k 2^-r < 2^126; _kernel.py computes it. */
+ * (ties to an even last digit): what repr does.  sl_tens holds, for
+ * k = -324..292, the 126-bit g = g1 2^63 + g0 = floor(10^-k 2^-r) + 1, r
+ * chosen so that 2^125 <= 10^-k 2^-r < 2^126; _kernel.tens defines it. */
 #define C_MIN (1ULL << 52)
 #define Q_MIN (-1074)
 #define MASK63 ((1ULL << 63) - 1)
@@ -367,7 +368,7 @@ static uint64_t rop(uint64_t g1, uint64_t g0, uint64_t cp)
 }
 
 /* The decimal f 10^*e chosen for c 2^q, returning f, which may end in zeros. */
-static uint64_t shortest(const uint64_t *g, int q, uint64_t c, int *e)
+static uint64_t shortest(int q, uint64_t c, int *e)
 {
     uint64_t out = c & 1, cb = c << 2, cbr = cb + 2, cbl, vb, vbl, vbr, s, t;
     int k, h;
@@ -379,7 +380,7 @@ static uint64_t shortest(const uint64_t *g, int q, uint64_t c, int *e)
         k = flog10three_quarters_pow2(q);
     }
     h = q + flog2pow10(-k) + 2;
-    g += 2 * (k + 324);
+    const uint64_t *g = sl_tens + 2 * (k + 324);
     vb = rop(g[0], g[1], cb << h);
     vbl = rop(g[0], g[1], cbl << h);
     vbr = rop(g[0], g[1], cbr << h);
@@ -410,7 +411,7 @@ static char *decimal(uint64_t f, char *end)
 
 /* The finite x at p as data_io.fmt_float writes it (repr without a final
  * ".0"); at most 24 bytes.  Returns the end. */
-static char *format_double(const uint64_t *g, double x, char *p)
+static char *format_double(double x, char *p)
 {
     uint64_t bits, f;
     char digits[20], *d;
@@ -424,7 +425,7 @@ static char *format_double(const uint64_t *g, double x, char *p)
         *p++ = '0';
         return p;
     }
-    f = bq ? shortest(g, bq - 1075, C_MIN | f, &e) : shortest(g, Q_MIN, f, &e);
+    f = bq ? shortest(bq - 1075, C_MIN | f, &e) : shortest(Q_MIN, f, &e);
     for (; f % 10 == 0; f /= 10)
         e++;
     d = decimal(f, digits + sizeof digits);
@@ -467,8 +468,8 @@ static char *format_double(const uint64_t *g, double x, char *p)
  * lines), without "<float>\n" for every x[i]; each float as format_double
  * writes it, so every x must be finite.  *stop gets the index of the first
  * x not written.  Returns the bytes written. */
-int64_t sl_format(const double *x, int64_t pos, int64_t end, int weights, const uint64_t *g,
-                  char *buf, int64_t cap, int64_t *stop)
+int64_t sl_format(const double *x, int64_t pos, int64_t end, int weights, char *buf,
+                  int64_t cap, int64_t *stop)
 {
     char line[48], digits[20], *p, *d;  /* 19 digits, ':', 24 bytes of float and '\n' */
     int64_t used = 0;
@@ -482,7 +483,7 @@ int64_t sl_format(const double *x, int64_t pos, int64_t end, int weights, const 
             p += digits + sizeof digits - d;
             *p++ = ':';
         }
-        p = format_double(g, x[pos], p);
+        p = format_double(x[pos], p);
         *p++ = '\n';
         if (p - line > cap - used)
             break;

@@ -1,37 +1,37 @@
 """Builds, caches and loads the compiled kernel in ``_kernel.c``.
 
 It holds the training loop (``sl_steps``), the scanners of the LIBSVM
-and model-file readers (``sl_scan``, ``sl_weights``) and the shortest
-round-trip float formatter of the model and prediction writers
-(``sl_format``; see ``data_io``), so training, ``predict`` and ``eval`` load
-it; ``import sparselin`` does not.  The scanners convert decimals to doubles
-themselves, correctly rounded, with Clinger's exact path and the
-Eisel-Lemire algorithm, and call ``strtod`` only for the rare decimal of
-more than 19 digits those cannot decide.  That converter reads a table of
-128-bit powers of five, and ``sl_format`` one of 126-bit powers of ten;
-``fives`` and ``tens`` compute them with Python integers on first use.
+and model-file readers (``sl_scan``, ``sl_weights``) with their correctly
+rounded decimal-to-double converter, and the shortest round-trip float
+formatter of the model and prediction writers (``sl_format``; see
+``data_io``), so training, ``predict`` and ``eval`` load it; ``import
+sparselin`` does not.  The converter reads a table of 128-bit powers of
+five and the formatter one of 126-bit powers of ten; ``fives`` and ``tens``
+define them, and a build compiles them into the library as a second C file
+(``compile_c``), so no caller ever handles them.
 
 The C source ships inside the package and is compiled on first use with the
 system's ``cc`` into ``$XDG_CACHE_HOME/sparselin/`` (default
-``~/.cache/sparselin/``), under a name keyed on a checksum of the source and
-the compile flags, so an edited source or new flags build a new library.  A
-build writes to a temporary file and publishes it with an atomic rename, so
-concurrent first uses never load a half-written library.  Where the cache
-directory cannot be written, the library is built in a per-process
-temporary directory instead.  ``load`` returns None when no library can be
-built or loaded (no compiler, say); the callers then run their Python code.
+``~/.cache/sparselin/``), under a name keyed on a checksum of ``_kernel.c``,
+this file and the compile flags, so an edit or new flags build a new
+library, and a cached one loads without computing a table.  A build writes
+to a temporary file and publishes it with an atomic rename, so concurrent
+first uses never load a half-written library.  Where the cache directory
+cannot be written, the library is built in a per-process temporary
+directory instead.  ``load`` returns None when no library can be built or
+loaded (no compiler, say); the callers then run their Python code.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import os
 import tempfile
 import zlib
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_KEYED = (_SOURCE, os.path.abspath(__file__))  # the files whose bytes name the library
 # -ffp-contract=off: a fused multiply-add would round differently from numpy
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -46,24 +46,35 @@ def cache_dir() -> str:
 
 def locate(directory: str) -> str:
     """Path of the compiled library in ``directory``, built there first if missing."""
-    with open(_SOURCE, "rb") as fh:
-        key = zlib.crc32(fh.read() + " ".join(_FLAGS + (os.uname().machine,)).encode())
+    key = zlib.crc32(" ".join(_FLAGS + (os.uname().machine,)).encode())
+    for name in _KEYED:
+        with open(name, "rb") as fh:
+            key = zlib.crc32(fh.read(), key)
     path = os.path.join(directory, f"kernel-{key:08x}.so")
     if not os.path.exists(path):
         _build(path)
     return path
 
 
-def _build(path: str) -> None:
+def compile_c(output: str, flags=_FLAGS, sources=()):
+    """``cc`` with ``flags`` on ``sources``, ``_kernel.c`` and a C file given on
+    stdin that defines ``sl_fives`` and ``sl_tens`` as ``fives`` and ``tens``
+    give them, linked into ``output``: the completed process."""
     import subprocess  # only on a cache miss: most runs never start a compiler
 
+    tables = "".join(f"const uint64_t {name}[] = {{{', '.join(map(hex, words))}}};\n"
+                     for name, words in (("sl_fives", fives()), ("sl_tens", tens())))
+    return subprocess.run(["cc", *flags, "-o", output, *sources, _SOURCE, "-lm", "-x", "c", "-"],
+                          input="#include <stdint.h>\n" + tables, capture_output=True, text=True)
+
+
+def _build(path: str) -> None:
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
     os.close(fd)
     try:
-        proc = subprocess.run(["cc", *_FLAGS, "-o", tmp, _SOURCE, "-lm"],
-                              capture_output=True, text=True)
+        proc = compile_c(tmp)
         if proc.returncode != 0:
             raise OSError(f"cc exited with {proc.returncode}: {proc.stderr.strip()}")
         os.replace(tmp, path)
@@ -76,17 +87,16 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.sl_steps.argtypes = [ptr] * 5 + [ctypes.c_int, dbl, dbl] + [ptr] * 4 + [i64, i64]
     lib.sl_steps.restype = i64
-    lib.sl_scan.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, i64, i64] + [ptr] * 6
+    lib.sl_scan.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, i64, i64] + [ptr] * 5
     lib.sl_scan.restype = i64
-    lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr, ptr]
+    lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]
     lib.sl_weights.restype = i64
-    lib.sl_format.argtypes = [ptr, i64, i64, ctypes.c_int, ptr, ptr, i64, ptr]
+    lib.sl_format.argtypes = [ptr, i64, i64, ctypes.c_int, ptr, i64, ptr]
     lib.sl_format.restype = i64
     return lib
 
 
-@functools.cache
-def tens() -> ctypes.Array:
+def tens() -> list[int]:
     """``sl_format``'s table: for k = -324..292, g = floor(10^-k 2^-r) + 1 with r
     such that 2^125 <= 10^-k 2^-r < 2^126, as the words g >> 63 and g mod 2^63."""
     words = []
@@ -98,28 +108,26 @@ def tens() -> ctypes.Array:
         else:  # 10^-k = 1/p, r = -b - 125 (p is no power of 2)
             g = (1 << b + 125) // p + 1
         words += (g >> 63, g & ((1 << 63) - 1))
-    return (ctypes.c_uint64 * len(words))(*words)
+    return words
 
 
-@functools.cache
-def fives() -> ctypes.Array:
+def fives() -> list[int]:
     """The number reader's table of ``sl_scan`` and ``sl_weights``: for
     q = -342..308, 5^q scaled by a power of two into [2^127, 2^128), as the
     words c >> 64 and c mod 2^64.  For q >= 0 it is 5^q truncated; for
     q < 0 the reciprocal 2^b / 5^-q rounded down plus one, b = z + 127 with
     2^(z-1) < 5^-q < 2^z, or for q < -27 b = 2z + 128 and that then
     truncated (fast_float's table, which the error analysis covers)."""
-    qs = range(-342, 309)
-    words = (ctypes.c_uint64 * (2 * len(qs)))()
-    p = 5 ** -qs[0]
-    for i, q in enumerate(qs):
+    words = []
+    p = 5 ** 342
+    for q in range(-342, 309):
         z = p.bit_length()
         if q >= 0:
             c = p << 128 - z if z < 128 else p >> z - 128
         else:
             c = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // p + 1
             c >>= max(0, c.bit_length() - 128)
-        words[2 * i], words[2 * i + 1] = c >> 64, c & (1 << 64) - 1
+        words += (c >> 64, c & (1 << 64) - 1)
         p = p // 5 if q < 0 else p * 5
     return words
 

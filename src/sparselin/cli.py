@@ -30,11 +30,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def positive_real(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # nan too
-        raise argparse.ArgumentTypeError(f"must be a positive finite real, got {text!r}")
-    return value
+def bounded(kind, low, high, what: str):
+    """An argparse ``type``: a ``kind`` (int or float) from ``low`` to ``high``,
+    else an error saying it must be ``what``."""
+    def number(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid number value"
+        if not low <= value <= high:  # nan too
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return number
+
+
+positive_real = bounded(float, math.ulp(0.0), sys.float_info.max, "a positive finite real")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,9 +56,11 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--loss", required=True, choices=_LOSS_NAMES)
     train.add_argument("--lambda", dest="lam", required=True, type=positive_real,
                        help="regularization parameter (> 0)")
-    train.add_argument("--steps", required=True, type=int, help="number of steps T (>= 1)")
-    train.add_argument("--seed", required=True, type=int, help="64-bit sampling seed")
-    train.add_argument("--dim", type=int, default=None,
+    train.add_argument("--steps", required=True, type=bounded(int, 1, math.inf, ">= 1"),
+                       help="number of steps T (>= 1)")
+    train.add_argument("--seed", required=True, help="64-bit sampling seed",
+                       type=bounded(int, 0, 2**64 - 1, "an unsigned 64-bit integer"))
+    train.add_argument("--dim", type=bounded(int, 0, math.inf, ">= 0"), default=None,
                        help="feature-space dimension (default: max index + 1)")
     train.set_defaults(func=cmd_train)
 
@@ -66,15 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--lambda", dest="lam", required=True, type=positive_real)
     ev.set_defaults(func=cmd_eval)
     return parser
-
-
-def _validate_train_flags(parser: argparse.ArgumentParser, args) -> None:
-    if args.steps < 1:
-        parser.error("argument --steps: must be >= 1")
-    if not 0 <= args.seed < 2**64:
-        parser.error("argument --seed: must be an unsigned 64-bit integer")
-    if args.dim is not None and args.dim < 0:
-        parser.error("argument --dim: must be >= 0")
 
 
 def cmd_train(args) -> int:
@@ -125,10 +126,7 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "train":
-        _validate_train_flags(parser, args)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NonFiniteError as exc:

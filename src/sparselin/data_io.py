@@ -28,12 +28,12 @@ usual error with its line number or accepts it (a comment, a blank line,
 ``1_0``, a lone ``'\\r'``), and scanning resumes after it.  The scanners
 convert numbers themselves, correctly rounded as ``float`` rounds:
 Clinger's exact path (one IEEE multiply or divide) where the digits and
-exponent are small, else the Eisel-Lemire algorithm over a table of 128-bit
-powers of five (``_kernel.fives``), and ``strtod`` only for a decimal of
-more than 19 significant digits that these cannot decide.  So both readers
-give bit-identical arrays and the same errors with or without the kernel;
-without it (no compiler, say) every line takes the Python line code.  Bytes
-that are not UTF-8 are a ``ParseError``/``FormatError`` naming their line.
+exponent are small, else the Eisel-Lemire algorithm, and ``strtod`` only
+for a decimal of more than 19 significant digits that these cannot decide.
+So both readers give bit-identical arrays and the same errors with or
+without the kernel; without it (no compiler, say) every line takes the
+Python line code.  Bytes that are not UTF-8 are a ``ParseError``/
+``FormatError`` naming their line.
 
 Model files (text, version ``v1``)::
 
@@ -204,9 +204,9 @@ class _Rows:
         self.indptr.append(len(self.indices))
         self.labels.append(y)
 
-    def scan(self, lib, fives, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
-        """``sl_scan`` over ``block`` from ``pos``, reading numbers with the table
-        ``fives`` (``_kernel.fives``): where it stopped, and the line number reached."""
+    def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
+        """``sl_scan`` over ``block`` from ``pos``: where it stopped, and the line
+        number reached."""
         # an accepted line takes at least 2 bytes ("1\n"), a kept nonzero at least 4 (" 1:1")
         cap = len(block) - pos + 1
         if not self.scratch or self.scratch[0].size < cap // 2:
@@ -219,7 +219,7 @@ class _Rows:
             self.pointers = [a.ctypes.data for a in self.scratch]
         # indices the scanner accepts stay below 10**18 < MAX_DIM, so the clamp changes nothing
         stop = lib.sl_scan(block, pos, len(block), self.require_labels,
-                           min(self.limit, MAX_DIM), len(self.indices), fives, *self.pointers)
+                           min(self.limit, MAX_DIM), len(self.indices), *self.pointers)
         *out, count = self.scratch
         rows, nnz = count.tolist()
         for buf, a, n in zip((self.indptr, self.labels, self.indices, self.values), out,
@@ -324,8 +324,7 @@ def load_dataset(
     from . import _kernel  # here, so that importing sparselin does not import it
 
     rows, lib = _Rows(dim_override, require_labels), _kernel.load()
-    _read_lines(path, None if lib is None else partial(rows.scan, lib, _kernel.fives()),
-                rows.add_line, ParseError)
+    _read_lines(path, None if lib is None else partial(rows.scan, lib), rows.add_line, ParseError)
     return rows.dataset()
 
 
@@ -352,8 +351,8 @@ def write_floats(x: np.ndarray, stream: IO[str], weights: bool) -> None:
     buf, stop = bytearray(max(CHUNK, LINE_MAX)), np.zeros(1, np.int64)
     view = np.frombuffer(buf, np.uint8)  # holds buf's export: it cannot be resized or moved
     while stop[0] < x.size:
-        n = lib.sl_format(x.ctypes.data, int(stop[0]), x.size, weights, _kernel.tens(),
-                          view.ctypes.data, len(buf), stop.ctypes.data)
+        n = lib.sl_format(x.ctypes.data, int(stop[0]), x.size, weights, view.ctypes.data,
+                          len(buf), stop.ctypes.data)
         stream.write(buf[:n].decode("ascii"))
 
 
@@ -437,13 +436,13 @@ class _ModelReader:
         self.prev = idx
         self.w[idx] = val
 
-    def scan(self, lib, fives, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
-        """``sl_weights`` over ``block`` from ``pos``, reading numbers with the table
-        ``fives`` (``_kernel.fives``): where it stopped, and the line number reached."""
+    def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
+        """``sl_weights`` over ``block`` from ``pos``: where it stopped, and the line
+        number reached."""
         if self.w is None:  # the header is read line by line
             return pos, line_no
         self.state[0] = self.prev
-        stop = lib.sl_weights(block, pos, len(block), self.w.size, fives, self.w.ctypes.data,
+        stop = lib.sl_weights(block, pos, len(block), self.w.size, self.w.ctypes.data,
                               self.state.ctypes.data)
         self.prev, lines = self.state.tolist()
         return stop, line_no + lines
@@ -468,8 +467,8 @@ def load_model(path: str) -> LinearModel:
     from . import _kernel  # here, so that importing sparselin does not import it
 
     reader, lib = _ModelReader(), _kernel.load()
-    _read_lines(path, None if lib is None else partial(reader.scan, lib, _kernel.fives()),
-                reader.add_line, lambda line_no, message: FormatError(message, line_no))
+    _read_lines(path, None if lib is None else partial(reader.scan, lib), reader.add_line,
+                lambda line_no, message: FormatError(message, line_no))
     return reader.model()
 
 

@@ -143,8 +143,7 @@ def penalized(model: "LinearModel", lam: float, avg_loss: float) -> float:
     error naming it, never an objective of inf."""
     if not math.isfinite(avg_loss):
         raise SparselinError(f"average loss {avg_loss} is not finite")
-    with np.errstate(over="ignore"):
-        penalty = 0.5 * lam * (squared_norm(model.w) + model.b * model.b)
+    penalty = 0.5 * lam * (squared_norm(model.w) + model.b * model.b)
     if not math.isfinite(penalty):
         raise SparselinError(f"penalty (lambda/2)(|w|^2 + b^2) = {penalty} is not finite")
     if not math.isfinite(penalty + avg_loss):

@@ -34,9 +34,10 @@ loop in Python; it runs on its own when no library can be built or loaded
 against.  Both make the same floating-point operations in the same order,
 each sparse dot product summed left to right (``sparse_core.row_dots``), so
 they write bit-identical models.  The loop charges only ``sparse_touches``
-(the compiled one after it returns, by the same count).  Model recovery works in place, in
-the vectors it combines, and ends in the last one (v for sgd, u for asgd,
-xbar for casgd).
+(the compiled one after it returns, by the same count, a step that stops the
+run included).  Model recovery works in place, in the vectors it combines,
+and ends in the last one (v for sgd, u for asgd, xbar for casgd); numpy's
+floating-point flags report an overflow in it as a ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .errors import DimensionError, EmptyDatasetError, NonFiniteError
+from .errors import DimensionError, EmptyDatasetError, NonFiniteError, SparselinError
 from .losses import LossKind, loss_subgradient, validate_labels
 from .sparse_core import (
     DenseVec,
@@ -194,6 +195,9 @@ def _train(
     u = np.zeros(data.dim) if average else None
     xbar = mean_vector(data, counter) if center else None
     theta = 1.0 + squared_norm(xbar) if center else 0.0
+    if not math.isfinite(theta):  # no lambda helps: the data's scale is at fault
+        raise SparselinError(f"theta = 1 + |xbar|^2 = {theta} is not finite: "
+                             "the feature means are too large to center")
     st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
     lib = _kernel.load()
     if lib is None:
@@ -210,7 +214,7 @@ def _train(
     for t0, t1 in steps:
         bad = run(t0, t1)
         if lib is not None and counter is not None:
-            _charge(counter, nnz, t0, bad or t1, average, center)
+            _charge(counter, nnz, t0, t1, bad, average, center)
         a, c, h, z, r, s, p, g = st.tolist()
         if bad:
             raise NonFiniteError(
@@ -220,16 +224,22 @@ def _train(
         if observer is not None:
             observer(SolverState(v, a, t0, feats, dim, u, c, h, xbar, theta, z, r, s), p)
 
-    scale = 1.0 / (lam * T)
-    coeffs, bias = [(-scale, v)], a
-    if average:
-        coeffs, bias = [(-h * scale, v), (scale, u)], c
-    if center:
-        coeffs, bias = coeffs + [(c * scale, xbar)], s
     if counter is not None:  # theta and the model: one-time passes, charged at the model's n
         counter.outside_dense_touches += dim * (1 + center)
-    w = scatter(feats, dim, finalize_combine(coeffs))
-    return LinearModel(w=w, b=-bias * scale, loss=kind, dim=dim)
+    try:
+        # numpy's flags catch an overflow here, with no second pass over the model
+        with np.errstate(over="raise", invalid="raise"):
+            scale = 1.0 / np.float64(lam * T)
+            coeffs, bias = [(-scale, v)], a
+            if average:
+                coeffs, bias = [(-h * scale, v), (scale, u)], c
+            if center:
+                coeffs, bias = coeffs + [(c * scale, xbar)], s
+            w, b = scatter(feats, dim, finalize_combine(coeffs)), float(-bias * scale)
+    except FloatingPointError:
+        raise NonFiniteError(f"the model overflows when its sums are divided by lambda*T = "
+                             f"{lam * T}; lambda may be too small for the data") from None
+    return LinearModel(w=w, b=b, loss=kind, dim=dim)
 
 
 def scatter(feats: np.ndarray | None, dim: int, local: DenseVec) -> DenseVec:
@@ -242,14 +252,18 @@ def scatter(feats: np.ndarray | None, dim: int, local: DenseVec) -> DenseVec:
     return out
 
 
-def _charge(counter: TouchCounter, nnz: np.ndarray, t0: int, t1: int,
+def _charge(counter: TouchCounter, nnz: np.ndarray, t0: int, t1: int, bad: int,
             average: bool, center: bool) -> None:
-    """Charge what ``_python_steps`` charges per kernel call for steps [t0, t1):
-    each step reads x's k nonzeros for q = xbar . x, for v . x from step 2 on,
-    for the v update, and for the u update from step 2 on."""
-    k = int(nnz[t0 - 1:t1 - 1].sum())
-    later = k - int(nnz[0]) if t0 == 1 and t1 > 1 else k
+    """Charge what ``_python_steps`` charges for a kernel call over steps [t0, t1)
+    that returned ``bad``: each step reads x's k nonzeros for q = xbar . x, for
+    v . x from step 2 on, for the v update, and for the u update from step 2 on;
+    a step ``bad`` that stops the run reads them for q and v . x only."""
+    end = bad or t1
+    k = int(nnz[t0 - 1:end - 1].sum())
+    later = k - int(nnz[0]) if t0 == 1 and end > 1 else k
     counter.sparse_touches += k * (1 + center) + later * (1 + average)
+    if bad:
+        counter.sparse_touches += int(nnz[bad - 1]) * (center + (bad > 1))
 
 
 def _python_steps(order, data, kind, lam, theta, xbar, v, u, st, counter, t0, t1) -> int:
@@ -324,19 +338,3 @@ def casgd_train(
     trained predictor invariant to translating the whole training set.
     """
     return _train(data, cfg, counter, observer, average=True, center=True)
-
-
-# Recovery of predictors from solver state at any step t; used by the
-# equivalence tests.
-
-def recover_sgd_iterate(state: SolverState, lam: float) -> tuple[DenseVec, float]:
-    """(w_t, b_t) = -[v_t, a_t] / (lam*t)."""
-    scale = -1.0 / (lam * state.t)
-    return scatter(state.feats, state.dim, scale * state.v), scale * state.a
-
-
-def recover_centered_iterate(state: SolverState, lam: float) -> tuple[DenseVec, float]:
-    """Current centered-data iterate with its implicit (uncentered-input) bias."""
-    scale = -1.0 / (lam * state.t)
-    w = scale * (state.v - state.a * state.xbar)
-    return scatter(state.feats, state.dim, w), scale * state.r

@@ -3,12 +3,13 @@
 A feature vector with k nonzeros out of n dimensions is held as a sorted
 index/value pair list (``SparseVec``), which is also the read-only view a
 ``Dataset`` hands out for one of its rows; model-side accumulators are plain
-float64 numpy arrays (``DenseVec``).  Every kernel optionally charges a
-``TouchCounter`` so tests can assert that training loops never perform an
-O(n) operation: ``dot`` and ``axpy`` charge only ``sparse_touches``, while
-the one-time dense passes (``squared_norm``, ``finalize_combine``) charge
-``outside_dense_touches``.  Zero-filled allocations are memory management,
-not vector arithmetic, and charge nothing.
+float64 numpy arrays (``DenseVec``).  The sparse kernels (``dot``, ``axpy``,
+``mean_vector``) optionally charge ``sparse_touches`` to a ``TouchCounter``,
+so tests can assert that training loops never perform an O(n) operation.
+The one-time dense passes (``squared_norm``, ``finalize_combine``) charge
+nothing themselves: the solvers charge them as ``outside_dense_touches`` at
+the model's dimension.  Zero-filled allocations are memory management, not
+vector arithmetic, and charge nothing.
 
 Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``),
 is summed by ``row_dots`` in the compiled loop's order (see ``solvers``).  With
@@ -80,25 +81,9 @@ class SparseVec:
         x.indices, x.values, x.dim = indices, values, dim
         return x
 
-    @classmethod
-    def from_dense(cls, v: DenseVec) -> "SparseVec":
-        """Sparsify: keep exactly the nonzero components of ``v``."""
-        v = np.asarray(v, dtype=np.float64)
-        idx = np.nonzero(v)[0]
-        return cls(idx, v[idx], v.shape[0])
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    def densify(self) -> DenseVec:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"{i}:{v}" for i, v in zip(self.indices, self.values))
-        return f"SparseVec({{{pairs}}}, dim={self.dim})"
 
 
 def check_csr(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: int) -> None:
@@ -174,17 +159,14 @@ def mean_vector(data: "Dataset", counter: TouchCounter | None = None) -> DenseVe
     return np.bincount(data.indices, weights, data.dim).astype(np.float64, copy=False)
 
 
-def squared_norm(v: DenseVec, counter: TouchCounter | None = None) -> float:
-    """Sum of squares of a dense vector; one O(n) pass."""
-    if counter is not None:
-        counter.outside_dense_touches += v.shape[0]
-    return float(v @ v)
+def squared_norm(v: DenseVec) -> float:
+    """Sum of squares of a dense vector, inf where it overflows (callers check
+    finiteness); one O(n) pass."""
+    with np.errstate(over="ignore"):
+        return float(v @ v)
 
 
-def finalize_combine(
-    coeffs: Sequence[tuple[float, DenseVec]],
-    counter: TouchCounter | None = None,
-) -> DenseVec:
+def finalize_combine(coeffs: Sequence[tuple[float, DenseVec]]) -> DenseVec:
     """Linear combination sum(alpha_j * v_j) of one or more vectors, O(n) dense
     work written into the last vector's buffer, which is returned.
 
@@ -197,8 +179,6 @@ def finalize_combine(
     for _, vec in tail:
         if vec.shape != first.shape:
             raise DimensionError(f"vector length {vec.shape[0]} != {first.shape[0]}")
-    if counter is not None:
-        counter.outside_dense_touches += first.shape[0]
     total = first
     total *= alpha_first
     for alpha, vec in tail:

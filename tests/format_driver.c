@@ -2,30 +2,27 @@
  * sanitizer build in test_format.py.
  *
  * Usage: format_driver WEIGHTS CAP < input
- * The input holds sl_format's 1234 table words, then the bit patterns of the
- * doubles, all in hex.  The lines are formatted into a malloc'ed buffer of
- * exactly CAP bytes, one call after another, and written to stdout, so a
- * write past the buffer is caught.  Exits 3 when a line does not fit in CAP.
+ * The input holds the bit patterns of the doubles in hex.  The lines are
+ * formatted into a malloc'ed buffer of exactly CAP bytes, one call after
+ * another, and written to stdout, so a write past the buffer is caught.
+ * Exits 3 when a line does not fit in CAP.
  */
 #include <inttypes.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
-int64_t sl_format(const double *x, int64_t pos, int64_t end, int weights, const uint64_t *g,
-                  char *buf, int64_t cap, int64_t *stop);
+int64_t sl_format(const double *x, int64_t pos, int64_t end, int weights, char *buf,
+                  int64_t cap, int64_t *stop);
 
 int main(int argc, char **argv)
 {
-    uint64_t table[1234], bits;
+    uint64_t bits;
     int64_t n = 0, size = 16, pos = 0, stop, written;
     double *x = malloc(size * sizeof *x);
     char *buf;
     if (argc != 3 || !x)
         return 2;
-    for (int i = 0; i < 1234; i++)
-        if (scanf("%" SCNx64, &table[i]) != 1)
-            return 2;
     while (scanf("%" SCNx64, &bits) == 1) {
         if (n == size && !(x = realloc(x, (size *= 2) * sizeof *x)))
             return 2;
@@ -35,7 +32,7 @@ int main(int argc, char **argv)
     if (!(buf = malloc(cap)))
         return 2;
     while (pos < n) {
-        written = sl_format(x, pos, n, atoi(argv[1]), table, buf, cap, &stop);
+        written = sl_format(x, pos, n, atoi(argv[1]), buf, cap, &stop);
         if (!written && stop < n)
             return 3;
         fwrite(buf, 1, written, stdout);

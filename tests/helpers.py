@@ -18,6 +18,7 @@ from sparselin import (
     draw_indices,
     sgd_train,
 )
+from sparselin.solvers import scatter
 
 ALL_LOSSES = list(LossKind)
 
@@ -134,9 +135,35 @@ def instance_family(seed: int, count: int, m_min: int = 1, centered: bool = Fals
         yield data, loss, lam, steps, solver_seed
 
 
+def recover_sgd_iterate(state, lam: float) -> tuple[np.ndarray, float]:
+    """The iterate (w_t, b_t) = -[v_t, a_t] / (lam*t) from the solver state after step t."""
+    scale = -1.0 / (lam * state.t)
+    return scatter(state.feats, state.dim, scale * state.v), scale * state.a
+
+
+def recover_centered_iterate(state, lam: float) -> tuple[np.ndarray, float]:
+    """The centered-data iterate after step t, with its implicit (uncentered-input) bias."""
+    scale = -1.0 / (lam * state.t)
+    w = scale * (state.v - state.a * state.xbar)
+    return scatter(state.feats, state.dim, w), scale * state.r
+
+
+def densify(x: SparseVec) -> np.ndarray:
+    """x as a dense vector."""
+    out = np.zeros(x.dim)
+    out[x.indices] = x.values
+    return out
+
+
+def sparsify(v: np.ndarray) -> SparseVec:
+    """The nonzero components of the dense vector v."""
+    idx = np.flatnonzero(v)
+    return SparseVec(idx, v[idx], v.size)
+
+
 def shift_vec(x: SparseVec, delta: np.ndarray) -> SparseVec:
     """x + delta as an (explicitly dense) sparse vector."""
-    return SparseVec(np.arange(x.dim), x.densify() + delta, x.dim)
+    return SparseVec(np.arange(x.dim), densify(x) + delta, x.dim)
 
 
 def shift_dataset(data: Dataset, delta: np.ndarray) -> Dataset:

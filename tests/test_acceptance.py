@@ -19,6 +19,7 @@ from helpers import (
     instance_family,
     model_rel_err,
     random_sparse,
+    recover_sgd_iterate,
     rel_err,
     shift_dataset,
     shift_vec,
@@ -45,7 +46,6 @@ from sparselin import (
     write_model,
 )
 from sparselin.cli import main as cli_main
-from sparselin.solvers import recover_sgd_iterate
 
 
 @contextmanager

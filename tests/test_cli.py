@@ -285,6 +285,59 @@ class TestRejectedLambda:
             f"must be a positive finite real, got '{value}'"]
 
 
+class TestRejectedTrainFlag:
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--steps", "0", "must be >= 1"),
+        ("--seed", "-1", "must be an unsigned 64-bit integer"),
+        ("--seed", "18446744073709551616", "must be an unsigned 64-bit integer"),
+        ("--dim", "-1", "must be >= 0"),
+    ])
+    def test_exits_1_with_one_line_naming_the_flag(self, one_line_file, tmp_path, capsys,
+                                                    flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            train(one_line_file, tmp_path, flag, value)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error" in line] == [
+            f"sparselin train: error: argument {flag}: {message}, got '{value}'"]
+
+
+class TestOneTimePassOverflow:
+    # numpy's RuntimeWarning text would be a second line: warnings are errors here
+    def run(self, tmp_path, rows, *flags):
+        data, model = tmp_path / "data.txt", tmp_path / "model.txt"
+        data.write_text(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--data", str(data), "--model", str(model), *flags,
+                       "--seed", "0"])
+        assert not model.exists()
+        return rc
+
+    def test_centering_exits_1_naming_the_mean(self, tmp_path, capsys):
+        # theta = 1 + |xbar|^2 overflows whatever lambda is
+        rc = self.run(tmp_path, "1 1:1e200 2:1e200\n-1 1:1e200\n", "--algo", "casgd",
+                      "--loss", "hinge", "--lambda", "1", "--steps", "5")
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("sparselin: error: theta = 1 + |xbar|^2 = inf is not finite: "
+                                "the feature means are too large to center\n")
+
+    @pytest.mark.parametrize("algo", ["sgd", "asgd", "casgd"])
+    def test_recovery_exits_2(self, tmp_path, capsys, algo):
+        # one step gives v = -5e10, which 1/(lambda*T) = 1e300 scales beyond any double
+        rc = self.run(tmp_path, "5 1:1e10\n", "--algo", algo, "--loss", "squared",
+                      "--lambda", "1e-300", "--steps", "1")
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("sparselin: numerical failure: the model overflows when its "
+                                "sums are divided by lambda*T = 1e-300; lambda may be too small "
+                                "for the data\n")
+
+
 class TestNonFiniteScore:
     # 1e300 * 1e10 overflows to inf; a row holding both features sums to nan
     MODEL = "sparselin-model v1\nloss hinge\ndim 2\nbias 1e308\n0:1e300\n1:-1e300\n"

@@ -100,7 +100,7 @@ def test_floats(values, weights):
 def test_buffer_boundary(weights):
     # with room for the longest line only, every call stops at a line that
     # does not fit and the next call resumes there; with less, nothing is written
-    lib, table = _kernel.load(), _kernel.tens()
+    lib = _kernel.load()
     x = np.array(EDGES[::7] + [0.0, -0.0] * 5)
     text = expected(x.tolist(), weights).encode()
     longest = max(len(line) + 1 for line in text.split(b"\n")[:-1])
@@ -109,7 +109,7 @@ def test_buffer_boundary(weights):
         buf, pos, out, calls = bytearray(cap), 0, b"", 0
         address = np.frombuffer(buf, np.uint8).ctypes.data
         while pos < x.size:
-            n = lib.sl_format(x.ctypes.data, pos, x.size, weights, table, address, cap,
+            n = lib.sl_format(x.ctypes.data, pos, x.size, weights, address, cap,
                               stop.ctypes.data)
             assert 0 < n <= cap or stop[0] == x.size
             assert buf[:n].endswith(b"\n") or n == 0
@@ -119,7 +119,7 @@ def test_buffer_boundary(weights):
         assert calls > len(text) // cap
     first = text.split(b"\n")[0]
     buf = bytearray(len(first))
-    n = lib.sl_format(x.ctypes.data, 0, x.size, weights, table,
+    n = lib.sl_format(x.ctypes.data, 0, x.size, weights,
                       np.frombuffer(buf, np.uint8).ctypes.data, len(buf), stop.ctypes.data)
     assert n == 0 and stop[0] == 0
 
@@ -179,13 +179,12 @@ def test_commands_write_the_same_bytes_without_the_kernel(tmp_path, monkeypatch,
 
 
 def sanitized(tmp_path, driver):
-    """``driver`` (a C file here) linked with the kernel under AddressSanitizer and UBSan."""
+    """``driver`` (a C file here) linked with the kernel and its tables, as a build
+    compiles them, under AddressSanitizer and UBSan."""
     exe = tmp_path / driver.removesuffix(".c")
-    proc = subprocess.run(["cc", "-O1", "-g", "-ffp-contract=off",
-                           "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-                           "-Wall", "-Wextra", "-Werror", "-o", str(exe),
-                           str(HERE / driver), _kernel._SOURCE, "-lm"],
-                          capture_output=True, text=True)
+    flags = ("-O1", "-g", "-ffp-contract=off", "-fsanitize=address,undefined",
+             "-fno-sanitize-recover=all", "-Wall", "-Wextra", "-Werror")
+    proc = _kernel.compile_c(str(exe), flags, [str(HERE / driver)])
     assert proc.returncode == 0, proc.stderr
     return exe
 
@@ -195,14 +194,13 @@ def test_sanitized_build(tmp_path):
     # sl_format writing into a malloc'ed buffer of exactly the cap it is given
     exe = sanitized(tmp_path, "format_driver.c")
     values = EDGES + [0.0, -0.0]
-    table = " ".join(f"{w:x}" for w in _kernel.tens())
     bits = " ".join(f"{b:x}" for b in np.array(values).view(np.uint64).tolist())
     env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0")
     for weights in (0, 1):
         text = expected(values, weights)
         longest = max(len(line) + 1 for line in text.splitlines())
         for cap in (longest, 4096):
-            run = subprocess.run([str(exe), str(weights), str(cap)], input=f"{table} {bits}",
+            run = subprocess.run([str(exe), str(weights), str(cap)], input=bits,
                                  capture_output=True, text=True, env=env)
             assert run.returncode == 0, run.stderr
             assert run.stdout == text
@@ -210,8 +208,7 @@ def test_sanitized_build(tmp_path):
     # sl_weights reading each edge token from a buffer that ends at the token's
     # NUL; a token Python reads as an infinity is refused, and w stays 0
     exe = sanitized(tmp_path, "read_driver.c")
-    table = " ".join(f"{w:x}" for w in _kernel.fives())
-    run = subprocess.run([str(exe)], input=table + "\n" + "".join(t + "\n" for t in NUMBER_EDGES),
+    run = subprocess.run([str(exe)], input="".join(t + "\n" for t in NUMBER_EDGES),
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     want = [f"1 {np.float64(float(t)).view(np.uint64):x}" if math.isfinite(float(t)) else "0 0"

@@ -12,11 +12,12 @@ decimal-to-double conversion is checked against Python's ``float``, bit for
 bit, on generated and edge-case decimals.
 """
 
+import ctypes
 import io
 import math
 import os
-import subprocess
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,13 +121,15 @@ def test_log_loss_beyond_exp_overflow(train):
 def test_non_finite_error_is_the_same(train):
     data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
     cfg = TrainConfig(steps=200, lam=1e-300, seed=0, loss=LossKind.SQUARED)
-    messages = []
+    messages, counters = [], []
     for run in (train, lambda *a: on_fallback(train, *a)):
+        counters.append(TouchCounter())
         with pytest.raises(NonFiniteError) as exc:
-            run(data, cfg)
+            run(data, cfg, counters[-1])
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("non-finite value at step ")
+    assert counters[0] == counters[1]  # the failing step's dot products included
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3])
@@ -196,11 +199,51 @@ def test_cold_cache_build_then_reuse(tmp_path, monkeypatch):
 
 
 def test_kernel_builds_without_warnings(tmp_path):
-    # the bit identity above rests on this C: a warning in an edit fails here
-    proc = subprocess.run(["cc", *_kernel._FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "kernel.so"), _kernel._SOURCE, "-lm"],
-                          capture_output=True, text=True)
+    # the bit identity above rests on this C, the generated tables included:
+    # a warning in an edit fails here
+    proc = _kernel.compile_c(str(tmp_path / "kernel.so"),
+                             _kernel._FLAGS + ("-Wall", "-Wextra", "-Werror"))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_exports_the_tables():
+    lib = _kernel.load()
+    for name, words in (("sl_fives", _kernel.fives()), ("sl_tens", _kernel.tens())):
+        assert list((ctypes.c_uint64 * len(words)).in_dll(lib, name)) == words
+
+
+def test_library_name_follows_both_files(tmp_path, monkeypatch):
+    # _kernel.py defines the tables, so an edit to it must build a new library
+    monkeypatch.setattr(_kernel, "_build", lambda path: None)
+    names, original = {_kernel.locate(str(tmp_path))}, _kernel._KEYED
+    for i, source in enumerate(original):
+        edited = tmp_path / f"edited-{i}"
+        edited.write_bytes(Path(source).read_bytes() + b"\n")
+        keyed = list(original)
+        keyed[i] = str(edited)
+        monkeypatch.setattr(_kernel, "_KEYED", tuple(keyed))
+        names.add(_kernel.locate(str(tmp_path)))
+    assert len(names) == 3
+
+
+def test_cached_library_computes_no_table(tmp_path, monkeypatch, capsys):
+    from sparselin.cli import main
+
+    def computed():
+        raise AssertionError("a table was computed although the library is cached")
+
+    assert _kernel.load() is not None
+    monkeypatch.setattr(_kernel, "_lib", None)  # the next load finds it in the cache
+    monkeypatch.setattr(_kernel, "fives", computed)
+    monkeypatch.setattr(_kernel, "tens", computed)
+    data, model = tmp_path / "data.txt", tmp_path / "model.txt"
+    data.write_text("1 1:0.5 3:-2.25\n-1 2:1e-3\n")
+    assert main(["train", "--data", str(data), "--model", str(model), "--algo", "casgd",
+                 "--loss", "hinge", "--lambda", "0.1", "--steps", "20", "--seed", "3"]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data)]) == 0
+    assert main(["eval", "--model", str(model), "--data", str(data), "--lambda", "0.1"]) == 0
+    assert _kernel.load() is not None
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 # ---- the LIBSVM and model-file scanners ------------------------------------

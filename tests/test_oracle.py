@@ -1,6 +1,6 @@
 import numpy as np
 
-from helpers import instance_family, model_rel_err, rel_err
+from helpers import densify, instance_family, model_rel_err, rel_err, sparsify
 from reference_oracle import dense_asgd, dense_casgd, dense_sgd
 from sparselin import (
     Dataset,
@@ -86,11 +86,10 @@ class TestCenteringPredictionPaths:
         rng = np.random.default_rng(14)
         for data, loss, lam, steps, seed in instance_family(seed=90, count=6, m_min=2):
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
-            rows = np.stack([data.row(i).densify() for i in range(data.m)])
+            rows = np.stack([densify(data.row(i)) for i in range(data.m)])
             xbar = rows.mean(axis=0)
             centered = Dataset.from_rows(
-                [(SparseVec.from_dense(row - xbar), y)
-                 for row, y in zip(rows, data.labels)],
+                [(sparsify(row - xbar), y) for row, y in zip(rows, data.labels)],
                 data.dim,
             )
             trace = dense_sgd(centered, c)

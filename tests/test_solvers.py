@@ -10,6 +10,8 @@ from helpers import (
     random_dataset,
     random_label,
     random_sparse,
+    recover_centered_iterate,
+    recover_sgd_iterate,
     rel_err,
 )
 from reference_oracle import dense_sgd
@@ -31,7 +33,6 @@ from sparselin import (
     sgd_train,
     write_model,
 )
-from sparselin.solvers import recover_centered_iterate, recover_sgd_iterate
 
 ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
 
