@@ -30,18 +30,14 @@ import os
 import tempfile
 import zlib
 
+import numpy as np
+
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _KEYED = (_SOURCE, os.path.abspath(__file__))  # the files whose bytes name the library
 # -ffp-contract=off: a fused multiply-add would round differently from numpy
 _FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _lib: ctypes.CDLL | None | bool = None  # False once building or loading failed
-
-
-def cache_dir() -> str:
-    """``$XDG_CACHE_HOME/sparselin``, or ``~/.cache/sparselin`` without it."""
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(root, "sparselin")
 
 
 def locate(directory: str) -> str:
@@ -83,16 +79,24 @@ def _build(path: str) -> None:
             os.unlink(tmp)
 
 
+def _array(dtype, none=False):
+    """ctypes' type of a C-contiguous 1-d array of ``dtype``, passed as a pointer
+    to its data (ctypes refuses any other array); with ``none``, None is NULL."""
+    t = np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS")
+    return type(t)(t.__name__, (t,), {"from_param": classmethod(
+        lambda cls, a: None if a is None else t.from_param(a))}) if none else t
+
+
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.sl_steps.argtypes = [ptr] * 5 + [ctypes.c_int, dbl, dbl] + [ptr] * 4 + [i64, i64]
-    lib.sl_steps.restype = i64
-    lib.sl_scan.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_int, i64, i64] + [ptr] * 5
-    lib.sl_scan.restype = i64
-    lib.sl_weights.argtypes = [ctypes.c_char_p, i64, i64, i64, ptr, ptr]
-    lib.sl_weights.restype = i64
-    lib.sl_format.argtypes = [ptr, i64, i64, ctypes.c_int, ptr, i64, ptr]
-    lib.sl_format.restype = i64
+    i64, dbl, flag, text = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_char_p
+    ints, reals, maybe = _array(np.int64), _array(np.float64), _array(np.float64, none=True)
+    for fn, args in ((lib.sl_steps, [ints, ints, ints, reals, reals, flag, dbl, dbl, maybe,
+                                     reals, maybe, reals, i64, i64]),
+                     (lib.sl_scan, [text, i64, i64, flag, i64, i64, ints, reals, ints, reals,
+                                    ints]),
+                     (lib.sl_weights, [text, i64, i64, i64, reals, ints]),
+                     (lib.sl_format, [reals, i64, i64, flag, _array(np.uint8), i64, ints])):
+        fn.argtypes, fn.restype = args, i64
     return lib
 
 
@@ -133,9 +137,10 @@ def fives() -> list[int]:
 
 
 def _open() -> ctypes.CDLL | None:
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     try:
         try:
-            return _declare(ctypes.CDLL(locate(cache_dir())))
+            return _declare(ctypes.CDLL(locate(os.path.join(cache, "sparselin"))))
         except OSError:  # an unwritable cache directory, or an unloadable file in it
             with tempfile.TemporaryDirectory() as tmp:
                 # a loaded library stays mapped after its file is removed

@@ -59,6 +59,7 @@ whole-file buffer is built; without the kernel each float goes through
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -89,7 +90,8 @@ class Dataset:
 
     Validated once, here: one label per row, ``indptr`` runs monotonically
     from 0 to the number of nonzeros, and each row's indices are strictly
-    increasing and lie in [0, dim).  The arrays are held as read-only views.
+    increasing and lie in [0, dim).  The arrays are held as read-only,
+    C-contiguous views, as the kernel takes them (a strided one is copied).
     """
 
     indptr: np.ndarray
@@ -101,7 +103,7 @@ class Dataset:
     def __post_init__(self):
         for name, dtype in (("indptr", np.int64), ("indices", np.int64),
                             ("values", np.float64), ("labels", np.float64)):
-            a = np.asarray(getattr(self, name), dtype=dtype).view()
+            a = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
             a.setflags(write=False)  # on a view, so a caller's own array stays writable
             setattr(self, name, a)
         if self.labels.shape != (self.indptr.size - 1,):
@@ -168,7 +170,6 @@ class _Rows:
         self.limit, self.what = ((MAX_DIM, "the largest dimension") if dim_override is None
                                  else (dim_override, "dimension"))
         self.scratch: list[np.ndarray] = []  # sl_scan's output, refilled by every call
-        self.pointers: list[int] = []
 
     def add_line(self, raw: str, line_no: int) -> None:
         line = raw.strip()
@@ -216,10 +217,9 @@ class _Rows:
             self.scratch = [np.empty(cap // 2, np.int64), np.empty(cap // 2),
                             np.empty(cap // 4, np.int64), np.empty(cap // 4),
                             np.zeros(2, np.int64)]
-            self.pointers = [a.ctypes.data for a in self.scratch]
         # indices the scanner accepts stay below 10**18 < MAX_DIM, so the clamp changes nothing
         stop = lib.sl_scan(block, pos, len(block), self.require_labels,
-                           min(self.limit, MAX_DIM), len(self.indices), *self.pointers)
+                           min(self.limit, MAX_DIM), len(self.indices), *self.scratch)
         *out, count = self.scratch
         rows, nnz = count.tolist()
         for buf, a, n in zip((self.indptr, self.labels, self.indices, self.values), out,
@@ -351,16 +351,23 @@ def write_floats(x: np.ndarray, stream: IO[str], weights: bool) -> None:
     buf, stop = bytearray(max(CHUNK, LINE_MAX)), np.zeros(1, np.int64)
     view = np.frombuffer(buf, np.uint8)  # holds buf's export: it cannot be resized or moved
     while stop[0] < x.size:
-        n = lib.sl_format(x.ctypes.data, int(stop[0]), x.size, weights, view.ctypes.data,
-                          len(buf), stop.ctypes.data)
+        n = lib.sl_format(x, int(stop[0]), x.size, weights, view, len(buf), stop)
         stream.write(buf[:n].decode("ascii"))
 
 
 def write_model(model: LinearModel, stream: IO[str]) -> None:
+    _check_finite(model)
+    _write_model(model, stream)
+
+
+def _check_finite(model: LinearModel) -> None:
     # min and max carry a nan or an infinity, without an n-long temporary; initial covers dim 0
     if not all(map(math.isfinite, (model.b, np.min(model.w, initial=0.0),
                                    np.max(model.w, initial=0.0)))):
         raise FormatError("model contains non-finite values")
+
+
+def _write_model(model: LinearModel, stream: IO[str]) -> None:
     stream.write(MODEL_MAGIC + "\n")
     stream.write(f"loss {model.loss.value}\n")
     stream.write(f"dim {model.dim}\n")
@@ -442,8 +449,7 @@ class _ModelReader:
         if self.w is None:  # the header is read line by line
             return pos, line_no
         self.state[0] = self.prev
-        stop = lib.sl_weights(block, pos, len(block), self.w.size, self.w.ctypes.data,
-                              self.state.ctypes.data)
+        stop = lib.sl_weights(block, pos, len(block), self.w.size, self.w, self.state)
         self.prev, lines = self.state.tolist()
         return stop, line_no + lines
 
@@ -473,5 +479,27 @@ def load_model(path: str) -> LinearModel:
 
 
 def save_model(model: LinearModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_model(model, fh)
+    """``write_model`` to the file at ``path``, which is replaced whole or left as
+    it was: a model that is not finite creates nothing, and the lines go to a
+    new file beside the target (a symbolic link's), renamed over it once
+    written, with the mode ``open`` would give it.  A device or a pipe is
+    written to directly."""
+    _check_finite(model)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            return _write_model(model, fh)
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as in open
+    except OSError as exc:  # named by the model's path, as open would name it
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        if os.path.exists(path):  # open keeps an existing file's mode
+            os.chmod(fd, os.stat(path).st_mode & 0o7777)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            _write_model(model, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

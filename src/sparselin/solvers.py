@@ -26,18 +26,16 @@ long anyway, and would add the feature map.  Either way, adding dimensions
 the data never uses changes no bit of the other weights or of the bias.
 
 The loop is compiled: ``sl_steps`` in ``_kernel.c`` runs it over the
-dataset's CSR arrays, built with the system's ``cc`` on the first training
-call and cached in ``$XDG_CACHE_HOME/sparselin/`` (default
-``~/.cache/sparselin/``; see ``_kernel``).  ``_python_steps`` is the same
-loop in Python; it runs on its own when no library can be built or loaded
-(no compiler, say), and is the reference the compiled loop is tested
-against.  Both make the same floating-point operations in the same order,
-each sparse dot product summed left to right (``sparse_core.row_dots``), so
-they write bit-identical models.  The loop charges only ``sparse_touches``
-(the compiled one after it returns, by the same count, a step that stops the
-run included).  Model recovery works in place, in the vectors it combines,
-and ends in the last one (v for sgd, u for asgd, xbar for casgd); numpy's
-floating-point flags report an overflow in it as a ``NonFiniteError``.
+dataset's CSR arrays (built and cached by ``_kernel``).  ``_python_steps``
+is the same loop in Python; it runs on its own when no library can be built
+or loaded (no compiler, say), and is the reference the compiled loop is
+tested against.  Both keep the contract stated at ``sl_steps``: the same
+arguments, the same floating-point operations in the same order (so
+bit-identical models), and the same count of sparse touches in the state
+array, which ``_train`` charges once.  Model recovery works in place, in
+the vectors it combines, and ends in the last one (v for sgd, u for asgd,
+xbar for casgd); numpy's floating-point flags report an overflow in it as a
+``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -55,10 +53,10 @@ from .sparse_core import (
     DenseVec,
     SparseVec,
     TouchCounter,
-    axpy,
     dot,
     finalize_combine,
     mean_vector,
+    row_dots,
     squared_norm,
 )
 
@@ -66,7 +64,7 @@ if TYPE_CHECKING:
     from .data_io import Dataset
 
 
-_LOSS_CODES = {LossKind.ABSOLUTE: 0, LossKind.SQUARED: 1, LossKind.HINGE: 2, LossKind.LOG: 3}
+_LOSSES = tuple(LossKind)  # the loop's loss codes are the positions here
 _MASK64 = (1 << 64) - 1
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -168,14 +166,8 @@ def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = Non
     return dot(model.w, x, counter) + model.b
 
 
-def _train(
-    data: "Dataset",
-    cfg: TrainConfig,
-    counter: TouchCounter | None,
-    observer: Observer | None,
-    average: bool,
-    center: bool,
-) -> LinearModel:
+def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
+           observer: Observer | None, average: bool, center: bool) -> LinearModel:
     """The loop behind all three solvers; ``center`` requires ``average``."""
     if data.m == 0:
         raise EmptyDatasetError("training needs at least one example")
@@ -198,31 +190,25 @@ def _train(
     if not math.isfinite(theta):  # no lambda helps: the data's scale is at fault
         raise SparselinError(f"theta = 1 + |xbar|^2 = {theta} is not finite: "
                              "the feature means are too large to center")
-    st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
+    st = np.zeros(9)  # a, c, h, z, r, s, the last step's p and g, and the sparse touches
     lib = _kernel.load()
-    if lib is None:
-        run = partial(_python_steps, order, data, kind, lam, theta, xbar, v, u, st, counter)
-    else:
-        # contiguous arrays for the pointers; bound here, they outlive every call
-        csr = [np.ascontiguousarray(a) for a in (data.indptr, data.indices, data.values,
-                                                  data.labels)]
-        ptrs = [a.ctypes.data if a is not None else None for a in (order, *csr, xbar, v, u, st)]
-        run = partial(lib.sl_steps, *ptrs[:5], _LOSS_CODES[kind], lam, theta, *ptrs[5:])
-        nnz = np.diff(data.indptr)[order] if counter is not None else None
-
+    # the loop's contract, one argument list for both loops: see sl_steps in _kernel.c
+    run = partial(_python_steps if lib is None else lib.sl_steps, order, data.indptr,
+                  data.indices, data.values, data.labels, _LOSSES.index(kind), lam, theta,
+                  xbar, v, u, st)
     steps = ((t, t + 1) for t in range(1, T + 1)) if observer is not None else [(1, T + 1)]
     for t0, t1 in steps:
         bad = run(t0, t1)
-        if lib is not None and counter is not None:
-            _charge(counter, nnz, t0, t1, bad, average, center)
-        a, c, h, z, r, s, p, g = st.tolist()
+        a, c, h, z, r, s, p, g, touches = st.tolist()
         if bad:
-            raise NonFiniteError(
-                f"non-finite value at step {bad} (p={p}, g={g}); "
-                "lambda may be too small for the data"
-            )
+            break
         if observer is not None:
             observer(SolverState(v, a, t0, feats, dim, u, c, h, xbar, theta, z, r, s), p)
+    if counter is not None:
+        counter.sparse_touches += int(touches)
+    if bad:
+        raise NonFiniteError(f"non-finite value at step {bad} (p={p}, g={g}); "
+                             "lambda may be too small for the data")
 
     if counter is not None:  # theta and the model: one-time passes, charged at the model's n
         counter.outside_dense_touches += dim * (1 + center)
@@ -252,56 +238,44 @@ def scatter(feats: np.ndarray | None, dim: int, local: DenseVec) -> DenseVec:
     return out
 
 
-def _charge(counter: TouchCounter, nnz: np.ndarray, t0: int, t1: int, bad: int,
-            average: bool, center: bool) -> None:
-    """Charge what ``_python_steps`` charges for a kernel call over steps [t0, t1)
-    that returned ``bad``: each step reads x's k nonzeros for q = xbar . x, for
-    v . x from step 2 on, for the v update, and for the u update from step 2 on;
-    a step ``bad`` that stops the run reads them for q and v . x only."""
-    end = bad or t1
-    k = int(nnz[t0 - 1:end - 1].sum())
-    later = k - int(nnz[0]) if t0 == 1 and end > 1 else k
-    counter.sparse_touches += k * (1 + center) + later * (1 + average)
-    if bad:
-        counter.sparse_touches += int(nnz[bad - 1]) * (center + (bad > 1))
-
-
-def _python_steps(order, data, kind, lam, theta, xbar, v, u, st, counter, t0, t1) -> int:
-    """Steps [t0, t1) of the loop in Python, with the contract of ``sl_steps``
-    in ``_kernel.c``: u is None without averaging, xbar None without
-    centering, and ``st`` holds a, c, h, z, r, s and the last step's p and g.
-    Returns 0, or the first step whose p or g is not finite.  Runs when the
-    compiled kernel cannot be built or loaded, and is the reference the
+def _python_steps(order, indptr, indices, values, labels, loss, lam, theta, xbar, v, u, st,
+                  t0, t1) -> int:
+    """``sl_steps`` in Python, with its contract (see ``_kernel.c``).  Runs when
+    the compiled kernel cannot be built or loaded, and is the reference the
     kernel is tested against."""
-    a, c, h, z, r, s, p, g = st.tolist()
+    kind = _LOSSES[loss]
+    a, c, h, z, r, s, p, g, touches = st.tolist()
     q = 0.0
     for t in range(t0, t1):
         i = order.item(t - 1)
-        x, y = data.row(i), data.labels.item(i)
+        row, lo, hi = indptr[i:i + 2], indptr.item(i), indptr.item(i + 1)
+        touches += (hi - lo) * ((xbar is not None) + (t > 1))
         if xbar is not None:
-            q = dot(xbar, x, counter)
+            q = row_dots(xbar, row, indices, values).item()
         p = 0.0
         if t > 1:
-            d = dot(v, x, counter)
+            d = row_dots(v, row, indices, values).item()
             # sgd and asgd keep -(d + a): with q = 0 the centered form can
             # flip the sign of a zero prediction
             p = -(d + r - a * q if xbar is not None else d + a) / (lam * (t - 1))
-        g = loss_subgradient(kind, p, y)
+        g = loss_subgradient(kind, p, labels.item(i))
         if not (math.isfinite(p) and math.isfinite(g)):
-            st[6:] = p, g
+            st[6:] = p, g, touches
             return t
-        axpy(v, g, x, counter)
+        touches += (hi - lo) * (1 + (u is not None and t > 1))
+        x, xv = indices[lo:hi], values[lo:hi]
+        v[x] += g * xv
         a += g
         if u is not None:
             if t > 1:  # weight is the harmonic number of step t-1; h_0 = 0
-                axpy(u, h * g, x, counter)
+                u[x] += (h * g) * xv
             c += a / t
             h += 1.0 / t
         if xbar is not None:
             z += g * q
             r = a * theta - z
             s += r / t
-    st[:] = a, c, h, z, r, s, p, g
+    st[:] = a, c, h, z, r, s, p, g, touches
     return 0
 
 

@@ -3,9 +3,9 @@
 A feature vector with k nonzeros out of n dimensions is held as a sorted
 index/value pair list (``SparseVec``), which is also the read-only view a
 ``Dataset`` hands out for one of its rows; model-side accumulators are plain
-float64 numpy arrays (``DenseVec``).  The sparse kernels (``dot``, ``axpy``,
-``mean_vector``) optionally charge ``sparse_touches`` to a ``TouchCounter``,
-so tests can assert that training loops never perform an O(n) operation.
+float64 numpy arrays (``DenseVec``).  ``dot``, ``mean_vector`` and the step
+loop (see ``solvers``) charge ``sparse_touches`` to a ``TouchCounter``, so
+tests can assert that training loops never perform an O(n) operation.
 The one-time dense passes (``squared_norm``, ``finalize_combine``) charge
 nothing themselves: the solvers charge them as ``outside_dense_touches`` at
 the model's dimension.  Zero-filled allocations are memory management, not
@@ -108,11 +108,6 @@ def check_csr(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: 
         raise ValueError("indices must be strictly increasing")
 
 
-def _check_dim(v: DenseVec, x: SparseVec) -> None:
-    if x.dim != v.shape[0]:
-        raise DimensionError(f"sparse dim {x.dim} != dense length {v.shape[0]}")
-
-
 def row_dots(v: DenseVec, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> DenseVec:
     """v . x for every CSR row x, summed left to right from +0.0 as the compiled
     loop sums it (``bincount`` adds each weight to its bin in input order)."""
@@ -129,18 +124,11 @@ def row_dots(v: DenseVec, indptr: np.ndarray, indices: np.ndarray, values: np.nd
 
 def dot(v: DenseVec, x: SparseVec, counter: TouchCounter | None = None) -> float:
     """Sparse-dense dot product, O(k), summed as ``row_dots`` sums."""
-    _check_dim(v, x)
+    if x.dim != v.shape[0]:
+        raise DimensionError(f"sparse dim {x.dim} != dense length {v.shape[0]}")
     if counter is not None:
         counter.sparse_touches += x.nnz
     return float(row_dots(v, np.array([0, x.nnz]), x.indices, x.values)[0])
-
-
-def axpy(v: DenseVec, alpha: float, x: SparseVec, counter: TouchCounter | None = None) -> None:
-    """In-place v += alpha * x, touching only x's k nonzero slots."""
-    _check_dim(v, x)
-    if counter is not None:
-        counter.sparse_touches += x.nnz
-    v[x.indices] += alpha * x.values
 
 
 def mean_vector(data: "Dataset", counter: TouchCounter | None = None) -> DenseVec:

@@ -18,7 +18,8 @@ from sparselin import (
     draw_indices,
     sgd_train,
 )
-from sparselin.solvers import scatter
+from sparselin.solvers import _LOSSES, scatter
+from sparselin.sparse_core import mean_vector, squared_norm
 
 ALL_LOSSES = list(LossKind)
 
@@ -146,6 +147,18 @@ def recover_centered_iterate(state, lam: float) -> tuple[np.ndarray, float]:
     scale = -1.0 / (lam * state.t)
     w = scale * (state.v - state.a * state.xbar)
     return scatter(state.feats, state.dim, w), scale * state.r
+
+
+def loop_args(data: Dataset, loss: LossKind, lam: float, order: np.ndarray, average: bool,
+              center: bool) -> tuple:
+    """The arguments of ``sl_steps``/``_python_steps`` before t0 and t1, as
+    ``_train`` builds them but over all of ``data``'s dimensions, with fresh
+    zero sums and state array."""
+    xbar = mean_vector(data) if center else None
+    theta = 1.0 + squared_norm(xbar) if center else 0.0
+    return (order, data.indptr, data.indices, data.values, data.labels, _LOSSES.index(loss), lam,
+            theta, xbar, np.zeros(data.dim), np.zeros(data.dim) if average else None,
+            np.zeros(9))
 
 
 def densify(x: SparseVec) -> np.ndarray:

@@ -338,6 +338,47 @@ class TestOneTimePassOverflow:
                                 "for the data\n")
 
 
+class TestFailedTrainKeepsTheModelPath:
+    # one step with g*x = -1e310 makes v = -inf: the model is not finite
+    @pytest.mark.parametrize("earlier", [False, True], ids=["new", "earlier"])
+    def test_exits_1_leaving_the_path_as_it_was(self, tmp_path, capsys, reader_path, earlier):
+        data, model = tmp_path / "data.txt", tmp_path / "model.txt"
+        data.write_text("1e10 1:1e300\n")
+        if earlier:
+            model.write_text("an earlier model\n")
+        rc = main(["train", "--data", str(data), "--model", str(model), *TRAIN_FLAGS])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.endswith("sparselin: error: model contains non-finite values\n")
+        assert sorted(os.listdir(tmp_path)) == ["data.txt", "model.txt"][:1 + earlier]
+        assert not earlier or model.read_text() == "an earlier model\n"
+
+    def test_replaces_a_model_keeping_its_mode(self, one_line_file, tmp_path):
+        # the mode open gives: the umask's for a new file, an existing file's own
+        model = tmp_path / "model.txt"
+        rc, _ = train(one_line_file, tmp_path)
+        assert rc == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert model.stat().st_mode & 0o7777 == 0o666 & ~umask
+        model.chmod(0o640)
+        model.write_text("an earlier model\n")
+        rc, _ = train(one_line_file, tmp_path)
+        assert rc == 0
+        assert model.stat().st_mode & 0o7777 == 0o640
+        assert model.read_text().startswith("sparselin-model v1\n")
+        assert sorted(os.listdir(tmp_path)) == ["model.txt", "train.txt"]
+
+    def test_missing_directory_names_the_model_path(self, one_line_file, tmp_path, capsys):
+        model = tmp_path / "missing" / "model.txt"
+        assert main(["train", "--data", one_line_file, "--model", str(model), *TRAIN_FLAGS]) == 1
+        assert capsys.readouterr().err.endswith(f"No such file or directory: '{model}'\n")
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_writes_through_a_device(self, one_line_file):
+        assert main(["train", "--data", one_line_file, "--model", os.devnull, *TRAIN_FLAGS]) == 0
+
+
 class TestNonFiniteScore:
     # 1e300 * 1e10 overflows to inf; a row holding both features sums to nan
     MODEL = "sparselin-model v1\nloss hinge\ndim 2\nbias 1e308\n0:1e300\n1:-1e300\n"

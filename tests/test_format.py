@@ -21,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NUMBER_EDGES
-from sparselin import _kernel, data_io
+from helpers import NUMBER_EDGES, loop_args
+from sparselin import LossKind, _kernel, data_io
 from sparselin.cli import main
-from sparselin.data_io import fmt_float, write_floats
+from sparselin.data_io import fmt_float, parse_libsvm, write_floats
+from sparselin.solvers import _LOSSES, _python_steps
 
 HERE = Path(__file__).resolve().parent
 
@@ -107,10 +108,9 @@ def test_buffer_boundary(weights):
     stop = np.zeros(1, np.int64)
     for cap in (longest, longest + 1, 2 * longest - 1, 1000):
         buf, pos, out, calls = bytearray(cap), 0, b"", 0
-        address = np.frombuffer(buf, np.uint8).ctypes.data
+        view = np.frombuffer(buf, np.uint8)
         while pos < x.size:
-            n = lib.sl_format(x.ctypes.data, pos, x.size, weights, address, cap,
-                              stop.ctypes.data)
+            n = lib.sl_format(x, pos, x.size, weights, view, cap, stop)
             assert 0 < n <= cap or stop[0] == x.size
             assert buf[:n].endswith(b"\n") or n == 0
             out += bytes(buf[:n])
@@ -119,8 +119,7 @@ def test_buffer_boundary(weights):
         assert calls > len(text) // cap
     first = text.split(b"\n")[0]
     buf = bytearray(len(first))
-    n = lib.sl_format(x.ctypes.data, 0, x.size, weights,
-                      np.frombuffer(buf, np.uint8).ctypes.data, len(buf), stop.ctypes.data)
+    n = lib.sl_format(x, 0, x.size, weights, np.frombuffer(buf, np.uint8), len(buf), stop)
     assert n == 0 and stop[0] == 0
 
 
@@ -214,3 +213,28 @@ def test_sanitized_build(tmp_path):
     want = [f"1 {np.float64(float(t)).view(np.uint64):x}" if math.isfinite(float(t)) else "0 0"
             for t in NUMBER_EDGES]
     assert run.stdout.splitlines() == want
+
+    # sl_scan reading LIBSVM lines whose last token ends at the buffer's NUL,
+    # and sl_steps over arrays of exactly the scanned size: sgd with NULL u and
+    # xbar, casgd, and a run that a non-finite step stops
+    exe = sanitized(tmp_path, "steps_driver.c")
+    rows = "1 1:0.5 3:-2\n-1 2:1.25\r\n1 1:1e-3 2:7 3:0.5"
+    for text, loss, lam, steps, average, center in [
+            (rows, LossKind.LOG, 0.1, 40, False, False),
+            (rows + "\n-1", LossKind.HINGE, 0.1, 40, True, True),
+            ("2 1:1", LossKind.SQUARED, 1e-300, 200, False, False)]:
+        data = parse_libsvm(text.splitlines(), dim_override=3)
+        args = loop_args(data, loss, lam, np.arange(steps) % data.m, average, center)
+        bad = _python_steps(*args, 1, steps + 1)
+        argv = [str(_LOSSES.index(loss)), lam.hex(), str(steps), "3", str(int(average))]
+        if center:
+            argv += [x.hex() for x in (args[7], *args[8].tolist())]
+        run = subprocess.run([str(exe), *argv], input=text, capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        *_, v, u, st = args
+        words = [data.indptr, data.indices, data.values, data.labels, [bad], st, v,
+                 u if average else []]
+        assert run.stdout.splitlines() == [
+            " ".join(f"{w:x}" for w in np.asarray(a).view(np.uint64).tolist()) for a in words]
+        assert bool(bad) == (lam < 1e-200)

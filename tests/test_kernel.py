@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_LOSSES, NUMBER_EDGES, random_dataset, shift_dataset
+from helpers import ALL_LOSSES, NUMBER_EDGES, loop_args, random_dataset, shift_dataset
 from sparselin import (
     Dataset,
     FormatError,
@@ -41,6 +41,8 @@ from sparselin import (
     sgd_train,
 )
 from sparselin import _kernel, data_io
+from sparselin.losses import scores
+from sparselin.solvers import _python_steps
 from sparselin.sparse_core import finalize_combine
 
 TRAINERS = [sgd_train, asgd_train, casgd_train]
@@ -130,6 +132,66 @@ def test_non_finite_error_is_the_same(train):
     assert messages[0] == messages[1]
     assert messages[0].startswith("non-finite value at step ")
     assert counters[0] == counters[1]  # the failing step's dot products included
+
+
+SOLVER_SUMS = {"sgd": (False, False), "asgd": (True, False), "casgd": (True, True)}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_SUMS))
+@pytest.mark.parametrize("stops", [False, True], ids=["finite", "stops"])
+def test_one_loop_contract(solver, stops):
+    # sl_steps and _python_steps, each in one call for all steps and in one
+    # call per step, leave the same state array (a through s, p, g and the
+    # touches) and the same v and u, bit for bit; a step that stops the run
+    # leaves a through s as the call found them, so there the two ways differ
+    if stops:  # squared loss and lambda 1e-300 make p non-finite within a few steps
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
+        loss, lam, steps = LossKind.SQUARED, 1e-300, 200
+    else:
+        data = random_dataset(np.random.default_rng(9), 12, 15, 5, LossKind.LOG)
+        loss, lam, steps = LossKind.LOG, 0.05, 120
+    order = draw_indices(7, steps, data.m)
+    runs = {}
+    for loop in (_kernel.load().sl_steps, _python_steps):
+        for spans in ([(1, steps + 1)], [(t, t + 1) for t in range(1, steps + 1)]):
+            args = loop_args(data, loss, lam, order, *SOLVER_SUMS[solver])
+            for t0, t1 in spans:
+                bad = loop(*args, t0, t1)
+                if bad:
+                    break
+            *_, v, u, st = args
+            runs.setdefault(len(spans), []).append((bad, bits(st, v), u is None or bits(u)))
+    (compiled, python), (compiled_1, python_1) = runs.values()
+    assert compiled == python and compiled_1 == python_1
+    assert (compiled == compiled_1) != stops
+    bad, (st, _), _ = compiled
+    assert (bad > 1) == stops
+    assert np.array(st).view(np.float64)[8] > 0  # the touches slot
+
+
+@pytest.mark.parametrize("path", ["compiled", "fallback"])
+@pytest.mark.parametrize("train", TRAINERS)
+def test_strided_arrays(train, path):
+    # a Dataset of every other element of larger arrays holds C-contiguous
+    # copies, and trains and scores as one built from contiguous arrays
+    data = random_dataset(np.random.default_rng(10), 20, 30, 6, LossKind.HINGE, k_min=1)
+
+    def strided(a):
+        out = np.zeros(2 * a.size, a.dtype)
+        out[::2] = a
+        return out[::2]
+
+    arrays = [strided(a) for a in (data.indptr, data.indices, data.values, data.labels)]
+    assert not any(a.flags.c_contiguous for a in arrays)
+    loose = Dataset(*arrays, data.dim)
+    assert all(getattr(loose, name).flags.c_contiguous
+               for name in ("indptr", "indices", "values", "labels"))
+    cfg = TrainConfig(steps=300, lam=0.1, seed=4, loss=LossKind.HINGE)
+    run = train if path == "compiled" else lambda *a: on_fallback(train, *a)
+    models = [run(d, cfg) for d in (data, loose)]
+    assert bits(models[0].w, np.array([models[0].b])) == bits(models[1].w,
+                                                             np.array([models[1].b]))
+    assert bits(scores(models[0], data)) == bits(scores(models[0], loose))
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3])

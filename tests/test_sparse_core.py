@@ -14,7 +14,7 @@ from sparselin import (
     dot,
     mean_vector,
 )
-from sparselin.sparse_core import axpy, finalize_combine, squared_norm
+from sparselin.sparse_core import finalize_combine, squared_norm
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -94,50 +94,6 @@ class TestDot:
         assert counter.sparse_touches == x.nnz
 
 
-class TestAxpy:
-    def test_example(self):
-        v = np.array([1.0, 1.0, 1.0])
-        axpy(v, 2.0, SparseVec([1], [3.0], 3))
-        assert list(v) == [1.0, 7.0, 1.0]
-
-    def test_zero_alpha(self):
-        v = np.array([4.0, 4.0])
-        axpy(v, 0.0, SparseVec([0], [9.0], 2))
-        assert list(v) == [4.0, 4.0]
-
-    def test_accumulate_into_zero(self):
-        v = np.zeros(2)
-        axpy(v, 1.0, SparseVec([0, 1], [1.0, 2.0], 2))
-        assert list(v) == [1.0, 2.0]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            axpy(np.zeros(2), 1.0, SparseVec([0], [1.0], 3))
-
-    @settings(max_examples=200)
-    @given(dense_with_sparse(), dense_with_sparse(), st.floats(-1e3, 1e3))
-    def test_linearity_against_dot(self, pair_a, pair_b, alpha):
-        v, x = pair_a
-        _, y = pair_b
-        if x.dim != y.dim:
-            keep = y.indices < x.dim
-            y = SparseVec(y.indices[keep], y.values[keep], x.dim)
-        updated = v.copy()
-        axpy(updated, alpha, x)
-        lhs = dot(updated, y)
-        xd = densify(x)
-        rhs = dot(v, y) + alpha * brute_dot(xd, y)
-        scale = sum(abs(v[i] * c) + abs(alpha * xd[i] * c) for i, c in zip(y.indices, y.values))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, scale)
-
-    def test_only_sparse_touches(self):
-        counter = TouchCounter()
-        v = np.zeros(8)
-        axpy(v, 2.5, SparseVec([1, 5], [1.0, 1.0], 8), counter)
-        assert (counter.loop_dense_touches, counter.outside_dense_touches) == (0, 0)
-        assert counter.sparse_touches == 2
-
-
 class TestMeanVector:
     def test_two_examples(self):
         data = Dataset.from_rows([(SparseVec([0], [2.0], 2), 0.0), (SparseVec([1], [4.0], 2), 0.0)], 2)
@@ -162,12 +118,13 @@ class TestMeanVector:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_sequential_axpy(self, seed):
-        # the reference: accumulate the (1/m)-scaled rows one axpy at a time
+        # the reference: accumulate the (1/m)-scaled rows one at a time
         rng = np.random.default_rng(seed)
         data = random_dataset(rng, 30, 40, 8, LossKind.SQUARED)
         expected = np.zeros(data.dim)
         for i in range(data.m):
-            axpy(expected, 1.0 / data.m, data.row(i))
+            x = data.row(i)
+            expected[x.indices] += 1.0 / data.m * x.values
         assert mean_vector(data).tobytes() == expected.tobytes()
 
     def test_rows_without_nonzeros(self):
