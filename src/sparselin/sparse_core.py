@@ -148,10 +148,12 @@ def mean_vector(data: "Dataset", counter: TouchCounter | None = None) -> DenseVe
 
 
 def squared_norm(v: DenseVec) -> float:
-    """Sum of squares of a dense vector, inf where it overflows (callers check
-    finiteness); one O(n) pass."""
+    """Sum of squares of a dense vector, added left to right from +0.0 (``cumsum``
+    adds in order, where BLAS ``v @ v`` blocks by CPU and length), inf where it
+    overflows (callers check finiteness); one pass.  A zero adds +0.0, which
+    changes no bit, so the sum over a model's support is its sum over all n."""
     with np.errstate(over="ignore"):
-        return float(v @ v)
+        return float(np.cumsum(v * v)[-1]) if v.size else 0.0
 
 
 def finalize_combine(coeffs: Sequence[tuple[float, DenseVec]]) -> DenseVec:

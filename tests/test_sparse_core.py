@@ -150,6 +150,22 @@ class TestSquaredNorm:
     def test_zero(self):
         assert squared_norm(np.zeros(3)) == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(min_value=-1e160, max_value=1e160),
+                              st.lists(st.sampled_from([0.0, -0.0]), max_size=3)),
+                    max_size=200))
+    def test_left_to_right_sum_with_and_without_zeros(self, runs):
+        # the squares added in order from +0.0; zeros interleaved anywhere, as
+        # all n features hold them around a model's support, change no bit
+        values = [x for x, _ in runs]
+        with_zeros = [y for x, zeros in runs for y in (x, *zeros)]
+        total = 0.0
+        for x in values:
+            total += x * x
+        for v in (values, with_zeros):
+            got = squared_norm(np.array(v, dtype=np.float64))
+            assert np.float64(got).view(np.int64) == np.float64(total).view(np.int64)
+
 
 class TestFinalizeCombine:
     def test_cancellation(self):
