@@ -1,7 +1,8 @@
 /* The step loop of sparselin.solvers._train over CSR arrays (sl_steps), the
  * scanners of data_io's LIBSVM and model-file readers with their
  * decimal-to-double converter (number: Clinger's exact path and
- * Eisel-Lemire, strtod only where those cannot decide), and the float
+ * Eisel-Lemire, strtod only where those cannot decide), the lookup of
+ * feature indices in a model's support (sl_lookup), and the float
  * formatter of data_io's writers (sl_format).
  */
 #include <math.h>
@@ -317,10 +318,11 @@ refuse:
 }
 
 /* Model weight lines "<idx>:<float>", 0-based indices, strictly increasing
- * after st[0] and below dim, each stored into w.  st[0] gets the last index
- * and st[1] the lines read.  Returns where the scan stopped. */
-int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, double *w,
-                   int64_t *st)
+ * after st[0] and below dim, appended to feats and w, which have room for
+ * (end - pos + 1) / 4 lines (the shortest is "0:1\n").  st[0] gets the last
+ * index and st[1] the lines read.  Returns where the scan stopped. */
+int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64_t *feats,
+                   double *w, int64_t *st)
 {
     const char *p = buf + pos, *stop = buf + end, *q;
     int64_t prev = st[0], lines = 0, j;
@@ -332,14 +334,59 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, doubl
         q = number(q + 1, &v);
         if (!q || !(q == stop || line_break(q)))
             break;
-        w[j] = v;
+        feats[lines] = j;
+        w[lines++] = v;
         prev = j;
-        lines++;
         p = q == stop ? q : q + line_break(q);
     }
     st[0] = prev;
     st[1] = lines;
     return p - buf;
+}
+
+/* The position of each of keys[0, m) in feats[0, n), which is sorted,
+ * distinct and nonnegative, or n for a key that is not there, into out: how
+ * scoring finds a data index's weight in a model's support, and training a
+ * feature's number.  A directory first cuts the range of feats into nb <= n
+ * buckets of 2^shift keys each: dir[b], b = 0..nb, is the first position
+ * whose feature >> shift is at least b, so a key's bucket is feats[dir[b],
+ * dir[b + 1]), and a binary search there costs O(log n) however skewed the
+ * features are.  dir has room for n + 1 entries.  Keys come in any order, so
+ * each costs two cache misses, dir's and feats'; the loop prefetches them
+ * AHEAD and 2 AHEAD keys early, which about halves its time on a random
+ * order. */
+#define AHEAD 16
+void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m, int64_t *dir,
+               int64_t *out)
+{
+    int64_t last = n ? feats[n - 1] : -1, b = 0, key, lo, hi, mid;
+    int shift = 0;
+    while (n && last >> shift >= n)
+        shift++;
+    for (int64_t p = 0; p < n; p++)
+        for (key = feats[p] >> shift; b <= key; b++)
+            dir[b] = p;
+    if (n)
+        dir[b] = n;  /* b is nb here */
+    for (int64_t i = 0; i < m; i++) {
+        if (i + 2 * AHEAD < m && keys[i + 2 * AHEAD] >= 0 && keys[i + 2 * AHEAD] <= last)
+            __builtin_prefetch(&dir[keys[i + 2 * AHEAD] >> shift]);
+        if (i + AHEAD < m && keys[i + AHEAD] >= 0 && keys[i + AHEAD] <= last)
+            __builtin_prefetch(&feats[dir[keys[i + AHEAD] >> shift]]);
+        key = keys[i];
+        out[i] = n;
+        if (key < 0 || key > last)
+            continue;
+        lo = dir[key >> shift];
+        hi = dir[(key >> shift) + 1];
+        while (hi - lo > 1) {  /* the key, if there, stays in [lo, hi); selects, not branches */
+            mid = lo + (hi - lo) / 2;
+            lo = feats[mid] <= key ? mid : lo;
+            hi = feats[mid] <= key ? hi : mid;
+        }
+        if (lo < hi && feats[lo] == key)
+            out[i] = lo;
+    }
 }
 
 
@@ -468,21 +515,21 @@ static char *format_double(double x, char *p)
 }
 
 /* Lines of x[pos, end) into buf, as many whole ones as fit in cap bytes:
- * with weights "<i>:<float>\n" for each nonzero x[i] (a model's weight
- * lines), without "<float>\n" for every x[i]; each float as format_double
- * writes it, so every x must be finite.  *stop gets the index of the first
- * x not written.  Returns the bytes written. */
-int64_t sl_format(const double *x, int64_t pos, int64_t end, int weights, char *buf,
+ * with feats, "<feats[i]>:<float>\n" for each nonzero x[i] (a model's weight
+ * lines), with feats NULL "<float>\n" for every x[i]; each float as
+ * format_double writes it, so every x must be finite.  *stop gets the index
+ * of the first x not written.  Returns the bytes written. */
+int64_t sl_format(const double *x, const int64_t *feats, int64_t pos, int64_t end, char *buf,
                   int64_t cap, int64_t *stop)
 {
     char line[48], digits[20], *p, *d;  /* 19 digits, ':', 24 bytes of float and '\n' */
     int64_t used = 0;
     for (; pos < end; pos++) {
-        if (weights && x[pos] == 0.0)
+        if (feats && x[pos] == 0.0)
             continue;
         p = line;
-        if (weights) {
-            d = decimal((uint64_t)pos, digits + sizeof digits);
+        if (feats) {
+            d = decimal((uint64_t)feats[pos], digits + sizeof digits);
             memcpy(p, d, digits + sizeof digits - d);
             p += digits + sizeof digits - d;
             *p++ = ':';

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .data_io import Dataset, fmt_float, load_dataset, load_model, save_model, write_floats
+from .data_io import fmt_float, load_dataset, load_model, save_model, write_floats
 from .errors import NonFiniteError, SparselinError
 from .losses import LossKind, mean_loss, objective_value, penalized, scores, validate_labels
 from .solvers import asgd_train, casgd_train, sgd_train, TrainConfig
@@ -90,30 +90,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _refit(data: Dataset, dim: int) -> Dataset:
-    # indices beyond the model's dimension carry zero learned weight
-    if dim == data.dim:
-        return data
-    keep = data.indices < dim
-    kept = np.concatenate(([0], np.cumsum(keep)))  # kept entries before each position
-    return Dataset(kept[data.indptr], data.indices[keep], data.values[keep], data.labels, dim)
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    data = _refit(load_dataset(args.data, require_labels=False), model.dim)
-    p = scores(model, data)
+    p = scores(model, load_dataset(args.data, require_labels=False))
     if args.out is None:
-        write_floats(p, sys.stdout, weights=False)
+        write_floats(p, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as out:
-            write_floats(p, out, weights=False)
+            write_floats(p, out)
     return 0
 
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    data = _refit(load_dataset(args.data), model.dim)
+    data = load_dataset(args.data)
     validate_labels(data, model.loss)
     p = scores(model, data)
     avg_loss = mean_loss(model.loss, p, data.labels)

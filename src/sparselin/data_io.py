@@ -47,13 +47,16 @@ Model files (text, version ``v1``)::
 Floats are serialized with the shortest decimal representation that parses
 back to the identical bits, and the nearest of those, laid out as ``repr``
 lays them out without a final ``.0`` (``fmt_float``), so write/read
-round-trips are exact.  A weight line is written for each nonzero weight
-(``-0.0`` is dropped as ``0.0`` is).  ``write_model`` and the ``predict``
-command write their lines with ``write_floats``: where the kernel loads, its
-formatter (``sl_format``, Schubfach's shortest-digit search) fills one
-reused ``CHUNK``-byte buffer at a time, which goes to the text stream, so no
-whole-file buffer is built; without the kernel each float goes through
-``fmt_float``.  Both give the same bytes, which the test suite checks.
+round-trips are exact.  A model is its support (see ``LinearModel``): a
+weight line is written for each nonzero weight of it (``-0.0`` is dropped
+as ``0.0`` is), and reading appends each line's index and weight, so
+neither costs anything of the model's ``dim``.  ``write_model`` and the
+``predict`` command write their lines with ``write_floats``: where the
+kernel loads, its formatter (``sl_format``, Schubfach's shortest-digit
+search) fills one reused ``CHUNK``-byte buffer at a time, which goes to the
+text stream, so no whole-file buffer is built; without the kernel each
+float goes through ``fmt_float``.  Both give the same bytes, which the test
+suite checks.
 """
 
 from __future__ import annotations
@@ -248,8 +251,8 @@ def parse_libsvm(
 
     ``dim_override`` fixes the dimension (indices at or beyond it are an
     error); otherwise the dimension is max observed index + 1, and an index
-    beyond ``sparse_core.MAX_DIM``, past which no weight vector can be
-    allocated, is an error naming its line.  With
+    beyond ``sparse_core.MAX_DIM``, past which no dense weight vector could
+    be described, is an error naming its line.  With
     ``require_labels=False`` a line whose first token contains ':' is
     treated as all features with a placeholder label of 0 (prediction
     inputs).
@@ -328,30 +331,32 @@ def load_dataset(
     return rows.dataset()
 
 
-def write_floats(x: np.ndarray, stream: IO[str], weights: bool) -> None:
-    """The finite float64 array ``x`` as lines of text: with ``weights``,
-    ``<i>:<float>`` for each nonzero x[i] (a model's weight lines), else
-    ``<float>`` for every x[i]; each float as ``fmt_float`` writes it.
+def write_floats(x: np.ndarray, stream: IO[str], feats: np.ndarray | None = None) -> None:
+    """The finite float64 array ``x`` as lines of text: with ``feats``,
+    ``<feats[i]>:<float>`` for each nonzero x[i] (a model's weight lines),
+    else ``<float>`` for every x[i]; each float as ``fmt_float`` writes it.
     Compiled where the kernel loads: ``sl_format`` fills one reused buffer of
     ``CHUNK`` bytes, which goes to ``stream`` as text."""
     from . import _kernel  # here, so that importing sparselin does not import it
 
     lib = _kernel.load()
     if lib is None:
-        if not weights:
+        if feats is None:
             stream.writelines(fmt_float(v) + "\n" for v in x.tolist())
             return
         nonzero = np.flatnonzero(x)
         for lo in range(0, nonzero.size, _WRITE_BATCH):
-            idx = nonzero[lo:lo + _WRITE_BATCH]
+            at = nonzero[lo:lo + _WRITE_BATCH]
             stream.write("".join(f"{i}:{fmt_float(v)}\n"
-                                 for i, v in zip(idx.tolist(), x[idx].tolist())))
+                                 for i, v in zip(feats[at].tolist(), x[at].tolist())))
         return
     x = np.ascontiguousarray(x, dtype=np.float64)
+    if feats is not None:
+        feats = np.ascontiguousarray(feats, dtype=np.int64)
     buf, stop = bytearray(max(CHUNK, LINE_MAX)), np.zeros(1, np.int64)
     view = np.frombuffer(buf, np.uint8)  # holds buf's export: it cannot be resized or moved
     while stop[0] < x.size:
-        n = lib.sl_format(x, int(stop[0]), x.size, weights, view, len(buf), stop)
+        n = lib.sl_format(x, feats, int(stop[0]), x.size, view, len(buf), stop)
         stream.write(buf[:n].decode("ascii"))
 
 
@@ -361,9 +366,9 @@ def write_model(model: LinearModel, stream: IO[str]) -> None:
 
 
 def _check_finite(model: LinearModel) -> None:
-    # min and max carry a nan or an infinity, without an n-long temporary; initial covers dim 0
-    if not all(map(math.isfinite, (model.b, np.min(model.w, initial=0.0),
-                                   np.max(model.w, initial=0.0)))):
+    # min and max carry a nan or an infinity, without a temporary; initial covers no weights
+    if not all(map(math.isfinite, (model.b, np.min(model.weights, initial=0.0),
+                                   np.max(model.weights, initial=0.0)))):
         raise FormatError("model contains non-finite values")
 
 
@@ -372,7 +377,7 @@ def _write_model(model: LinearModel, stream: IO[str]) -> None:
     stream.write(f"loss {model.loss.value}\n")
     stream.write(f"dim {model.dim}\n")
     stream.write(f"bias {fmt_float(model.b)}\n")
-    write_floats(model.w, stream, weights=True)
+    write_floats(model.weights, stream, model.feats)
 
 
 def _header_value(line: str, key: str, parse):
@@ -389,21 +394,22 @@ def _header_value(line: str, key: str, parse):
 class _ModelReader:
     """A model file read one line at a time (``add_line``); once the header
     is read, weight lines also a block at a time by the compiled scanner
-    (``scan``)."""
+    (``scan``).  The weights are appended, with their indices, as read."""
 
     HEADER = ("header", "loss", "dim", "bias")
 
     def __init__(self):
         self.header: list = []  # magic, loss, dim and bias, as far as read
-        self.w: np.ndarray | None = None  # allocated once the header is complete
+        self.feats, self.weights = array("q"), array("d")
         self.prev = -1
         self.state = np.zeros(2, np.int64)
+        self.scratch: list[np.ndarray] = []  # sl_weights' output, refilled by every call
 
     def add_line(self, line: str, line_no: int) -> None:
-        if self.w is not None:
+        n = len(self.header)
+        if n == len(self.HEADER):
             self._weight(line, line_no)
             return
-        n = len(self.header)
         if n == 0:
             if line != MODEL_MAGIC:
                 raise FormatError(f"unknown model version {line!r}", line_no)
@@ -425,7 +431,6 @@ class _ModelReader:
                 raise FormatError(f"expected 'bias <float>', got {line!r}", line_no)
             if not math.isfinite(value):
                 raise FormatError("bias is not finite", line_no)
-            self.w = np.zeros(self.header[2])
         self.header.append(value)
 
     def _weight(self, line: str, line_no: int) -> None:
@@ -436,29 +441,38 @@ class _ModelReader:
             raise FormatError(f"expected '<idx>:<float>', got {line!r}", line_no) from None
         if idx <= self.prev:
             raise FormatError(f"weight index {idx} out of order", line_no)
-        if not 0 <= idx < self.w.size:
-            raise FormatError(f"weight index {idx} outside [0, {self.w.size})", line_no)
+        dim = self.header[2]
+        if not 0 <= idx < dim:
+            raise FormatError(f"weight index {idx} outside [0, {dim})", line_no)
         if not math.isfinite(val):
             raise FormatError(f"weight {idx} is not finite", line_no)
         self.prev = idx
-        self.w[idx] = val
+        self.feats.append(idx)
+        self.weights.append(val)
 
     def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
         """``sl_weights`` over ``block`` from ``pos``: where it stopped, and the line
         number reached."""
-        if self.w is None:  # the header is read line by line
+        if len(self.header) < len(self.HEADER):  # the header is read line by line
             return pos, line_no
+        cap = (len(block) - pos + 1) // 4  # a weight line takes at least 4 bytes ("0:1\n")
+        if not self.scratch or self.scratch[0].size < cap:
+            cap = max(cap, (2 * CHUNK + 1) // 4)  # room for two reads at once, as in _Rows.scan
+            self.scratch = [np.empty(cap, np.int64), np.empty(cap)]
         self.state[0] = self.prev
-        stop = lib.sl_weights(block, pos, len(block), self.w.size, self.w, self.state)
+        stop = lib.sl_weights(block, pos, len(block), self.header[2], *self.scratch, self.state)
         self.prev, lines = self.state.tolist()
+        for buf, a in zip((self.feats, self.weights), self.scratch):
+            buf.frombytes(memoryview(a[:lines]).cast("B"))
         return stop, line_no + lines
 
     def model(self) -> LinearModel:
-        if self.w is None:
+        if len(self.header) < len(self.HEADER):
             raise FormatError(
                 f"unexpected end of model file, expected {self.HEADER[len(self.header)]}")
         _, loss, dim, bias = self.header
-        return LinearModel(w=self.w, b=bias, loss=loss, dim=dim)
+        return LinearModel(np.frombuffer(self.feats, np.int64), np.frombuffer(self.weights),
+                           bias, loss, dim)
 
 
 def read_model(stream: Iterable[str]) -> LinearModel:

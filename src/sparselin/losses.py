@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, LabelError, SparselinError
-from .sparse_core import row_dots, squared_norm
+from .sparse_core import lookup, row_dots, squared_norm
 
 if TYPE_CHECKING:
     from .data_io import Dataset
@@ -90,11 +90,14 @@ def validate_labels(data: "Dataset", kind: LossKind) -> None:
 
 
 def scores(model: "LinearModel", data: "Dataset") -> np.ndarray:
-    """w . x + b for every row x, bit for bit as ``predict`` and training score it."""
-    if model.dim != data.dim:
-        raise DimensionError(f"model dim {model.dim} != data dim {data.dim}")
+    """w . x + b for every row x, bit for bit as ``predict`` and training score it.
+
+    Each data index is looked up in the model's support; one that is not
+    there, at or beyond the model's ``dim`` too, takes an extra weight of 0.0
+    after the last, whose ±0.0 product changes no left-to-right sum."""
+    weights = np.append(model.weights, 0.0)
     with np.errstate(over="ignore"):
-        p = row_dots(model.w, data.indptr, data.indices, data.values) + model.b
+        p = row_dots(weights, data.indptr, lookup(model.feats, data.indices), data.values) + model.b
     if not np.isfinite(p).all():
         i = int(np.isfinite(p).argmin())
         raise SparselinError(f"example {i + 1}: score {p[i]} is not finite")
@@ -129,6 +132,8 @@ def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
     """Regularized objective: (lam/2)(|w|^2 + b^2) + average loss."""
     if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
+    if model.dim != data.dim:
+        raise DimensionError(f"model dim {model.dim} != data dim {data.dim}")
     p = scores(model, data)
     if data.m == 0:
         raise ValueError("objective_value needs at least one example")
@@ -143,7 +148,7 @@ def penalized(model: "LinearModel", lam: float, avg_loss: float) -> float:
     error naming it, never an objective of inf."""
     if not math.isfinite(avg_loss):
         raise SparselinError(f"average loss {avg_loss} is not finite")
-    penalty = 0.5 * lam * (squared_norm(model.w) + model.b * model.b)
+    penalty = 0.5 * lam * (squared_norm(model.weights) + model.b * model.b)
     if not math.isfinite(penalty):
         raise SparselinError(f"penalty (lambda/2)(|w|^2 + b^2) = {penalty} is not finite")
     if not math.isfinite(penalty + avg_loss):

@@ -15,15 +15,15 @@ vector xbar and theta = 1 + |xbar|^2 are computed once, and the projection
 sum z = v . xbar, the centered bias sum r = a*theta - z and its average s
 are kept so that centering never needs a dense operation inside the loop.
 
-With averaging, the loop runs over the data's features only: ``_train``
-maps the n' distinct feature indices the data uses to 0..n'-1 once, trains
-on that compacted dataset, so v, u and xbar are n' long, and scatters the
-finished model into an n-length zero vector.  The allocation, the mean and
-the finalize then cost O(n') arithmetic; only the zero-filled model is n
-long.  Plain SGD keeps its one vector v over all n and scales it into the
-model in place: compacting it would save no memory, since the model is n
-long anyway, and would add the feature map.  Either way, adding dimensions
-the data never uses changes no bit of the other weights or of the bias.
+The loop runs over the data's features only: ``_train`` finds the n'
+distinct feature indices the data uses (``sparse_core.support``), numbers
+them 0..n'-1 once (``sparse_core.lookup``), and trains on that compacted
+dataset, so v, u and xbar are n' long.  The allocation, the mean, the
+finalize and the model itself then cost O(n'): the recovered n'-vector is
+the model's weights, on those features, with no n-length vector anywhere,
+so memory is O(m*k + n') for any ``dim`` up to ``sparse_core.MAX_DIM``.
+Adding dimensions the data never uses changes no bit of the weights or of
+the bias.
 
 The loop is compiled: ``sl_steps`` in ``_kernel.c`` runs it over the
 dataset's CSR arrays (built and cached by ``_kernel``).  ``_python_steps``
@@ -53,11 +53,14 @@ from .sparse_core import (
     DenseVec,
     SparseVec,
     TouchCounter,
-    dot,
+    check_csr,
     finalize_combine,
+    lookup,
     mean_vector,
     row_dots,
+    search,
     squared_norm,
+    support,
 )
 
 if TYPE_CHECKING:
@@ -89,35 +92,49 @@ class TrainConfig:
 
 @dataclass
 class LinearModel:
-    """Deployable predictor (w, b) plus the metadata needed to apply it."""
+    """Deployable predictor (w, b) plus the metadata needed to apply it.
 
-    w: DenseVec
+    w is held as its support: ``weights[j]`` is the weight of feature
+    ``feats[j]`` (sorted, distinct int64 in [0, dim)), and every other
+    feature's weight is 0.  So a model costs O(n') memory however large
+    ``dim`` is, which bounds only the indices; ``dense`` gives the dim-long w.
+    """
+
+    feats: np.ndarray
+    weights: DenseVec
     b: float
     loss: LossKind
     dim: int
 
     def __post_init__(self):
-        if self.w.shape != (self.dim,):
-            raise DimensionError(f"weight length {self.w.shape} != dim {self.dim}")
+        self.feats = np.ascontiguousarray(self.feats, dtype=np.int64)
+        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        check_csr(np.array([0, self.feats.size]), self.feats, self.weights, self.dim)
 
     @classmethod
     def zero(cls, dim: int, loss: LossKind) -> "LinearModel":
-        return cls(w=np.zeros(dim), b=0.0, loss=loss, dim=dim)
+        return cls(np.empty(0, np.int64), np.empty(0), 0.0, loss, dim)
+
+    def dense(self) -> DenseVec:
+        """w as a dim-long vector, 0 off the support: O(n) memory, for callers
+        that need the whole vector; nothing in training or scoring does."""
+        w = np.zeros(self.dim)
+        w[self.feats] = self.weights
+        return w
 
 
 @dataclass
 class SolverState:
     """Solver state after step t; sums the solver does not keep stay at their defaults.
 
-    With averaging, the vectors span the data's features only: component j
-    of v, u and xbar belongs to feature ``feats[j]`` of the model's ``dim``
-    (see ``scatter``).  Without it, ``feats`` is None and v spans all dim.
+    The vectors span the data's features only: component j of v, u and xbar
+    belongs to feature ``feats[j]`` of the model's ``dim``.
     """
 
     v: DenseVec
     a: float
     t: int
-    feats: np.ndarray | None
+    feats: np.ndarray
     dim: int
     u: DenseVec | None = None
     c: float = 0.0
@@ -160,10 +177,17 @@ def draw_indices(seed: int, steps: int, m: int) -> np.ndarray:
 
 
 def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = None) -> float:
-    """w . x + b via the O(k) kernel."""
+    """w . x + b in O(k log n'), summed as ``row_dots`` sums: over the features
+    of x in the model's support, since the ±0.0 terms of the others change no
+    left-to-right sum."""
     if x.dim != model.dim:
         raise DimensionError(f"input dim {x.dim} != model dim {model.dim}")
-    return dot(model.w, x, counter) + model.b
+    if counter is not None:
+        counter.sparse_touches += x.nnz
+    pos = search(model.feats, x.indices)
+    hit = pos < model.feats.size
+    d = row_dots(model.weights, np.array([0, np.count_nonzero(hit)]), pos[hit], x.values[hit])
+    return float(d[0]) + model.b
 
 
 def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
@@ -177,11 +201,9 @@ def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
     from . import _kernel  # here, so that importing sparselin does not import it
     from .data_io import Dataset  # here, because data_io imports this module
 
-    # only averaging compacts: sgd's one vector becomes the n-length model itself
-    feats, dim = None, data.dim
-    if average:
-        feats, local = np.unique(data.indices, return_inverse=True)
-        data = Dataset(data.indptr, local, data.values, data.labels, feats.size)
+    # the loop runs over the n' features the data uses, feature feats[j] as j
+    feats, dim = support(data.indices), data.dim
+    data = Dataset(data.indptr, lookup(feats, data.indices), data.values, data.labels, feats.size)
 
     v = np.zeros(data.dim)
     u = np.zeros(data.dim) if average else None
@@ -221,21 +243,11 @@ def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
                 coeffs, bias = [(-h * scale, v), (scale, u)], c
             if center:
                 coeffs, bias = coeffs + [(c * scale, xbar)], s
-            w, b = scatter(feats, dim, finalize_combine(coeffs)), float(-bias * scale)
+            w, b = finalize_combine(coeffs), float(-bias * scale)
     except FloatingPointError:
         raise NonFiniteError(f"the model overflows when its sums are divided by lambda*T = "
                              f"{lam * T}; lambda may be too small for the data") from None
-    return LinearModel(w=w, b=b, loss=kind, dim=dim)
-
-
-def scatter(feats: np.ndarray | None, dim: int, local: DenseVec) -> DenseVec:
-    """The dim-length vector holding ``local[j]`` at feature ``feats[j]`` and 0
-    elsewhere; ``local`` itself when ``feats`` is None (it spans all dim features)."""
-    if feats is None:
-        return local
-    out = np.zeros(dim)
-    out[feats] = local
-    return out
+    return LinearModel(feats, w, b, kind, dim)
 
 
 def _python_steps(order, indptr, indices, values, labels, loss, lam, theta, xbar, v, u, st,

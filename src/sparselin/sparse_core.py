@@ -3,17 +3,22 @@
 A feature vector with k nonzeros out of n dimensions is held as a sorted
 index/value pair list (``SparseVec``), which is also the read-only view a
 ``Dataset`` hands out for one of its rows; model-side accumulators are plain
-float64 numpy arrays (``DenseVec``).  ``dot``, ``mean_vector`` and the step
-loop (see ``solvers``) charge ``sparse_touches`` to a ``TouchCounter``, so
-tests can assert that training loops never perform an O(n) operation.
-The one-time dense passes (``squared_norm``, ``finalize_combine``) charge
-nothing themselves: the solvers charge them as ``outside_dense_touches`` at
-the model's dimension.  Zero-filled allocations are memory management, not
-vector arithmetic, and charge nothing.
+float64 numpy arrays (``DenseVec``) over a model's support, the n' features
+it uses, numbered by their position in a sorted index array.  ``support``
+finds a dataset's features and ``lookup`` each index's position among them,
+which numbers a training set's features and finds a scored index's weight.
+``dot``, ``mean_vector`` and the step loop (see ``solvers``) charge
+``sparse_touches`` to a ``TouchCounter``, so tests can assert that training
+loops never perform an O(n) operation.  The one-time dense passes
+(``squared_norm``, ``finalize_combine``) charge nothing themselves: the
+solvers charge them as ``outside_dense_touches`` at the model's dimension.
+Zero-filled allocations are memory management, not vector arithmetic, and
+charge nothing.
 
 Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``),
-is summed by ``row_dots`` in the compiled loop's order (see ``solvers``).  With
-averaging, the loop spans only the data's n' features, and so do the passes here.
+is summed by ``row_dots`` in the compiled loop's order (see ``solvers``).  The
+loop and the passes here span only the n' features the data uses, so nothing
+on the train, predict or eval path is O(n): memory is O(m k + n').
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ if TYPE_CHECKING:
 # Dense vectors are bare float64 arrays; the alias documents intent.
 DenseVec = np.ndarray
 
-# The largest dimension whose float64 vector numpy can describe: its size in
-# bytes must fit in a signed pointer-sized integer.
+# The largest dimension: a model's ``dim`` bounds only its indices, but its
+# float64 vector (``LinearModel.dense``, ``mean_vector`` of a whole dataset)
+# must be one numpy can describe, whose size in bytes fits in a signed
+# pointer-sized integer.
 MAX_DIM = np.iinfo(np.intp).max // 8
 
 BLOCK_ROWS = 1024  # rows per ``row_dots`` step: its temporaries hold one block's nonzeros
@@ -122,6 +129,40 @@ def row_dots(v: DenseVec, indptr: np.ndarray, indices: np.ndarray, values: np.nd
     return out
 
 
+def support(indices: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of the int64 array ``indices``: a sort and
+    an adjacent-difference mask, without ``np.unique``'s slower path."""
+    ordered = np.sort(indices)
+    first = np.empty(ordered.size, bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
+def lookup(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The position of each int64 key in ``feats`` (sorted, distinct and
+    nonnegative), or ``feats.size`` for a key that is not there; O(n' + m log
+    n') for m keys.  Compiled where the kernel loads (``sl_lookup``: a
+    directory of at most n' buckets, then a binary search in one), else
+    ``search``; both give the same positions."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    lib = _kernel.load()
+    if lib is None:
+        return search(feats, keys)
+    out = np.empty(keys.size, np.int64)
+    lib.sl_lookup(feats, feats.size, keys, keys.size, np.empty(feats.size + 1, np.int64), out)
+    return out
+
+
+def search(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``lookup`` by ``np.searchsorted``: O(m log n') with no directory to build."""
+    pos = np.searchsorted(feats, keys)
+    if feats.size:
+        pos[feats[np.minimum(pos, feats.size - 1)] != keys] = feats.size
+    return pos
+
+
 def dot(v: DenseVec, x: SparseVec, counter: TouchCounter | None = None) -> float:
     """Sparse-dense dot product, O(k), summed as ``row_dots`` sums."""
     if x.dim != v.shape[0]:
@@ -157,12 +198,12 @@ def squared_norm(v: DenseVec) -> float:
 
 
 def finalize_combine(coeffs: Sequence[tuple[float, DenseVec]]) -> DenseVec:
-    """Linear combination sum(alpha_j * v_j) of one or more vectors, O(n) dense
+    """Linear combination sum(alpha_j * v_j) of one or more vectors, O(n') dense
     work written into the last vector's buffer, which is returned.
 
     This is the shape of every one-time model recovery the solvers perform
     after their loops finish.  It rounds as ((alpha_1 v_1 + alpha_2 v_2) +
-    alpha_3 v_3), and works in place, with no n-length temporary: the other
+    alpha_3 v_3), and works in place, with no temporary vector: the other
     vectors are overwritten too, so no two of them may share memory.
     """
     (alpha_first, first), *tail = coeffs

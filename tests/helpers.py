@@ -10,6 +10,7 @@ import numpy as np
 
 from sparselin import (
     Dataset,
+    LinearModel,
     LossKind,
     NonFiniteError,
     SparseVec,
@@ -18,7 +19,7 @@ from sparselin import (
     draw_indices,
     sgd_train,
 )
-from sparselin.solvers import _LOSSES, scatter
+from sparselin.solvers import _LOSSES
 from sparselin.sparse_core import mean_vector, squared_norm
 
 ALL_LOSSES = list(LossKind)
@@ -32,8 +33,30 @@ def rel_err(actual, reference) -> float:
     return float(np.linalg.norm(a - r) / max(1.0, np.linalg.norm(r)))
 
 
+def dense_model(w: np.ndarray, b: float, loss: LossKind) -> LinearModel:
+    """The model of the dense weight vector w, every one of its len(w) features
+    in the support (signed zeros kept)."""
+    return LinearModel(np.arange(w.size), w, b, loss, w.size)
+
+
+def reference_scores(model: LinearModel, data: Dataset) -> list[float]:
+    """w . x + b for every row x of ``data``, the reference for ``losses.scores``:
+    each product of a dense w, held as a map from the support to the weights
+    (w of every other index 0, at or beyond ``model.dim`` too), added left to
+    right from +0.0, then b."""
+    w = dict(zip(model.feats.tolist(), model.weights.tolist()))
+    indices, values = data.indices.tolist(), data.values.tolist()
+    out = []
+    for lo, hi in zip(data.indptr[:-1].tolist(), data.indptr[1:].tolist()):
+        d = 0.0
+        for j in range(lo, hi):
+            d += w.get(indices[j], 0.0) * values[j]
+        out.append(d + model.b)
+    return out
+
+
 def model_rel_err(model, ref_w, ref_b) -> float:
-    return rel_err(np.append(model.w, model.b), np.append(ref_w, ref_b))
+    return rel_err(np.append(model.dense(), model.b), np.append(ref_w, ref_b))
 
 
 def random_sparse(
@@ -136,17 +159,24 @@ def instance_family(seed: int, count: int, m_min: int = 1, centered: bool = Fals
         yield data, loss, lam, steps, solver_seed
 
 
+def spread(state, local: np.ndarray) -> np.ndarray:
+    """The dim-long vector holding ``local[j]`` at feature ``state.feats[j]``, 0 elsewhere."""
+    out = np.zeros(state.dim)
+    out[state.feats] = local
+    return out
+
+
 def recover_sgd_iterate(state, lam: float) -> tuple[np.ndarray, float]:
     """The iterate (w_t, b_t) = -[v_t, a_t] / (lam*t) from the solver state after step t."""
     scale = -1.0 / (lam * state.t)
-    return scatter(state.feats, state.dim, scale * state.v), scale * state.a
+    return spread(state, scale * state.v), scale * state.a
 
 
 def recover_centered_iterate(state, lam: float) -> tuple[np.ndarray, float]:
     """The centered-data iterate after step t, with its implicit (uncentered-input) bias."""
     scale = -1.0 / (lam * state.t)
     w = scale * (state.v - state.a * state.xbar)
-    return scatter(state.feats, state.dim, w), scale * state.r
+    return spread(state, w), scale * state.r
 
 
 def loop_args(data: Dataset, loss: LossKind, lam: float, order: np.ndarray, average: bool,

@@ -104,7 +104,7 @@ def dense_asgd(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None =
     """Arithmetic mean of the dense_sgd iterates."""
     trace = dense_sgd(data, cfg, counter)
     w, b = trace.mean()
-    return LinearModel(w=w, b=b, loss=cfg.loss, dim=data.dim)
+    return LinearModel(np.arange(data.dim), w, b, cfg.loss, data.dim)
 
 
 def dense_casgd(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None = None) -> LinearModel:
@@ -124,4 +124,4 @@ def dense_casgd(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None 
         counter.outside_dense_touches += 2 * data.m * data.dim
     trace = _run_dense(centered, ys, order, cfg.lam, cfg.loss, counter, keep_trace=True)
     w, b = trace.mean()
-    return LinearModel(w=w, b=b - float(w @ xbar), loss=cfg.loss, dim=data.dim)
+    return LinearModel(np.arange(data.dim), w, b - float(w @ xbar), cfg.loss, data.dim)

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from helpers import (
+    dense_model,
     instance_family,
     model_rel_err,
     random_sparse,
@@ -97,7 +98,7 @@ def test_criterion_3_centering_equivalence():
             count += 1
             cfg = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             ref = dense_casgd(data, cfg)
-            assert model_rel_err(casgd_train(data, cfg), ref.w, ref.b) <= 1e-8
+            assert model_rel_err(casgd_train(data, cfg), ref.dense(), ref.b) <= 1e-8
         assert count >= 200
 
 
@@ -273,11 +274,11 @@ def test_criterion_8_reproducibility_and_formats(tmp_path):
         # model round-trip identity
         rng = np.random.default_rng(88)
         w = np.where(rng.random(30) < 0.5, rng.normal(size=30), 0.0)
-        model = LinearModel(w=w, b=float(rng.normal()), loss=LossKind.ABSOLUTE, dim=30)
+        model = dense_model(w, float(rng.normal()), LossKind.ABSOLUTE)
         buf = io.StringIO()
         write_model(model, buf)
         back = read_model(io.StringIO(buf.getvalue()))
-        assert np.array_equal(back.w, model.w) and back.b == model.b
+        assert np.array_equal(back.dense(), model.dense()) and back.b == model.b
 
         # dataset round-trip: identical bits after re-parse, identical training
         data = parse_libsvm(str(train_file.read_text()).splitlines())
@@ -286,4 +287,4 @@ def test_criterion_8_reproducibility_and_formats(tmp_path):
         again = parse_libsvm(io.StringIO(buf.getvalue()), dim_override=data.dim)
         cfg = TrainConfig(steps=500, lam=0.2, seed=5, loss=LossKind.HINGE)
         m1, m2 = sgd_train(data, cfg), sgd_train(again, cfg)
-        assert np.array_equal(m1.w, m2.w) and m1.b == m2.b
+        assert np.array_equal(m1.dense(), m2.dense()) and m1.b == m2.b

@@ -83,21 +83,17 @@ class TestTrain:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
-    # 1e15 float64 weights are 8 PB, beyond the address space: the allocation
-    # fails at once, so these tests allocate nothing.  From 2^60 on, no float64
-    # vector of that length can even be described (2^61 below), and beyond
-    # 2^63 - 1 an index overflows int64: a file line with such an index is
-    # named by its line number
+    # From 2^60 on (sparse_core.MAX_DIM), no float64 vector of that length can
+    # even be described (2^61 below), and beyond 2^63 - 1 an index overflows
+    # int64: a file line with such an index is named by its line number
     @pytest.mark.parametrize(
         "text, extra, where",
-        [("1 1000000000000000:1\n", [], ""),
-         ("1 1:1\n", ["--dim", "1000000000000000"], ""),
-         ("1 2305843009213693952:1\n", [], "line 1: "),
+        [("1 2305843009213693952:1\n", [], "line 1: "),
          ("1 10000000000000000000:1\n", [], "line 1: "),
          ("1 1:1\n", ["--dim", "2305843009213693952"], "")],
         ids=[f"{text}-extra{i}" for i, text in enumerate(
             ["1 1000000000000000:1\n", "1 1:1\n", "1 2305843009213693952:1\n",
-             "1 10000000000000000000:1\n", "1 1:1\n"])],
+             "1 10000000000000000000:1\n", "1 1:1\n"]) if i >= 2],
     )
     def test_too_large_dimension_exits_1(self, tmp_path, capsys, text, extra, where):
         data = tmp_path / "huge.txt"
@@ -137,6 +133,26 @@ def reader_path(request, monkeypatch):
     else:
         assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
     return request.param
+
+
+class TestHashedSpace:
+    # a hashed feature space (Weinberger et al., ICML 2009) of 10^12 features:
+    # the model is the 5 features the rows use, where 10^12 float64 weights
+    # would be 8 TB
+    @pytest.mark.parametrize("algo", ["sgd", "asgd", "casgd"])
+    def test_train_predict_eval(self, tmp_path, capsys, reader_path, algo):
+        data = tmp_path / "hashed.txt"
+        data.write_text("1 3:1 999999999999:-2\n-1 5:0.5\n1 77:0.25 1000000000000:1\n")
+        model = tmp_path / "model.txt"
+        assert main(["train", "--data", str(data), "--model", str(model), "--algo", algo,
+                     "--loss", "hinge", "--lambda", "0.1", "--steps", "50", "--seed", "1",
+                     "--dim", "1000000000000"]) == 0
+        lines = model.read_text().splitlines()
+        assert lines[2] == "dim 1000000000000" and len(lines) <= 4 + 5
+        assert main(["predict", "--model", str(model), "--data", str(data)]) == 0
+        assert main(["eval", "--model", str(model), "--data", str(data), "--lambda", "0.1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 + 3 + 1 and out[-1].startswith("avg_loss=")
 
 
 class TestInvalidUtf8:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_dataset
+from helpers import dense_model, random_dataset
 from sparselin import (
     Dataset,
     DimensionError,
@@ -180,7 +180,7 @@ class TestDatasetRoundTrip:
         reparsed = parse_libsvm(io.StringIO(buf.getvalue()), dim_override=data.dim)
         cfg = TrainConfig(steps=100, lam=0.5, seed=6, loss=LossKind.SQUARED)
         m1, m2 = sgd_train(data, cfg), sgd_train(reparsed, cfg)
-        assert np.array_equal(m1.w, m2.w)
+        assert np.array_equal(m1.dense(), m2.dense())
         assert m1.b == m2.b
 
 
@@ -200,7 +200,7 @@ class TestFmtFloat:
 class TestModelFile:
     def model(self):
         w = np.array([2.0, 0.0, -0.5])
-        return LinearModel(w=w, b=2.0, loss=LossKind.SQUARED, dim=3)
+        return dense_model(w, 2.0, LossKind.SQUARED)
 
     def test_exact_format(self):
         buf = io.StringIO()
@@ -223,23 +223,23 @@ class TestModelFile:
         rng = np.random.default_rng(11)
         for loss in LossKind:
             w = np.where(rng.random(20) < 0.4, rng.normal(size=20), 0.0)
-            model = LinearModel(w=w, b=float(rng.normal()), loss=loss, dim=20)
+            model = dense_model(w, float(rng.normal()), loss)
             buf = io.StringIO()
             write_model(model, buf)
             back = read_model(io.StringIO(buf.getvalue()))
-            assert np.array_equal(back.w, model.w)
+            assert np.array_equal(back.dense(), model.dense())
             assert back.b == model.b
             assert back.loss is model.loss and back.dim == model.dim
 
     @given(st.lists(st.one_of(st.just(0.0), finite), min_size=1, max_size=30), finite,
            st.sampled_from(list(LossKind)))
     def test_round_trip_bits(self, weights, bias, loss):
-        model = LinearModel(w=np.array(weights), b=bias, loss=loss, dim=len(weights))
+        model = dense_model(np.array(weights), bias, loss)
         buf = io.StringIO()
         write_model(model, buf)
         back = read_model(io.StringIO(buf.getvalue()))
         # zero weights are not stored, so a -0.0 weight reads back as +0.0
-        assert back.w.tobytes() == (model.w + 0.0).tobytes()
+        assert back.dense().tobytes() == (model.dense() + 0.0).tobytes()
         assert np.float64(back.b).tobytes() == np.float64(model.b).tobytes()
         assert back.loss is loss and back.dim == model.dim
 
@@ -263,7 +263,7 @@ class TestModelFile:
                 monkeypatch.setattr(_kernel, "load", lambda: None)
             for w, b in (([np.nan], 0.0), ([0.0, np.inf], 0.0), ([-np.inf, 1.0], 0.0),
                          ([1.0], np.nan)):
-                model = LinearModel(w=np.array(w), b=b, loss=LossKind.LOG, dim=len(w))
+                model = dense_model(np.array(w), b, LossKind.LOG)
                 buf = io.StringIO()
                 with pytest.raises(FormatError):
                     write_model(model, buf)
@@ -283,4 +283,4 @@ class TestModelFile:
         text = "sparselin-model v1\r\nloss hinge\r\ndim 2\r\nbias 1.5\r\n1:-3\r\n"
         model = read_model(io.StringIO(text))
         assert model.loss is LossKind.HINGE
-        assert model.b == 1.5 and list(model.w) == [0.0, -3.0]
+        assert model.b == 1.5 and list(model.dense()) == [0.0, -3.0]

@@ -26,19 +26,26 @@ from sparselin import LossKind, _kernel, data_io
 from sparselin.cli import main
 from sparselin.data_io import fmt_float, parse_libsvm, write_floats
 from sparselin.solvers import _LOSSES, _python_steps
+from sparselin.sparse_core import search
 
 HERE = Path(__file__).resolve().parent
+STRIDE = 10**14 + 3  # between weight indices, so that they run to 19 digits
+
+
+def feats_of(values, weights):
+    """The weight indices of ``values`` as weight lines (``weights``), else None."""
+    return np.arange(len(values), dtype=np.int64) * STRIDE if weights else None
 
 
 def expected(values, weights):
     if weights:
-        return "".join(f"{i}:{fmt_float(v)}\n" for i, v in enumerate(values) if v != 0.0)
+        return "".join(f"{i * STRIDE}:{fmt_float(v)}\n" for i, v in enumerate(values) if v != 0.0)
     return "".join(f"{fmt_float(v)}\n" for v in values)
 
 
 def formatted(values, weights):
     out = io.StringIO()
-    write_floats(np.array(values, dtype=np.float64), out, weights)
+    write_floats(np.array(values, dtype=np.float64), out, feats_of(values, weights))
     return out.getvalue()
 
 
@@ -79,7 +86,8 @@ def test_edge_values(weights):
 def test_zeros_and_layout():
     assert formatted([0.0, -0.0, 1e16, 1e-5, 1e-4, 100.0, -2.5, 5e-324], False) == (
         "0\n-0\n1e+16\n1e-05\n0.0001\n100\n-2.5\n5e-324\n")
-    assert formatted([0.0, -0.0, 2.0, 0.0, -1e300], True) == "2:2\n4:-1e+300\n"
+    assert formatted([0.0, -0.0, 2.0, 0.0, -1e300], True) == (
+        f"{2 * STRIDE}:2\n{4 * STRIDE}:-1e+300\n")
     assert formatted([], False) == formatted([], True) == ""
 
 
@@ -103,6 +111,7 @@ def test_buffer_boundary(weights):
     # does not fit and the next call resumes there; with less, nothing is written
     lib = _kernel.load()
     x = np.array(EDGES[::7] + [0.0, -0.0] * 5)
+    feats = feats_of(x, weights)
     text = expected(x.tolist(), weights).encode()
     longest = max(len(line) + 1 for line in text.split(b"\n")[:-1])
     stop = np.zeros(1, np.int64)
@@ -110,7 +119,7 @@ def test_buffer_boundary(weights):
         buf, pos, out, calls = bytearray(cap), 0, b"", 0
         view = np.frombuffer(buf, np.uint8)
         while pos < x.size:
-            n = lib.sl_format(x, pos, x.size, weights, view, cap, stop)
+            n = lib.sl_format(x, feats, pos, x.size, view, cap, stop)
             assert 0 < n <= cap or stop[0] == x.size
             assert buf[:n].endswith(b"\n") or n == 0
             out += bytes(buf[:n])
@@ -119,7 +128,7 @@ def test_buffer_boundary(weights):
         assert calls > len(text) // cap
     first = text.split(b"\n")[0]
     buf = bytearray(len(first))
-    n = lib.sl_format(x, 0, x.size, weights, np.frombuffer(buf, np.uint8), len(buf), stop)
+    n = lib.sl_format(x, feats, 0, x.size, np.frombuffer(buf, np.uint8), len(buf), stop)
     assert n == 0 and stop[0] == 0
 
 
@@ -190,7 +199,8 @@ def sanitized(tmp_path, driver):
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_sanitized_build(tmp_path):
-    # sl_format writing into a malloc'ed buffer of exactly the cap it is given
+    # sl_format writing into a malloc'ed buffer of exactly the cap it is given,
+    # from arrays of exactly one value and one index per line
     exe = sanitized(tmp_path, "format_driver.c")
     values = EDGES + [0.0, -0.0]
     bits = " ".join(f"{b:x}" for b in np.array(values).view(np.uint64).tolist())
@@ -199,10 +209,15 @@ def test_sanitized_build(tmp_path):
         text = expected(values, weights)
         longest = max(len(line) + 1 for line in text.splitlines())
         for cap in (longest, 4096):
-            run = subprocess.run([str(exe), str(weights), str(cap)], input=bits,
+            run = subprocess.run([str(exe), str(STRIDE if weights else 0), str(cap)], input=bits,
                                  capture_output=True, text=True, env=env)
             assert run.returncode == 0, run.stderr
             assert run.stdout == text
+    for nothing in ("", "0 8000000000000000"):  # no weights, and only zero weights
+        run = subprocess.run([str(exe), str(STRIDE), "64"], input=nothing, capture_output=True,
+                             text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == ""
 
     # sl_weights reading each edge token from a buffer that ends at the token's
     # NUL; a token Python reads as an infinity is refused, and w stays 0
@@ -213,6 +228,34 @@ def test_sanitized_build(tmp_path):
     want = [f"1 {np.float64(float(t)).view(np.uint64):x}" if math.isfinite(float(t)) else "0 0"
             for t in NUMBER_EDGES]
     assert run.stdout.splitlines() == want
+
+    # sl_weights reading blocks of weight lines into arrays of exactly the
+    # capacity it asks for: none at all, and lines up to one it refuses
+    for block, dim, lines in [("", 5, []), ("0:1\n3:-2.5\r\n7:1e-300", 8, [0, 1, 2]),
+                              ("5:1\n4:2\n", 9, [0]), ("1:1\n2:2\n3:3", 3, [0, 1]),
+                              ("0:1\n" * 4, 2, [0])]:
+        run = subprocess.run([str(exe), "block", str(dim)], input=block, capture_output=True,
+                             text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        rows = [block.splitlines()[i].split(":") for i in lines]
+        stop = sum(len(line) for line in block.splitlines(True)[:len(lines)])
+        assert run.stdout.splitlines() == [
+            f"{i} {np.float64(float(v)).view(np.uint64):x}" for i, v in rows] + [str(stop)]
+
+    # sl_lookup over arrays of exactly their size: an empty support, misses
+    # below, between and past the features, and skewed buckets
+    exe = sanitized(tmp_path, "lookup_driver.c")
+    hashed = 10**12
+    for feats, keys in [([], [0, 1, hashed]), ([0], [0, 1, 2]), ([3], [0, 3, 4]),
+                        ([2, 9, 40], [1, 2, 3, 9, 39, 40, 41, 10**18]),
+                        (list(range(999)) + [hashed - 1], [0, 998, 999, hashed - 2, hashed - 1,
+                                                         hashed]),
+                        (list(range(0, 3000, 3)), list(range(3005)))]:
+        text = " ".join(map(str, [len(feats), *feats, len(keys), *keys]))
+        run = subprocess.run([str(exe)], input=text, capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        want = search(np.array(feats, np.int64), np.array(keys, np.int64))
+        assert run.stdout.split() == [str(p) for p in want.tolist()]
 
     # sl_scan reading LIBSVM lines whose last token ends at the buffer's NUL,
     # and sl_steps over arrays of exactly the scanned size: sgd with NULL u and

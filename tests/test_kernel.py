@@ -70,11 +70,11 @@ def assert_same_run(data, cfg, train):
         model = run(data, cfg, counter, observer=lambda st, p: ps.append(p))
         plain = TouchCounter()
         again = run(data, cfg, plain)  # without an observer: one call for all steps
-        assert np.array_equal(again.w, model.w) and again.b == model.b
+        assert np.array_equal(again.dense(), model.dense()) and again.b == model.b
         assert plain == counter
         runs.append((model, ps, counter))
     (m1, ps1, c1), (m2, ps2, c2) = runs
-    assert bits(m1.w, np.array([m1.b])) == bits(m2.w, np.array([m2.b]))
+    assert bits(m1.dense(), np.array([m1.b])) == bits(m2.dense(), np.array([m2.b]))
     assert bits(np.array(ps1)) == bits(np.array(ps2))
     assert c1 == c2
     return ps2
@@ -189,8 +189,8 @@ def test_strided_arrays(train, path):
     cfg = TrainConfig(steps=300, lam=0.1, seed=4, loss=LossKind.HINGE)
     run = train if path == "compiled" else lambda *a: on_fallback(train, *a)
     models = [run(d, cfg) for d in (data, loose)]
-    assert bits(models[0].w, np.array([models[0].b])) == bits(models[1].w,
-                                                             np.array([models[1].b]))
+    assert bits(models[0].dense(), np.array([models[0].b])) == bits(models[1].dense(),
+                                                                   np.array([models[1].b]))
     assert bits(scores(models[0], data)) == bits(scores(models[0], loose))
 
 
@@ -222,8 +222,8 @@ def test_finalize_bit_identical(terms):
 @pytest.mark.parametrize("path", ["compiled", "fallback"])
 @pytest.mark.parametrize("train", TRAINERS)
 def test_unused_dimensions_change_nothing(train, path):
-    # widening the feature space changes no bit of the other weights or of
-    # the bias, and leaves the new weights at 0
+    # widening the feature space changes no bit of the weights or of the
+    # bias, and adds no feature to the model's support
     rng = np.random.default_rng(11)
     data = random_dataset(rng, 60, 25, 6, LossKind.LOG, k_min=1)
     n = data.dim
@@ -235,8 +235,8 @@ def test_unused_dimensions_change_nothing(train, path):
     run = train if path == "compiled" else lambda *a: on_fallback(train, *a)
     narrow, wide = run(data, cfg), run(wider, cfg)
     assert np.setdiff1d(np.arange(n), data.indices).size > 0  # unused ones below n too
-    assert bits(wide.w[:n], np.array([wide.b])) == bits(narrow.w, np.array([narrow.b]))
-    assert not wide.w[n:].any()
+    assert np.array_equal(wide.feats, narrow.feats)
+    assert bits(wide.weights, np.array([wide.b])) == bits(narrow.weights, np.array([narrow.b]))
 
 
 def test_cold_cache_build_then_reuse(tmp_path, monkeypatch):
@@ -393,7 +393,7 @@ def dataset_bits(data):
 def model_bits(model):
     if isinstance(model, tuple):
         return model
-    return model.loss, model.dim, bits(model.w, np.array([model.b]))
+    return model.loss, model.dim, bits(model.dense(), np.array([model.b]))
 
 
 def text_mode(read, path):
@@ -577,7 +577,7 @@ def read_back(tmp_path, tokens):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_io._ModelReader, "_weight", refused)
         mp.setattr(data_io._Rows, "add_line", refused)
-        w = data_io.load_model(str(model)).w
+        w = data_io.load_model(str(model)).dense()
         loaded = data_io.load_dataset(str(data))
     return w, loaded.labels, loaded.values
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_model
 from sparselin import (
     Dataset,
     DimensionError,
@@ -134,7 +135,7 @@ class TestObjective:
     def test_hand_evaluated(self):
         # w=[1], b=1, x={0:1}, y=2, squared, lam=2
         data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
-        model = LinearModel(w=np.array([1.0]), b=1.0, loss=LossKind.SQUARED, dim=1)
+        model = dense_model(np.array([1.0]), 1.0, LossKind.SQUARED)
         assert objective_value(model, data, 2.0) == 2.0
 
     def test_dimension_mismatch(self):
@@ -149,7 +150,7 @@ class TestObjective:
         (1e154, 1.7e308, "objective"),  # each term finite, their sum not
     ])
     def test_non_finite_term_is_an_error(self, w, avg_loss, term):
-        model = LinearModel(w=np.array([w]), b=0.0, loss=LossKind.SQUARED, dim=1)
+        model = dense_model(np.array([w]), 0.0, LossKind.SQUARED)
         with np.errstate(all="raise"):  # and no numpy warning
             with pytest.raises(SparselinError, match=f"^{term} .* is not finite$"):
                 penalized(model, 1.0, avg_loss)

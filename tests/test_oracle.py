@@ -49,17 +49,17 @@ class TestDenseSgd:
 class TestDenseAsgd:
     def test_single_step_equals_trace(self):
         model = dense_asgd(ONE_EXAMPLE, cfg(1))
-        assert list(model.w) == [2.0] and model.b == 2.0
+        assert list(model.dense()) == [2.0] and model.b == 2.0
 
     def test_mean_of_two_step_trace(self):
         model = dense_asgd(ONE_EXAMPLE, cfg(2))
-        assert list(model.w) == [1.0] and model.b == 1.0
+        assert list(model.dense()) == [1.0] and model.b == 1.0
 
 
 class TestDenseCasgd:
     def test_single_example_centers_to_zero_weights(self):
         model = dense_casgd(ONE_EXAMPLE, cfg(1))
-        assert list(model.w) == [0.0]
+        assert list(model.dense()) == [0.0]
         assert model.b == 2.0
 
     def test_already_centered_data_equals_dense_asgd(self):
@@ -70,14 +70,14 @@ class TestDenseCasgd:
         c = cfg(37, lam=0.5, seed=8)
         centered = dense_casgd(data, c)
         plain = dense_asgd(data, c)
-        assert np.array_equal(centered.w, plain.w)
+        assert np.array_equal(centered.dense(), plain.dense())
         assert centered.b == plain.b
 
     def test_matches_sparse_casgd(self):
         for data, loss, lam, steps, seed in instance_family(seed=81, count=8, m_min=2, centered=True):
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             ref = dense_casgd(data, c)
-            assert model_rel_err(casgd_train(data, c), ref.w, ref.b) <= 1e-8
+            assert model_rel_err(casgd_train(data, c), ref.dense(), ref.b) <= 1e-8
 
 
 class TestCenteringPredictionPaths:

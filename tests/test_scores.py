@@ -1,8 +1,11 @@
 """Whole-dataset scores against a scalar left-to-right sum and per-row ``predict``.
 
 ``row_dots`` sums each row with ``bincount`` one block of rows at a time;
-the scalar loop below is the order the compiled training loop uses.  Every
-comparison is on int64 views, so the sign of a zero counts.
+the scalar loop below is the order the compiled training loop uses.  A
+model holds only its support, so scoring looks each data index up in it
+(``sparse_core.lookup``, compiled or by ``np.searchsorted``); the edge
+cases of that lookup are scored on both paths against ``reference_scores``.
+Every comparison is on int64 views, so the sign of a zero counts.
 """
 
 import warnings
@@ -12,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselin import Dataset, LinearModel, LossKind, SparselinError, predict, sparse_core
-from sparselin.cli import _refit
+from helpers import dense_model, reference_scores
+from sparselin import Dataset, LinearModel, LossKind, SparselinError, _kernel, predict, sparse_core
 from sparselin.losses import scores
-from sparselin.sparse_core import BLOCK_ROWS, row_dots
+from sparselin.sparse_core import BLOCK_ROWS, lookup, row_dots, search
 
 # products and sums of up to 12 of them stay finite
 wide = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False)
@@ -37,7 +40,7 @@ def scalar_row_dots(w, data):
 
 
 def assert_scores_match(w, b, data):
-    model = LinearModel(w=w, b=b, loss=LossKind.SQUARED, dim=data.dim)
+    model = dense_model(w, b, LossKind.SQUARED)
     reference = scalar_row_dots(w, data)
     assert bits(row_dots(w, data.indptr, data.indices, data.values)) == bits(reference)
     p = scores(model, data)
@@ -85,13 +88,71 @@ def test_empty_rows_block_ends_and_signed_zero_bias(m, b):
     assert_scores_match(w, b, data)
 
 
+@pytest.fixture(params=["compiled", "fallback"])
+def path(request, monkeypatch):
+    if request.param == "fallback":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    else:
+        assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
+    return request.param
+
+
 @pytest.mark.parametrize("model_dim", [7, 40, 90])
-def test_data_of_another_dimension_through_refit(model_dim):
-    # a narrower model drops the data's extra features; a wider one keeps every row
+def test_data_of_another_dimension(model_dim, path):
+    # a narrower model gives the data's extra features weight 0; a wider one
+    # scores every row as a model of the data's own dimension would
     rng = np.random.default_rng(model_dim)
-    data = _refit(random_corpus(rng, 300, 40, 12), model_dim)
-    assert data.dim == model_dim
-    assert_scores_match(rng.normal(size=model_dim), -0.0, data)
+    data = random_corpus(rng, 300, 40, 12)
+    w = rng.normal(size=model_dim)
+    model = dense_model(w, -0.0, LossKind.SQUARED)
+    padded = np.zeros(max(model_dim, data.dim))
+    padded[:model_dim] = w
+    assert bits(scores(model, data)) == bits([d + -0.0 for d in scalar_row_dots(padded, data)])
+    assert bits(scores(model, data)) == bits(reference_scores(model, data))
+
+
+def rows_of(rows, dim):
+    """A dataset of the given rows of indices, with values far apart in magnitude."""
+    indices = [j for row in rows for j in row]
+    values = 10.0 ** (np.arange(len(indices)) % 17 - 8) * (-1.0) ** np.arange(len(indices))
+    return Dataset(np.cumsum([0] + [len(r) for r in rows]), indices, values,
+                   np.zeros(len(rows)), dim)
+
+
+HASHED = 10**12  # a hashed feature space's dimension: no dense vector of it fits in memory
+
+# (support, model dim, data rows, data dim): the lookup's edges
+EDGES = {
+    "empty support": ([], 50, [[0, 3], [], [49]], 50),
+    "dim 0": ([], 0, [[], [], []], 0),
+    "dim 0, data beyond it": ([], 0, [[0], [1, 5]], 6),
+    "dim 1": ([0], 1, [[0], [], [0]], 1),
+    "dim 1, data beyond it": ([0], 1, [[0, 1], [1, 2]], 3),
+    "features 0..999 of a hashed space": (
+        list(range(1000)), HASHED,
+        [list(range(0, 1000, 7)), [999, 1000, HASHED - 1], [5, 10**9]], HASHED),
+    "all but the last in one bucket": (
+        list(range(999)) + [HASHED - 1], HASHED,
+        [[0, 500, 998, 999, 10**6, HASHED - 2, HASHED - 1]], HASHED),
+    "keys past the last bucket": ([2, 9, 40], 100, [[1, 2, 3, 41, 99], [9, 40, 99]], 100),
+    "keys at and above model dim": ([1, 4, 6], 7, [[0, 6, 7, 8], [7, 30], [4, 6, 12]], 31),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGES))
+def test_lookup_edges(case, path):
+    feats, dim, rows, data_dim = EDGES[case]
+    data = rows_of(rows, data_dim)
+    weights = -0.5 * (np.arange(len(feats)) + 1.0)
+    model = LinearModel(feats, weights, 0.25, LossKind.SQUARED, dim)
+    position = {f: i for i, f in enumerate(feats)}
+    want = [position.get(j, len(feats)) for j in data.indices.tolist()]
+    assert lookup(model.feats, data.indices).tolist() == want
+    assert search(model.feats, data.indices).tolist() == want
+    assert bits(scores(model, data)) == bits(reference_scores(model, data))
+    if data_dim == dim:
+        assert bits(scores(model, data)) == bits([predict(model, data.row(i))
+                                                  for i in range(data.m)])
 
 
 @pytest.mark.parametrize("rows, first", [([[0], [1]], 1), ([[], [0, 1]], 2), ([[2], [1]], 2),
@@ -101,8 +162,7 @@ def test_first_non_finite_score_raises_without_a_warning(rows, first):
     # feature 3 scores 1e308, which overflows only when the bias is added
     data = Dataset(np.cumsum([0] + [len(r) for r in rows]), sum(rows, []),
                    [1e10] * len(sum(rows, [])), np.ones(len(rows)), 4)
-    model = LinearModel(w=np.array([1e300, -1e300, 1.0, 1e298]), b=1e308, loss=LossKind.HINGE,
-                        dim=4)
+    model = dense_model(np.array([1e300, -1e300, 1.0, 1e298]), 1e308, LossKind.HINGE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SparselinError, match=f"^example {first}: score .* is not finite$"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dense_model,
     instance_family,
     model_rel_err,
     random_dataset,
@@ -107,11 +108,11 @@ class TestTrainConfig:
 
 class TestPredict:
     def test_example(self):
-        model = LinearModel(w=np.array([2.0, 0.0]), b=1.0, loss=LossKind.SQUARED, dim=2)
+        model = dense_model(np.array([2.0, 0.0]), 1.0, LossKind.SQUARED)
         assert predict(model, SparseVec([0], [1.0], 2)) == 3.0
 
     def test_empty_features_gives_bias(self):
-        model = LinearModel(w=np.array([5.0]), b=-2.5, loss=LossKind.HINGE, dim=1)
+        model = dense_model(np.array([5.0]), -2.5, LossKind.HINGE)
         assert predict(model, SparseVec([], [], 1)) == -2.5
 
     def test_zero_model(self):
@@ -127,13 +128,13 @@ class TestPredict:
 class TestSgdHandTraces:
     def test_single_step(self):
         model = sgd_train(ONE_EXAMPLE, cfg(steps=1))
-        assert list(model.w) == [2.0]
+        assert list(model.dense()) == [2.0]
         assert model.b == 2.0
 
     def test_zero_first_gradient_gives_zero_model(self):
         data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 0.0)], 1)
         model = sgd_train(data, cfg(steps=1))
-        assert list(model.w) == [0.0] and model.b == 0.0
+        assert list(model.dense()) == [0.0] and model.b == 0.0
 
 
 class TestAsgdHandTraces:
@@ -143,18 +144,18 @@ class TestAsgdHandTraces:
             data = random_dataset(rng, 6, 4, 3, loss)
             c = cfg(steps=1, lam=0.5, seed=9, loss=loss)
             s, a = sgd_train(data, c), asgd_train(data, c)
-            assert np.array_equal(s.w, a.w) and s.b == a.b
+            assert np.array_equal(s.dense(), a.dense()) and s.b == a.b
 
     def test_two_steps_hand_trace(self):
         model = asgd_train(ONE_EXAMPLE, cfg(steps=2))
-        assert list(model.w) == [1.0]
+        assert list(model.dense()) == [1.0]
         assert model.b == 1.0
 
 
 class TestCasgdHandTraces:
     def test_single_example_moves_mass_to_bias(self):
         model = casgd_train(ONE_EXAMPLE, cfg(steps=1))
-        assert list(model.w) == [0.0]
+        assert list(model.dense()) == [0.0]
         assert model.b == 2.0
         assert predict(model, ONE_EXAMPLE.row(0)) == 2.0
 
@@ -182,7 +183,7 @@ class TestPerStepEquivalence:
             for t in range(2, steps + 1):
                 w_prev, b_prev = trace.iterates[t - 2]
                 x = data.row(order[t - 1])
-                model = LinearModel(w=w_prev, b=b_prev, loss=loss, dim=data.dim)
+                model = dense_model(w_prev, b_prev, loss)
                 assert rel_err(ps[t - 1], predict(model, x)) <= 1e-9
 
     def test_prediction_path_casgd(self):
@@ -195,7 +196,7 @@ class TestPerStepEquivalence:
             for t in range(2, steps + 1):
                 w_prev, b_prev = recover_centered_iterate(snaps[t - 2], lam)
                 x = data.row(order[t - 1])
-                model = LinearModel(w=w_prev, b=b_prev, loss=loss, dim=data.dim)
+                model = dense_model(w_prev, b_prev, loss)
                 assert rel_err(ps[t - 1], predict(model, x)) <= 1e-9
 
 
@@ -242,7 +243,7 @@ class TestAveragedState:
             b_sum += b
         ref = np.append(w_sum, b_sum) / c.steps
         model = asgd_train(data, c)
-        err = np.append(model.w, model.b).astype(np.longdouble) - ref
+        err = np.append(model.dense(), model.b).astype(np.longdouble) - ref
         assert np.sqrt(err @ err / (ref @ ref)) <= 1e-11
 
 
@@ -304,7 +305,7 @@ class TestDeterminism:
         data = random_dataset(np.random.default_rng(12), 20, 9, 5, LossKind.LOG)
         c = cfg(steps=300, lam=0.05, seed=77, loss=LossKind.LOG)
         m1, m2 = train(data, c), train(data, c)
-        assert np.array_equal(m1.w, m2.w)
+        assert np.array_equal(m1.dense(), m2.dense())
         assert m1.b == m2.b
 
 
