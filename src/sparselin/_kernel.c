@@ -359,15 +359,16 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64
 void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m, int64_t *dir,
                int64_t *out)
 {
-    int64_t last = n ? feats[n - 1] : -1, b = 0, key, lo, hi, mid;
+    int64_t last = n ? feats[n - 1] : -1, nb, key, lo, hi, mid;
     int shift = 0;
     while (n && last >> shift >= n)
         shift++;
+    nb = n ? (last >> shift) + 1 : 0;
+    memset(dir, 0, (size_t)(nb + 1) * sizeof *dir);  /* then dir[b + 1] counts bucket b */
     for (int64_t p = 0; p < n; p++)
-        for (key = feats[p] >> shift; b <= key; b++)
-            dir[b] = p;
-    if (n)
-        dir[b] = n;  /* b is nb here */
+        dir[(feats[p] >> shift) + 1]++;
+    for (int64_t b = 1; b <= nb; b++)
+        dir[b] += dir[b - 1];
     for (int64_t i = 0; i < m; i++) {
         if (i + 2 * AHEAD < m && keys[i + 2 * AHEAD] >= 0 && keys[i + 2 * AHEAD] <= last)
             __builtin_prefetch(&dir[keys[i + 2 * AHEAD] >> shift]);

@@ -394,16 +394,27 @@ def _header_value(line: str, key: str, parse):
 class _ModelReader:
     """A model file read one line at a time (``add_line``); once the header
     is read, weight lines also a block at a time by the compiled scanner
-    (``scan``).  The weights are appended, with their indices, as read."""
+    (``scan``).  Each weight goes, with its index, into buffers that double
+    when full."""
 
     HEADER = ("header", "loss", "dim", "bias")
 
     def __init__(self):
         self.header: list = []  # magic, loss, dim and bias, as far as read
-        self.feats, self.weights = array("q"), array("d")
+        self.feats, self.weights = np.empty(0, np.int64), np.empty(0)
+        self.n = 0  # the weights read
         self.prev = -1
         self.state = np.zeros(2, np.int64)
-        self.scratch: list[np.ndarray] = []  # sl_weights' output, refilled by every call
+
+    def _room(self, k: int) -> None:
+        """Room in the buffers for k more weights."""
+        if self.n + k > self.feats.size:
+            size = max(2 * self.feats.size, self.n + k)
+            for name in ("feats", "weights"):
+                old = getattr(self, name)
+                new = np.empty(size, old.dtype)
+                new[:self.n] = old[:self.n]  # the tail takes no memory until it is written
+                setattr(self, name, new)
 
     def add_line(self, line: str, line_no: int) -> None:
         n = len(self.header)
@@ -447,23 +458,21 @@ class _ModelReader:
         if not math.isfinite(val):
             raise FormatError(f"weight {idx} is not finite", line_no)
         self.prev = idx
-        self.feats.append(idx)
-        self.weights.append(val)
+        self._room(1)
+        self.feats[self.n], self.weights[self.n] = idx, val
+        self.n += 1
 
     def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
         """``sl_weights`` over ``block`` from ``pos``: where it stopped, and the line
         number reached."""
         if len(self.header) < len(self.HEADER):  # the header is read line by line
             return pos, line_no
-        cap = (len(block) - pos + 1) // 4  # a weight line takes at least 4 bytes ("0:1\n")
-        if not self.scratch or self.scratch[0].size < cap:
-            cap = max(cap, (2 * CHUNK + 1) // 4)  # room for two reads at once, as in _Rows.scan
-            self.scratch = [np.empty(cap, np.int64), np.empty(cap)]
+        self._room((len(block) - pos + 1) // 4)  # a weight line takes at least 4 bytes ("0:1\n")
         self.state[0] = self.prev
-        stop = lib.sl_weights(block, pos, len(block), self.header[2], *self.scratch, self.state)
+        stop = lib.sl_weights(block, pos, len(block), self.header[2], self.feats[self.n:],
+                              self.weights[self.n:], self.state)
         self.prev, lines = self.state.tolist()
-        for buf, a in zip((self.feats, self.weights), self.scratch):
-            buf.frombytes(memoryview(a[:lines]).cast("B"))
+        self.n += lines
         return stop, line_no + lines
 
     def model(self) -> LinearModel:
@@ -471,8 +480,7 @@ class _ModelReader:
             raise FormatError(
                 f"unexpected end of model file, expected {self.HEADER[len(self.header)]}")
         _, loss, dim, bias = self.header
-        return LinearModel(np.frombuffer(self.feats, np.int64), np.frombuffer(self.weights),
-                           bias, loss, dim)
+        return LinearModel(self.feats[:self.n], self.weights[:self.n], bias, loss, dim)
 
 
 def read_model(stream: Iterable[str]) -> LinearModel:
