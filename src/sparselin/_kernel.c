@@ -2,8 +2,9 @@
  * scanners of data_io's LIBSVM and model-file readers with their
  * decimal-to-double converter (number: Clinger's exact path and
  * Eisel-Lemire, strtod only where those cannot decide), the lookup of
- * feature indices in a model's support (sl_lookup), and the float
- * formatter of data_io's writers (sl_format).
+ * feature indices in a model's support (sl_lookup) and the scores of a
+ * dataset's rows under a model (sl_scores), and the float formatter of
+ * data_io's writers (sl_format).
  */
 #include <math.h>
 #include <stdint.h>
@@ -106,7 +107,11 @@ int64_t sl_steps(const int64_t *order, const int64_t *indptr, const int64_t *idx
  * text-mode reading too) or at end.  Only ASCII is accepted, so no lone '\r'
  * (a line break of its own to text-mode reading) or other whitespace ever
  * reaches a token.  buf[end] must be a NUL byte, as in every Python bytes
- * object: each token scan stops there. */
+ * object: each token scan stops there.  A scanner writes no more lines or
+ * nonzeros than the room it is given, and also stops at the start of a line
+ * that would not fit: data_io sizes the room from a count of the file's
+ * line breaks and ':'s, which bounds its lines and nonzeros, and its Python
+ * line code makes more room for a line that does not fit. */
 static int digit(char c) { return c >= '0' && c <= '9'; }
 static int blank(char c) { return c == ' ' || c == '\t'; }
 /* The length of the line break at p < end: 1 for "\n", 2 for "\r\n", else 0. */
@@ -262,16 +267,17 @@ static const char *index_digits(const char *p, int64_t *out)
  * increasing and at most limit; without labeled, a line whose first token
  * holds a ':' is all features with label 0.  Row r's label goes to labels[r]
  * and base plus the nonzeros so far to indptr[r]; the nonzeros go to idx
- * (0-based) and val, :0 values dropped.  count gets the rows and nonzeros
- * written.  Returns where the scan stopped. */
+ * (0-based) and val, :0 values dropped.  count holds the room on entry, in
+ * rows and in nonzeros, and gets the rows and nonzeros written.  Returns
+ * where the scan stopped. */
 int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t limit,
                 int64_t base, int64_t *indptr, double *labels, int64_t *idx, double *val,
                 int64_t *count)
 {
     const char *p = buf + pos, *stop = buf + end, *line, *q;
-    int64_t rows = 0, nnz = 0, row_start, prev, j;
+    int64_t rows = 0, nnz = 0, row_room = count[0], nnz_room = count[1], row_start, prev, j;
     double y, v;
-    while (p < stop) {
+    while (p < stop && rows < row_room) {
         line = p;
         row_start = nnz;
         prev = 0;
@@ -298,6 +304,8 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
                 goto refuse;
             prev = j;
             if (v != 0.0) {
+                if (nnz == nnz_room)
+                    goto refuse;
                 idx[nnz] = j - 1;
                 val[nnz++] = v;
             }
@@ -319,15 +327,15 @@ refuse:
 
 /* Model weight lines "<idx>:<float>", 0-based indices, strictly increasing
  * after st[0] and below dim, appended to feats and w, which have room for
- * (end - pos + 1) / 4 lines (the shortest is "0:1\n").  st[0] gets the last
- * index and st[1] the lines read.  Returns where the scan stopped. */
+ * st[1] lines.  st[0] gets the last index and st[1] the lines read.  Returns
+ * where the scan stopped. */
 int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64_t *feats,
                    double *w, int64_t *st)
 {
     const char *p = buf + pos, *stop = buf + end, *q;
-    int64_t prev = st[0], lines = 0, j;
+    int64_t prev = st[0], room = st[1], lines = 0, j;
     double v;
-    while (p < stop) {
+    while (p < stop && lines < room) {
         q = index_digits(p, &j);
         if (!q || *q != ':' || j <= prev || j >= dim)
             break;
@@ -344,22 +352,17 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64
     return p - buf;
 }
 
-/* The position of each of keys[0, m) in feats[0, n), which is sorted,
- * distinct and nonnegative, or n for a key that is not there, into out: how
- * scoring finds a data index's weight in a model's support, and training a
- * feature's number.  A directory first cuts the range of feats into nb <= n
- * buckets of 2^shift keys each: dir[b], b = 0..nb, is the first position
- * whose feature >> shift is at least b, so a key's bucket is feats[dir[b],
- * dir[b + 1]), and a binary search there costs O(log n) however skewed the
- * features are.  dir has room for n + 1 entries.  Keys come in any order, so
- * each costs two cache misses, dir's and feats'; the loop prefetches them
- * AHEAD and 2 AHEAD keys early, which about halves its time on a random
- * order. */
-#define AHEAD 16
-void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m, int64_t *dir,
-               int64_t *out)
+/* A model's support feats[0, n), sorted, distinct and nonnegative, with the
+ * directory that finds a feature index in it: how scoring finds a data
+ * index's weight, and training a feature's number.  The directory cuts the
+ * range of feats into nb <= n buckets of 2^shift keys each: dir[b], b =
+ * 0..nb, is the first position whose feature >> shift is at least b, so a
+ * key's bucket is feats[dir[b], dir[b + 1]), and a binary search there costs
+ * O(log n) however skewed the features are.  dir has room for n + 1
+ * entries.  directory() fills it and returns the shift. */
+static int directory(const int64_t *feats, int64_t n, int64_t *dir)
 {
-    int64_t last = n ? feats[n - 1] : -1, nb, key, lo, hi, mid;
+    int64_t last = n ? feats[n - 1] : -1, nb;
     int shift = 0;
     while (n && last >> shift >= n)
         shift++;
@@ -369,24 +372,74 @@ void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m, 
         dir[(feats[p] >> shift) + 1]++;
     for (int64_t b = 1; b <= nb; b++)
         dir[b] += dir[b - 1];
+    return shift;
+}
+
+/* Keys come in any order, so finding each costs two cache misses, its
+ * directory entry's and its bucket's; the loops below prefetch them AHEAD
+ * and 2 AHEAD keys early, which about halves their time on a random order
+ * (written out in each loop: GCC drops a prefetch left in a helper of its
+ * own, which it finds to have no effect).  last is feats[n - 1], or -1 for
+ * no features. */
+#define AHEAD 16
+
+/* The position of key in feats[0, n), or n if it is not there. */
+static inline int64_t position(const int64_t *feats, const int64_t *dir, int64_t n,
+                               int64_t last, int shift, int64_t key)
+{
+    int64_t lo, hi, mid;
+    if (key < 0 || key > last)
+        return n;
+    lo = dir[key >> shift];
+    hi = dir[(key >> shift) + 1];
+    while (hi - lo > 1) {  /* the key, if there, stays in [lo, hi); selects, not branches */
+        mid = lo + (hi - lo) / 2;
+        lo = feats[mid] <= key ? mid : lo;
+        hi = feats[mid] <= key ? hi : mid;
+    }
+    return lo < hi && feats[lo] == key ? lo : n;
+}
+
+/* The position of each of keys[0, m) in the support feats[0, n), or n for a
+ * key that is not there, into out; dir as above. */
+void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m, int64_t *dir,
+               int64_t *out)
+{
+    int64_t last = n ? feats[n - 1] : -1;
+    int shift = directory(feats, n, dir);
     for (int64_t i = 0; i < m; i++) {
         if (i + 2 * AHEAD < m && keys[i + 2 * AHEAD] >= 0 && keys[i + 2 * AHEAD] <= last)
             __builtin_prefetch(&dir[keys[i + 2 * AHEAD] >> shift]);
         if (i + AHEAD < m && keys[i + AHEAD] >= 0 && keys[i + AHEAD] <= last)
             __builtin_prefetch(&feats[dir[keys[i + AHEAD] >> shift]]);
-        key = keys[i];
-        out[i] = n;
-        if (key < 0 || key > last)
-            continue;
-        lo = dir[key >> shift];
-        hi = dir[(key >> shift) + 1];
-        while (hi - lo > 1) {  /* the key, if there, stays in [lo, hi); selects, not branches */
-            mid = lo + (hi - lo) / 2;
-            lo = feats[mid] <= key ? mid : lo;
-            hi = feats[mid] <= key ? hi : mid;
+        out[i] = position(feats, dir, n, last, shift, keys[i]);
+    }
+}
+
+/* w . x + b for each of the m CSR rows x into out, w being the weights
+ * w[0, n) of the support feats[0, n); dir as above.  Each row sums
+ * w[position] * value over its indices that are in the support, left to
+ * right from +0.0 as sparse_core.row_dots sums.  An index that is not there
+ * has weight 0 and adds nothing, whatever its value; losses.scores'
+ * fallback adds 0.0 * 0.0 for it, which changes no sum that starts at +0.0
+ * (such a sum is never -0.0). */
+void sl_scores(const int64_t *feats, const double *w, int64_t n, double b, const int64_t *indptr,
+               const int64_t *idx, const double *val, int64_t m, int64_t *dir, double *out)
+{
+    int64_t last = n ? feats[n - 1] : -1, j = indptr[0], nnz = indptr[m], pos;
+    int shift = directory(feats, n, dir);
+    for (int64_t r = 0; r < m; r++) {
+        double d = 0.0;
+        for (; j < indptr[r + 1]; j++) {
+            if (j + 2 * AHEAD < nnz && idx[j + 2 * AHEAD] >= 0 && idx[j + 2 * AHEAD] <= last)
+                __builtin_prefetch(&dir[idx[j + 2 * AHEAD] >> shift]);
+            if (j + AHEAD < nnz && idx[j + AHEAD] >= 0 && idx[j + AHEAD] <= last)
+                __builtin_prefetch(&feats[dir[idx[j + AHEAD] >> shift]]);
+            pos = position(feats, dir, n, last, shift, idx[j]);
+            if (pos < n)
+                d += w[pos] * val[j];
         }
-        if (lo < hi && feats[lo] == key)
-            out[i] = lo;
+        out[r] = d + b;
     }
 }
 

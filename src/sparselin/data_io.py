@@ -9,27 +9,39 @@ value is a parse error.
 A parsed ``Dataset`` is one CSR (compressed sparse row) block of four
 contiguous arrays, as in LIBLINEAR: row i holds the 0-based feature indices
 ``indices[indptr[i]:indptr[i+1]]`` (int64), their ``values`` (float64) and
-the label ``labels[i]`` (float64).  The parser appends straight into flat
-buffers and hands them to numpy without copying; ``Dataset.row(i)`` is a
+the label ``labels[i]`` (float64).  The readers write straight into these
+arrays, and a model's weights into its two; ``Dataset.row(i)`` is a
 read-only ``SparseVec`` view of one row.
 
 ``parse_libsvm`` and ``read_model`` read text one line at a time.  The
-path-based ``load_dataset`` and ``load_model`` read the file in binary, in
-blocks of whole lines taken ``CHUNK`` bytes at a time (a partial last line
-is carried over), and hand each block to a compiled scanner (``sl_scan``,
-``sl_weights`` in ``_kernel.c``).  A scanner accepts one narrow form: ASCII
-numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` that are finite, indices of
-at most 18 plain digits, space or tab between tokens, ``'\\n'`` or
-``'\\r\\n'`` at the end of each line, and the same index checks as the line
-code.  At the first line outside that form it stops; that line is decoded
-and split as text-mode reading would (universal newlines) and goes to the
-same Python line code as ``parse_libsvm``/``read_model``, which raises the
-usual error with its line number or accepts it (a comment, a blank line,
-``1_0``, a lone ``'\\r'``), and scanning resumes after it.  The scanners
-convert numbers themselves, correctly rounded as ``float`` rounds:
-Clinger's exact path (one IEEE multiply or divide) where the digits and
-exponent are small, else the Eisel-Lemire algorithm, and ``strtod`` only
-for a decimal of more than 19 significant digits that these cannot decide.
+path-based ``load_dataset`` and ``load_model`` read the file in binary, and
+a regular file twice.  The first pass counts it, ``CHUNK`` bytes at a time
+into one reused buffer (numpy's ``count_nonzero``): its line breaks bound
+the rows, and its ':'s the nonzeros and the weight lines, exactly for a
+file of ``'\\n'``-ended lines with no comment and no ``:0`` value.  The
+arrays are then allocated once at that size and filled in place, so a
+reader holds what it returns plus a few buffers of ``CHUNK`` bytes, which
+bound only the reads.  A pipe or other input that cannot be read twice, and
+a text stream, start with no room; a line that does not fit doubles the
+arrays, which then keep the lines read so far.
+
+The second pass takes blocks of whole lines ``CHUNK`` bytes at a time (a
+partial last line is carried over) and hands each block to a compiled
+scanner (``sl_scan``, ``sl_weights``).  A scanner accepts one narrow form:
+ASCII numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` that are finite,
+indices of at most 18 plain digits, space or tab between tokens, ``'\\n'``
+or ``'\\r\\n'`` at the end of each line, and the same index checks as the
+line code, and it writes no more than the room left in the arrays.  At the
+first line outside that form, or that does not fit, it stops; that line is
+decoded and split as text-mode reading would (universal newlines) and goes
+to the same Python line code as ``parse_libsvm``/``read_model``, which
+raises the usual error with its line number or accepts it (a comment, a
+blank line, ``1_0``, a lone ``'\\r'``; making room first), and scanning
+resumes after it.  The scanners convert numbers themselves, correctly
+rounded as ``float`` rounds: Clinger's exact path (one IEEE multiply or
+divide) where the digits and exponent are small, else the Eisel-Lemire
+algorithm, and ``strtod`` only for a decimal of more than 19 significant
+digits that these cannot decide.
 So both readers give bit-identical arrays and the same errors with or
 without the kernel; without it (no compiler, say) every line takes the
 Python line code.  Bytes that are not UTF-8 are a ``ParseError``/
@@ -63,9 +75,8 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
+import stat
 from dataclasses import dataclass
-from functools import partial
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -162,17 +173,38 @@ def _parse_feature(tok: str, line_no: int) -> tuple[int, float]:
     return idx - 1, val
 
 
+def _resized(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    """A new array of ``size`` items of ``a``'s type that starts with ``a[:used]``."""
+    new = np.empty(size, a.dtype)
+    new[:used] = a[:used]  # the tail takes no memory until it is written
+    return new
+
+
 class _Rows:
-    """CSR rows appended to flat buffers one text line at a time (``add_line``)
-    or a block of lines at a time by the compiled scanner (``scan``)."""
+    """CSR rows written into arrays with room for more, one text line at a time
+    (``add_line``) or a block of lines at a time by the compiled scanner
+    (``scan``)."""
 
     def __init__(self, dim_override: int | None, require_labels: bool):
-        self.indptr, self.indices = array("q", [0]), array("q")
-        self.values, self.labels = array("d"), array("d")
+        self.indptr, self.indices = np.zeros(1, np.int64), np.empty(0, np.int64)
+        self.values, self.labels = np.empty(0), np.empty(0)
+        self.rows = self.nnz = 0
         self.dim_override, self.require_labels = dim_override, require_labels
         self.limit, self.what = ((MAX_DIM, "the largest dimension") if dim_override is None
                                  else (dim_override, "dimension"))
-        self.scratch: list[np.ndarray] = []  # sl_scan's output, refilled by every call
+        self.count = np.zeros(2, np.int64)  # sl_scan's room and result
+
+    def reserve(self, rows: int, nnz: int) -> None:
+        """Room for ``rows`` more rows and ``nnz`` more nonzeros; a file's lines
+        and ':'s bound all of them."""
+        if self.rows + rows > self.labels.size:
+            size = max(2 * self.labels.size, self.rows + rows)
+            self.labels = _resized(self.labels, self.rows, size)
+            self.indptr = _resized(self.indptr, self.rows + 1, size + 1)
+        if self.nnz + nnz > self.values.size:
+            size = max(2 * self.values.size, self.nnz + nnz)
+            self.indices = _resized(self.indices, self.nnz, size)
+            self.values = _resized(self.values, self.nnz, size)
 
     def add_line(self, raw: str, line_no: int) -> None:
         line = raw.strip()
@@ -190,7 +222,7 @@ class _Rows:
         else:
             y = 0.0
             feats = tokens
-        prev = -1
+        prev, indices, values = -1, [], []
         for tok in feats:
             idx, val = _parse_feature(tok, line_no)
             if idx <= prev:
@@ -203,43 +235,35 @@ class _Rows:
                     f"line {line_no}: index {idx + 1} exceeds {self.what} {self.limit}")
             if val == 0.0:
                 continue
-            self.indices.append(idx)
-            self.values.append(val)
-        self.indptr.append(len(self.indices))
-        self.labels.append(y)
+            indices.append(idx)
+            values.append(val)
+        self.reserve(1, len(indices))
+        end = self.nnz + len(indices)
+        self.indices[self.nnz:end], self.values[self.nnz:end] = indices, values
+        self.labels[self.rows], self.indptr[self.rows + 1] = y, end
+        self.rows, self.nnz = self.rows + 1, end
 
     def scan(self, lib, block: bytes, pos: int, line_no: int) -> tuple[int, int]:
-        """``sl_scan`` over ``block`` from ``pos``: where it stopped, and the line
-        number reached."""
-        # an accepted line takes at least 2 bytes ("1\n"), a kept nonzero at least 4 (" 1:1")
-        cap = len(block) - pos + 1
-        if not self.scratch or self.scratch[0].size < cap // 2:
-            # room for two reads at once: replacing (freeing) it would raise glibc's
-            # mmap threshold, and the growing buffers would then fragment the heap
-            cap = max(cap, 2 * CHUNK + 1)
-            self.scratch = [np.empty(cap // 2, np.int64), np.empty(cap // 2),
-                            np.empty(cap // 4, np.int64), np.empty(cap // 4),
-                            np.zeros(2, np.int64)]
+        """``sl_scan`` over ``block`` from ``pos`` into the room left: where it
+        stopped, and the line number reached."""
+        rows, nnz = self.rows, self.nnz
+        self.count[:] = self.labels.size - rows, self.values.size - nnz
         # indices the scanner accepts stay below 10**18 < MAX_DIM, so the clamp changes nothing
-        stop = lib.sl_scan(block, pos, len(block), self.require_labels,
-                           min(self.limit, MAX_DIM), len(self.indices), *self.scratch)
-        *out, count = self.scratch
-        rows, nnz = count.tolist()
-        for buf, a, n in zip((self.indptr, self.labels, self.indices, self.values), out,
-                             (rows, rows, nnz, nnz)):
-            buf.frombytes(memoryview(a[:n]).cast("B"))  # a numpy slice alone is not bytes-like
-        return stop, line_no + rows
+        stop = lib.sl_scan(block, pos, len(block), self.require_labels, min(self.limit, MAX_DIM),
+                           nnz, self.indptr[rows + 1:], self.labels[rows:], self.indices[nnz:],
+                           self.values[nnz:], self.count)
+        read, kept = self.count.tolist()
+        self.rows, self.nnz = rows + read, nnz + kept
+        return stop, line_no + read
 
     def dataset(self) -> Dataset:
-        if not self.labels:
+        if not self.rows:
             raise EmptyDatasetError("no data lines found")
-        # frombuffer shares the buffers' memory: the arrays are converted without a copy
-        indptr, indices, values, labels = (
-            np.frombuffer(a, dtype=a.typecode)
-            for a in (self.indptr, self.indices, self.values, self.labels))
+        indices = self.indices[:self.nnz]
         dim = (self.dim_override if self.dim_override is not None
                else int(indices.max(initial=-1)) + 1)
-        return Dataset(indptr, indices, values, labels, dim)
+        return Dataset(self.indptr[:self.rows + 1], indices, self.values[:self.nnz],
+                       self.labels[:self.rows], dim)
 
 
 def parse_libsvm(
@@ -281,21 +305,40 @@ def _blocks(fh: IO[bytes]) -> Iterator[bytes]:
         yield last
 
 
-def _read_lines(path: str, scan, add_line, error) -> None:
-    """Feed the text file at ``path`` to ``scan(block, pos, line_no)``, which
-    reads lines from ``pos`` until one does not fit it and returns where it
-    stopped and the last line number it read (``scan`` None reads none).
-    Each line it stops at is decoded and split as text-mode reading would
-    (universal newlines: a lone '\\r' ends a line too) and given to
-    ``add_line(text, line_no)``, and scanning resumes after it.  Bytes that
-    are not UTF-8 raise ``error(line_no, message)``."""
-    line_no = 0
+def _count(fh: IO[bytes]) -> tuple[int, int]:
+    """The lines and the ':' bytes of the regular file ``fh``, read ``CHUNK``
+    bytes at a time into one buffer; ``fh`` is then back at its start."""
+    buf, lines, colons, last = bytearray(CHUNK), 0, 0, ord("\n")
+    view = np.frombuffer(buf, np.uint8)  # holds buf's export: it cannot be resized or moved
+    while n := fh.readinto(buf):
+        lines += np.count_nonzero(view[:n] == ord("\n"))
+        colons += np.count_nonzero(view[:n] == ord(":"))
+        last = buf[n - 1]
+    fh.seek(0)
+    return lines + (last != ord("\n")), colons  # a last line may lack its line break
+
+
+def _read_lines(path: str, reader, error) -> None:
+    """Feed the text file at ``path`` to ``reader``: a regular file is counted
+    first (``reader.reserve(lines, colons)``); then, where the kernel loads,
+    ``reader.scan(lib, block, pos, line_no)`` reads lines from ``pos`` until
+    one does not fit it and returns where it stopped and the last line
+    number it read.  Each line it stops at (each line, without the kernel)
+    is decoded and split as text-mode reading would (universal newlines: a
+    lone '\\r' ends a line too) and given to ``reader.add_line(text,
+    line_no)``, and scanning resumes after it.  Bytes that are not UTF-8
+    raise ``error(line_no, message)``."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    lib, line_no = _kernel.load(), 0
     with open(path, "rb") as fh:
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
+            reader.reserve(*_count(fh))
         for block in _blocks(fh):
             pos = 0
             while pos < len(block):
-                if scan is not None:
-                    pos, line_no = scan(block, pos, line_no)
+                if lib is not None:
+                    pos, line_no = reader.scan(lib, block, pos, line_no)
                     if pos == len(block):
                         break
                 end = block.find(b"\n", pos) + 1 or len(block)
@@ -308,7 +351,7 @@ def _read_lines(path: str, scan, add_line, error) -> None:
                         text = line.decode("utf-8")
                     except UnicodeDecodeError as exc:
                         raise error(line_no, f"not valid UTF-8 ({exc.reason})") from None
-                    add_line(text, line_no)
+                    reader.add_line(text, line_no)
                 pos = end
 
 
@@ -324,10 +367,8 @@ def load_dataset(
     path: str, dim_override: int | None = None, require_labels: bool = True
 ) -> Dataset:
     """``parse_libsvm`` of the file at ``path``, compiled where the kernel loads."""
-    from . import _kernel  # here, so that importing sparselin does not import it
-
-    rows, lib = _Rows(dim_override, require_labels), _kernel.load()
-    _read_lines(path, None if lib is None else partial(rows.scan, lib), rows.add_line, ParseError)
+    rows = _Rows(dim_override, require_labels)
+    _read_lines(path, rows, ParseError)
     return rows.dataset()
 
 
@@ -394,8 +435,8 @@ def _header_value(line: str, key: str, parse):
 class _ModelReader:
     """A model file read one line at a time (``add_line``); once the header
     is read, weight lines also a block at a time by the compiled scanner
-    (``scan``).  Each weight goes, with its index, into buffers that double
-    when full."""
+    (``scan``).  Each weight goes, with its index, into arrays with room for
+    more, which ``reserve`` sizes from a file's count."""
 
     HEADER = ("header", "loss", "dim", "bias")
 
@@ -404,17 +445,17 @@ class _ModelReader:
         self.feats, self.weights = np.empty(0, np.int64), np.empty(0)
         self.n = 0  # the weights read
         self.prev = -1
-        self.state = np.zeros(2, np.int64)
+        self.state = np.zeros(2, np.int64)  # sl_weights' last index and room, then lines read
+
+    def reserve(self, lines: int, colons: int) -> None:
+        self._room(colons)  # a weight line holds one ':', a header line none
 
     def _room(self, k: int) -> None:
-        """Room in the buffers for k more weights."""
+        """Room in the arrays for k more weights."""
         if self.n + k > self.feats.size:
             size = max(2 * self.feats.size, self.n + k)
-            for name in ("feats", "weights"):
-                old = getattr(self, name)
-                new = np.empty(size, old.dtype)
-                new[:self.n] = old[:self.n]  # the tail takes no memory until it is written
-                setattr(self, name, new)
+            self.feats = _resized(self.feats, self.n, size)
+            self.weights = _resized(self.weights, self.n, size)
 
     def add_line(self, line: str, line_no: int) -> None:
         n = len(self.header)
@@ -467,8 +508,7 @@ class _ModelReader:
         number reached."""
         if len(self.header) < len(self.HEADER):  # the header is read line by line
             return pos, line_no
-        self._room((len(block) - pos + 1) // 4)  # a weight line takes at least 4 bytes ("0:1\n")
-        self.state[0] = self.prev
+        self.state[:] = self.prev, self.feats.size - self.n
         stop = lib.sl_weights(block, pos, len(block), self.header[2], self.feats[self.n:],
                               self.weights[self.n:], self.state)
         self.prev, lines = self.state.tolist()
@@ -492,11 +532,8 @@ def read_model(stream: Iterable[str]) -> LinearModel:
 
 def load_model(path: str) -> LinearModel:
     """``read_model`` of the file at ``path``, compiled where the kernel loads."""
-    from . import _kernel  # here, so that importing sparselin does not import it
-
-    reader, lib = _ModelReader(), _kernel.load()
-    _read_lines(path, None if lib is None else partial(reader.scan, lib), reader.add_line,
-                lambda line_no, message: FormatError(message, line_no))
+    reader = _ModelReader()
+    _read_lines(path, reader, lambda line_no, message: FormatError(message, line_no))
     return reader.model()
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, LabelError, SparselinError
-from .sparse_core import lookup, row_dots, squared_norm
+from .sparse_core import row_dots, search, squared_norm
 
 if TYPE_CHECKING:
     from .data_io import Dataset
@@ -92,12 +92,27 @@ def validate_labels(data: "Dataset", kind: LossKind) -> None:
 def scores(model: "LinearModel", data: "Dataset") -> np.ndarray:
     """w . x + b for every row x, bit for bit as ``predict`` and training score it.
 
-    Each data index is looked up in the model's support; one that is not
-    there, at or beyond the model's ``dim`` too, takes an extra weight of 0.0
-    after the last, whose ±0.0 product changes no left-to-right sum."""
-    weights = np.append(model.weights, 0.0)
-    with np.errstate(over="ignore"):
-        p = row_dots(weights, data.indptr, lookup(model.feats, data.indices), data.values) + model.b
+    Each data index is looked up in the model's support, and a row sums
+    w . x over the indices found there, left to right from +0.0, then adds
+    b.  An index that is not there, at or beyond the model's ``dim`` too,
+    has weight 0 and adds nothing, whatever its value.  Compiled where the
+    kernel loads (``sl_scores``: one pass over the rows, with an n'+1
+    directory as ``lookup`` builds and no other temporary); else ``search``
+    and ``row_dots``, an index not found taking a weight of 0.0 after the
+    last and a value of 0.0, whose +0.0 product changes no such sum."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    lib = _kernel.load()
+    if lib is None:
+        pos = search(model.feats, data.indices)
+        values = np.where(pos < model.feats.size, data.values, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = row_dots(np.append(model.weights, 0.0), data.indptr, pos, values) + model.b
+    else:
+        p = np.empty(data.m)
+        lib.sl_scores(model.feats, model.weights, model.feats.size, model.b, data.indptr,
+                      data.indices, data.values, data.m,
+                      np.empty(model.feats.size + 1, np.int64), p)
     if not np.isfinite(p).all():
         i = int(np.isfinite(p).argmin())
         raise SparselinError(f"example {i + 1}: score {p[i]} is not finite")

@@ -15,10 +15,13 @@ solvers charge them as ``outside_dense_touches`` at the model's dimension.
 Zero-filled allocations are memory management, not vector arithmetic, and
 charge nothing.
 
-Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``),
-is summed by ``row_dots`` in the compiled loop's order (see ``solvers``).  The
-loop and the passes here span only the n' features the data uses, so nothing
-on the train, predict or eval path is O(n): memory is O(m k + n').
+Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``,
+compiled as ``sl_scores``), is summed left to right from +0.0 as ``row_dots``
+sums it, in the compiled loop's order (see ``solvers``).  The loop and the
+passes here span only the n' features the data uses, so nothing on the
+train, predict or eval path is O(n): memory is O(m k + n').  ``check_csr``
+and ``squared_norm`` walk their input ``BLOCK`` items at a time, so they
+add no temporary of its size.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ DenseVec = np.ndarray
 MAX_DIM = np.iinfo(np.intp).max // 8
 
 BLOCK_ROWS = 1024  # rows per ``row_dots`` step: its temporaries hold one block's nonzeros
+BLOCK = 1 << 16  # items per step of ``check_csr`` and ``squared_norm``, which bounds their temporaries
 
 
 @dataclass
@@ -95,24 +99,32 @@ class SparseVec:
 
 def check_csr(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: int) -> None:
     """Raise unless ``indptr`` runs monotonically from 0 to the number of nonzeros
-    and the indices of every row it delimits are strictly increasing in [0, dim)."""
+    and the indices of every row it delimits are strictly increasing in [0, dim).
+    Walks the arrays ``BLOCK`` items at a time: no temporary is larger."""
     if dim < 0:
         raise ValueError(f"dim must be >= 0, got {dim}")
     if dim > MAX_DIM:
         raise DimensionError(f"dimension {dim} exceeds the largest dimension {MAX_DIM}")
     if indptr.ndim != 1 or indices.ndim != 1 or values.shape != indices.shape:
         raise ValueError("indices and values must be 1-d and equal length")
-    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+    if indptr[0] != 0 or indptr[-1] != indices.size or any(
+            np.any(w[1:] < w[:-1]) for _, w in _windows(indptr)):
         raise ValueError("indptr must run monotonically from 0 to the number of nonzeros")
     if indices.size and (indices.min() < 0 or indices.max() >= dim):
         raise DimensionError(
             f"index out of range: [{indices.min()}, {indices.max()}] not within [0, {dim})"
         )
-    rising = np.diff(indices) > 0
-    starts = indptr[1:-1]
-    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True  # a row begins
-    if not rising.all():
-        raise ValueError("indices must be strictly increasing")
+    for lo, w in _windows(indices):
+        # a position whose index does not rise above the one before it must begin a row
+        falls = np.flatnonzero(w[1:] <= w[:-1]) + (lo + 1)
+        if not np.array_equal(indptr[np.searchsorted(indptr, falls)], falls):
+            raise ValueError("indices must be strictly increasing")
+
+
+def _windows(a: np.ndarray):
+    """(lo, a[lo:lo + BLOCK + 1]) for lo = 0, BLOCK, ... while a pair remains:
+    each adjacent pair of ``a`` lies in one window."""
+    return ((lo, a[lo:lo + BLOCK + 1]) for lo in range(0, a.size - 1, BLOCK))
 
 
 def row_dots(v: DenseVec, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> DenseVec:
@@ -191,10 +203,18 @@ def mean_vector(data: "Dataset", counter: TouchCounter | None = None) -> DenseVe
 def squared_norm(v: DenseVec) -> float:
     """Sum of squares of a dense vector, added left to right from +0.0 (``cumsum``
     adds in order, where BLAS ``v @ v`` blocks by CPU and length), inf where it
-    overflows (callers check finiteness); one pass.  A zero adds +0.0, which
-    changes no bit, so the sum over a model's support is its sum over all n."""
+    overflows (callers check finiteness).  One pass, ``BLOCK`` items at a time
+    into one buffer, carrying the sum from block to block.  A zero adds +0.0,
+    which changes no bit, so the sum over a model's support is its sum over
+    all n."""
+    total, buf = 0.0, np.empty(min(v.size, BLOCK))
     with np.errstate(over="ignore"):
-        return float(np.cumsum(v * v)[-1]) if v.size else 0.0
+        for lo in range(0, v.size, BLOCK):
+            sq = buf[:min(BLOCK, v.size - lo)]
+            np.multiply(v[lo:lo + BLOCK], v[lo:lo + BLOCK], out=sq)
+            sq[0] += total  # as total + sq[0]: one addition commutes exactly
+            total = float(np.cumsum(sq, out=sq)[-1])
+    return total
 
 
 def finalize_combine(coeffs: Sequence[tuple[float, DenseVec]]) -> DenseVec:

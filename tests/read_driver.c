@@ -7,11 +7,12 @@
  * read past the token is caught, and "<lines read> <bits of the weight>" is
  * written to stdout, the bits in hex (0 when no line was read).
  *
- * Usage: read_driver block DIM < input
+ * Usage: read_driver block DIM [ROOM] < input
  * The whole input is one block of weight lines, below DIM, scanned from a
- * malloc'ed buffer of exactly its bytes and NUL into arrays of exactly the
- * capacity sl_weights asks for, so a write past them is caught.  Writes
- * "<index> <bits of the weight>" for each line read, then "<bytes scanned>".
+ * malloc'ed buffer of exactly its bytes and NUL into arrays of exactly ROOM
+ * lines, by default as many as the input's ':'s, so a write past them is
+ * caught.  Writes "<index> <bits of the weight>" for each line read, then
+ * "<bytes scanned>".
  */
 #include <inttypes.h>
 #include <stdio.h>
@@ -21,11 +22,11 @@
 int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64_t *feats,
                    double *w, int64_t *st);
 
-/* sl_weights over buf[0, end), into arrays of the capacity it asks for; prints
+/* sl_weights over buf[0, end), into arrays of room for cap lines; prints
  * the lines read unless tokens, and returns where it stopped. */
-static int64_t scan(const char *buf, int64_t end, int64_t dim, int tokens)
+static int64_t scan(const char *buf, int64_t end, int64_t dim, int64_t cap, int tokens)
 {
-    int64_t cap = (end + 1) / 4, st[2] = {-1, 0}, stop;
+    int64_t st[2] = {-1, cap}, stop;
     int64_t *feats = malloc((cap ? cap : 1) * sizeof *feats);
     double *w = malloc((cap ? cap : 1) * sizeof *w);
     uint64_t bits = 0;
@@ -49,7 +50,7 @@ int main(int argc, char **argv)
     char *token = NULL, *buf;
     size_t size = 0, used = 0;
     ssize_t n;
-    if (argc == 3 && !strcmp(argv[1], "block")) {
+    if ((argc == 3 || argc == 4) && !strcmp(argv[1], "block")) {
         if (!(buf = malloc(size = 64)))
             return 2;
         while ((n = (ssize_t)fread(buf + used, 1, size - used, stdin)) > 0)
@@ -60,7 +61,11 @@ int main(int argc, char **argv)
             return 2;
         memcpy(exact, buf, used);
         exact[used] = '\0';
-        printf("%" PRId64 "\n", scan(exact, (int64_t)used, atoll(argv[2]), 0));
+        int64_t colons = 0;
+        for (size_t j = 0; j < used; j++)
+            colons += exact[j] == ':';
+        printf("%" PRId64 "\n", scan(exact, (int64_t)used, atoll(argv[2]),
+                                     argc == 4 ? atoll(argv[3]) : colons, 0));
         free(exact);
         free(buf);
         return 0;
@@ -72,7 +77,7 @@ int main(int argc, char **argv)
             return 2;
         memcpy(buf, "0:", 2);
         memcpy(buf + 2, token, n + 1);
-        scan(buf, n + 2, 1, 1);
+        scan(buf, n + 2, 1, 1, 1);
         free(buf);
     }
     free(token);

@@ -5,7 +5,7 @@
  * The data are LIBSVM lines, the last without a line break.  They are read
  * into a malloc'ed buffer of exactly their bytes and a NUL, so the last
  * token ends at the NUL, and scanned into arrays of exactly as many rows as
- * the lines and nonzeros as the ':'s.  The loop then runs steps 1..T over
+ * the lines and nonzeros as the ':'s, the room sl_scan is given.  The loop then runs steps 1..T over
  * rows (t - 1) mod m, on malloc'ed copies of exactly the scanned size: u is
  * NULL unless AVERAGE is 1, xbar NULL unless THETA and DIM values follow
  * (the reals as C hex floats).  Written to stdout, one line each, in hex:
@@ -60,6 +60,8 @@ int main(int argc, char **argv)
         lines += buf[j] == '\n';
         colons += buf[j] == ':';
     }
+    count[0] = lines;
+    count[1] = colons;
     int64_t *indptr = calloc(lines + 1, 8), *idx = malloc(8 * colons + 1);
     double *labels = malloc(8 * lines), *val = malloc(8 * colons + 1);
     if (!indptr || !idx || !labels || !val)

@@ -1,7 +1,9 @@
+import contextlib
 import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -454,6 +456,70 @@ class TestNonFiniteObjective:
         assert captured.out == ""
         assert captured.err == "sparselin: error: average loss inf is not finite\n"
         assert model_path.read_text().endswith("bias 2e+200\n0:2e+200\n")
+
+
+def through_fifo(tmp_path, capsys, argv, source):
+    """``main(argv)``, each "FIFO" in argv naming a named pipe that another thread
+    fills with the bytes of the file ``source``: the exit code and stdout."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(source.read_bytes())
+
+    rc = []
+    threads = [threading.Thread(target=feed, daemon=True),
+               threading.Thread(target=lambda: rc.append(main(
+                   [str(fifo) if a == "FIFO" else a for a in argv])), daemon=True)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    hung = any(thread.is_alive() for thread in threads)
+    if hung:  # release a reader that waits for a writer, and a writer that waits for a reader
+        for flags in (os.O_WRONLY | os.O_NONBLOCK, os.O_RDONLY | os.O_NONBLOCK):
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, flags))
+    assert not hung, "a command did not finish reading the pipe"
+    fifo.unlink()
+    return rc, capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+class TestPipeInputs:
+    # a pipe can be read once only, so the readers cannot count it first: they
+    # start with no room and grow, and must give what a regular file gives
+    @pytest.fixture
+    def files(self, tmp_path, capsys, monkeypatch):
+        from sparselin import data_io
+
+        monkeypatch.setattr(data_io, "CHUNK", 256)  # many blocks, each filling the room
+        data, model = tmp_path / "data.txt", tmp_path / "model.txt"
+        data.write_text("".join(f"{(-1) ** i} {i % 7 + 1}:{i / 8} {i % 11 + 9}:-0.5 {i + 20}:2e-3\n"
+                                for i in range(300)))
+        assert main(["train", "--data", str(data), "--model", str(model), "--algo", "casgd",
+                     "--loss", "hinge", "--lambda", "1e-3", "--steps", "900", "--seed", "3"]) == 0
+        assert model.read_text().count("\n") > 300
+        return data, model, capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["predict --model FIFO --data DATA",
+                                         "predict --model MODEL --data FIFO",
+                                         "eval --model MODEL --data FIFO --lambda 1e-3"])
+    def test_scoring(self, tmp_path, capsys, reader_path, files, command):
+        data, model, _ = files
+        argv = command.replace("DATA", str(data)).replace("MODEL", str(model)).split()
+        source = model if argv[2] == "FIFO" else data
+        assert main([str(source) if a == "FIFO" else a for a in argv]) == 0
+        expected = capsys.readouterr().out
+        assert through_fifo(tmp_path, capsys, argv, source) == ([0], expected)
+
+    def test_train(self, tmp_path, capsys, reader_path, files):
+        data, model, trained = files
+        argv = ["train", "--data", "FIFO", "--model", str(tmp_path / "piped.txt"), "--algo",
+                "casgd", "--loss", "hinge", "--lambda", "1e-3", "--steps", "900", "--seed", "3"]
+        assert through_fifo(tmp_path, capsys, argv, data) == ([0], trained)
+        assert (tmp_path / "piped.txt").read_bytes() == model.read_bytes()
 
 
 class TestEntryPoint:

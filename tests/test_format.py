@@ -26,7 +26,7 @@ from sparselin import LossKind, _kernel, data_io
 from sparselin.cli import main
 from sparselin.data_io import fmt_float, parse_libsvm, write_floats
 from sparselin.solvers import _LOSSES, _python_steps
-from sparselin.sparse_core import search
+from sparselin.sparse_core import row_dots, search
 
 HERE = Path(__file__).resolve().parent
 STRIDE = 10**14 + 3  # between weight indices, so that they run to 19 digits
@@ -230,12 +230,15 @@ def test_sanitized_build(tmp_path):
     assert run.stdout.splitlines() == want
 
     # sl_weights reading blocks of weight lines into arrays of exactly the
-    # capacity it asks for: none at all, and lines up to one it refuses
-    for block, dim, lines in [("", 5, []), ("0:1\n3:-2.5\r\n7:1e-300", 8, [0, 1, 2]),
-                              ("5:1\n4:2\n", 9, [0]), ("1:1\n2:2\n3:3", 3, [0, 1]),
-                              ("0:1\n" * 4, 2, [0])]:
-        run = subprocess.run([str(exe), "block", str(dim)], input=block, capture_output=True,
-                             text=True, env=env)
+    # room the reader's count gives (its ':'s) or less: none at all, lines
+    # up to one it refuses, and lines up to the first that does not fit
+    for block, dim, lines, room in [
+            ("", 5, [], None), ("0:1\n3:-2.5\r\n7:1e-300", 8, [0, 1, 2], None),
+            ("5:1\n4:2\n", 9, [0], None), ("1:1\n2:2\n3:3", 3, [0, 1], None),
+            ("0:1\n" * 4, 2, [0], None), ("0:1\n1:2\n2:3\n", 9, [0, 1], 2),
+            ("0:1\n1:2", 9, [], 0)]:
+        argv = [str(exe), "block", str(dim)] + ([] if room is None else [str(room)])
+        run = subprocess.run(argv, input=block, capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
         rows = [block.splitlines()[i].split(":") for i in lines]
         stop = sum(len(line) for line in block.splitlines(True)[:len(lines)])
@@ -243,7 +246,9 @@ def test_sanitized_build(tmp_path):
             f"{i} {np.float64(float(v)).view(np.uint64):x}" for i, v in rows] + [str(stop)]
 
     # sl_lookup over arrays of exactly their size: an empty support, misses
-    # below, between and past the features, and skewed buckets
+    # below, between and past the features, and skewed buckets; then sl_scores
+    # over the keys as a dataset's indices, in rows of up to 3 and an empty
+    # one, with signed zeros among the weights and the values
     exe = sanitized(tmp_path, "lookup_driver.c")
     hashed = 10**12
     for feats, keys in [([], [0, 1, hashed]), ([0], [0, 1, 2]), ([3], [0, 3, 4]),
@@ -251,11 +256,21 @@ def test_sanitized_build(tmp_path):
                         (list(range(999)) + [hashed - 1], [0, 998, 999, hashed - 2, hashed - 1,
                                                          hashed]),
                         (list(range(0, 3000, 3)), list(range(3005)))]:
-        text = " ".join(map(str, [len(feats), *feats, len(keys), *keys]))
+        want = search(np.array(feats, np.int64), np.array(keys, np.int64))
+        indptr = np.array([0, 0] + list(range(3, len(keys), 3)) + [len(keys)])
+        weights = -0.5 * (np.arange(len(feats)) + 1.0) * (np.arange(len(feats)) % 5 > 0)
+        values = 10.0 ** (np.arange(len(keys)) % 9 - 4) * (-1.0) ** np.arange(len(keys))
+        values[::4] = -0.0
+        bias = 0.75
+        text = " ".join(map(str, [len(feats), *feats, len(keys), *keys, indptr.size - 1,
+                                  *indptr.tolist()]))
+        text += " " + " ".join(f"{w:x}" for w in np.concatenate(
+            [weights, values, [bias]]).view(np.uint64).tolist())
         run = subprocess.run([str(exe)], input=text, capture_output=True, text=True, env=env)
         assert run.returncode == 0, run.stderr
-        want = search(np.array(feats, np.int64), np.array(keys, np.int64))
-        assert run.stdout.split() == [str(p) for p in want.tolist()]
+        scored = row_dots(np.append(weights, 0.0), indptr, want, values) + bias
+        assert run.stdout.split() == [str(p) for p in want.tolist()] + [
+            f"{w:x}" for w in scored.view(np.uint64).tolist()]
 
     # sl_scan reading LIBSVM lines whose last token ends at the buffer's NUL,
     # and sl_steps over arrays of exactly the scanned size: sgd with NULL u and

@@ -525,6 +525,19 @@ class TestScanners:
             monkeypatch.setattr(data_io, "CHUNK", chunk)
             check_paths(path, data_io.load_model, data_io.read_model, model_bits)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=3000) | st.text("\n:x", max_size=3000).map(str.encode),
+           st.sampled_from([1, 7, 64, 1 << 16]))
+    def test_count(self, scratch_dir, body, chunk):
+        # a regular file's lines and ':'s, which size the readers' arrays
+        path = scratch_dir / "count.txt"
+        path.write_bytes(body)
+        with pytest.MonkeyPatch.context() as mp, open(path, "rb") as fh:
+            mp.setattr(data_io, "CHUNK", chunk)
+            lines = body.count(b"\n") + (body[-1:] not in (b"", b"\n"))
+            assert data_io._count(fh) == (lines, body.count(b":"))
+            assert fh.tell() == 0
+
     def test_reads_at_most_one_chunk_at_a_time(self, monkeypatch):
         body = b"".join(b"1 %d:0.5\n" % i for i in range(1, 200)) + b"1 1:1" * 40
         sizes = []

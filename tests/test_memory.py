@@ -1,0 +1,100 @@
+"""Peak memory of the data path, traced by ``tracemalloc``.
+
+numpy reports each array buffer it allocates to ``tracemalloc``, so the
+peak it records is that of the arrays a call makes, whatever the C library
+does with the memory.  On a dataset of a million nonzeros and a model of as
+many weights, the readers peak at the arrays they return, and scoring,
+validation and the penalty at their result: each within ``SLACK``, which
+the fixed-size buffers and blocks of these calls fit in and any temporary
+the size of the input does not.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sparselin import Dataset, LinearModel, LossKind, _kernel
+from sparselin.data_io import load_dataset, load_model, save_model
+from sparselin.losses import scores
+from sparselin.sparse_core import squared_norm, support
+
+SLACK = 1 << 20  # 1 MiB
+M, K = 50_000, 20  # rows and nonzeros per row: a million nonzeros
+
+
+@pytest.fixture(autouse=True)
+def compiled():
+    # without the kernel, scoring takes search and row_dots, whose temporaries are O(nnz)
+    assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A LIBSVM file of M rows of K rising features, about a million distinct,
+    and a model with a weight for each of them."""
+    rng = np.random.default_rng(5)
+    indices = np.cumsum(rng.integers(1, 100, size=(M, K)), axis=1)
+    indices += rng.integers(0, 20_000_000, size=(M, 1))
+    text = [f"{v / 8}" for v in range(1, 9)]
+    values = rng.integers(0, 8, size=(M, K)).tolist()
+    lines = ("1 " + " ".join(f"{j}:{text[v]}" for j, v in zip(row, vals))
+             for row, vals in zip((indices + 1).tolist(), values))
+    directory = tmp_path_factory.mktemp("memory")
+    data = directory / "data.txt"
+    data.write_text("\n".join(lines) + "\n")
+    feats = support(indices.ravel())
+    model = directory / "model.txt"
+    weights = rng.integers(1, 8, size=feats.size) / -8.0
+    save_model(LinearModel(feats, weights, 0.5, LossKind.HINGE, int(feats[-1]) + 1), str(model))
+    return str(data), str(model)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def nbytes(*arrays):
+    return sum(a.nbytes for a in arrays)
+
+
+def csr(data):
+    return data.indptr, data.indices, data.values, data.labels
+
+
+def test_load_dataset_peaks_at_its_arrays(files):
+    data, peak = traced_peak(load_dataset, files[0])
+    assert data.indices.size == M * K
+    assert peak <= nbytes(*csr(data)) + SLACK
+
+
+def test_load_model_peaks_at_its_arrays(files):
+    model, peak = traced_peak(load_model, files[1])
+    assert model.feats.size > 900_000
+    assert peak <= nbytes(model.feats, model.weights) + SLACK
+
+
+def test_scores_allocate_the_result_and_one_directory(files):
+    data, model = load_dataset(files[0]), load_model(files[1])
+    p, peak = traced_peak(scores, model, data)
+    assert p.size == M
+    assert peak <= p.nbytes + 8 * (model.feats.size + 1) + SLACK
+
+
+def test_validation_and_the_norm_allocate_no_input_sized_temporary(files):
+    data, model = load_dataset(files[0]), load_model(files[1])
+    _, peak = traced_peak(Dataset, *csr(data), data.dim)
+    assert peak <= SLACK
+    _, peak = traced_peak(LinearModel, model.feats, model.weights, model.b, model.loss,
+                          model.dim)
+    assert peak <= SLACK
+    norm, peak = traced_peak(squared_norm, model.weights)
+    assert peak <= SLACK
+    assert norm == float(np.cumsum(model.weights * model.weights)[-1])

@@ -167,3 +167,44 @@ def test_first_non_finite_score_raises_without_a_warning(rows, first):
         warnings.simplefilter("error")
         with pytest.raises(SparselinError, match=f"^example {first}: score .* is not finite$"):
             scores(model, data)
+
+
+def compiled_and_fallback(model, data):
+    """The bits of ``scores`` on each path, or the error it raised there."""
+    outcomes = []
+    for load in (_kernel.load, lambda: None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernel, "load", load)
+            try:
+                outcomes.append(bits(scores(model, data)))
+            except SparselinError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+weights_and_values = st.one_of(wide, st.sampled_from([0.0, -0.0, 1e300, -1e300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_compiled_scores_match_the_fallback(data):
+    # sl_scores skips an index not in the support; the fallback adds 0.0 * 0.0
+    # for it: misses (of an infinite value too), data indices at or above the
+    # model's dim, an empty support, empty rows and signed zeros must not
+    # tell them apart
+    assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
+    model_dim = data.draw(st.integers(0, 40))
+    feats = sorted(data.draw(st.sets(st.integers(0, max(model_dim - 1, 0)), max_size=model_dim)))
+    weights = data.draw(st.lists(weights_and_values, min_size=len(feats), max_size=len(feats)))
+    model = LinearModel(feats, weights, data.draw(weights_and_values), LossKind.SQUARED,
+                        model_dim)
+    data_dim = data.draw(st.integers(0, 60))
+    rows = [sorted(data.draw(st.sets(st.integers(0, max(data_dim - 1, 0)), max_size=data_dim)))
+            for _ in range(data.draw(st.integers(0, 12)))]
+    indices = [j for row in rows for j in row]
+    values = data.draw(st.lists(weights_and_values | st.sampled_from([np.inf, -np.inf]),
+                                min_size=len(indices), max_size=len(indices)))
+    dataset = Dataset(np.cumsum([0] + [len(row) for row in rows]), indices, values,
+                      np.zeros(len(rows)), data_dim)
+    compiled, fallback = compiled_and_fallback(model, dataset)
+    assert compiled == fallback

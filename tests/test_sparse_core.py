@@ -14,7 +14,8 @@ from sparselin import (
     dot,
     mean_vector,
 )
-from sparselin.sparse_core import finalize_combine, squared_norm
+from sparselin import sparse_core
+from sparselin.sparse_core import BLOCK, check_csr, finalize_combine, squared_norm
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -153,18 +154,58 @@ class TestSquaredNorm:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.floats(min_value=-1e160, max_value=1e160),
                               st.lists(st.sampled_from([0.0, -0.0]), max_size=3)),
-                    max_size=200))
-    def test_left_to_right_sum_with_and_without_zeros(self, runs):
-        # the squares added in order from +0.0; zeros interleaved anywhere, as
-        # all n features hold them around a model's support, change no bit
+                    max_size=200), st.sampled_from([1, 2, 3, 7, BLOCK]))
+    def test_left_to_right_sum_with_and_without_zeros(self, runs, block):
+        # the squares added in order from +0.0, the sum carried across blocks;
+        # zeros interleaved anywhere, as all n features hold them around a
+        # model's support, change no bit
         values = [x for x, _ in runs]
         with_zeros = [y for x, zeros in runs for y in (x, *zeros)]
         total = 0.0
         for x in values:
             total += x * x
         for v in (values, with_zeros):
-            got = squared_norm(np.array(v, dtype=np.float64))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sparse_core, "BLOCK", block)
+                got = squared_norm(np.array(v, dtype=np.float64))
             assert np.float64(got).view(np.int64) == np.float64(total).view(np.int64)
+
+
+def whole_array_check(indptr, indices, dim):
+    """``check_csr``'s checks over whole arrays at once, as a reference."""
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+        return "indptr"
+    if indices.size and (indices.min() < 0 or indices.max() >= dim):
+        return "range"
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    return None if rising.all() else "order"
+
+
+class TestCheckCsr:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 9), max_size=6), max_size=12),
+           st.integers(-1, 2), st.sampled_from([1, 2, 3, 5, BLOCK]), st.integers(1, 10))
+    def test_blocks_match_the_whole_array_check(self, rows, flaw, block, dim):
+        # rows of any indices, sorted or not; flaw 0 breaks indptr's order,
+        # flaw 1 its last entry
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        indices = np.array([j for r in rows for j in r], dtype=np.int64)
+        if flaw == 0 and indptr.size > 2:
+            indptr[1], indptr[2] = indptr[2], indptr[1] - 1
+        elif flaw == 1:
+            indptr[-1] += 1
+        errors = {"indptr": "indptr must run", "range": "index out of range",
+                  "order": "indices must be strictly increasing"}
+        want = whole_array_check(indptr, indices, dim)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sparse_core, "BLOCK", block)
+            if want is None:
+                check_csr(indptr, indices, np.zeros(indices.size), dim)
+            else:
+                with pytest.raises((ValueError, DimensionError), match=errors[want]):
+                    check_csr(indptr, indices, np.zeros(indices.size), dim)
 
 
 class TestFinalizeCombine:
