@@ -3,8 +3,8 @@
  * decimal-to-double converter (number: Clinger's exact path and
  * Eisel-Lemire, strtod only where those cannot decide), the lookup of
  * feature indices in a model's support (sl_lookup) and the scores of a
- * dataset's rows under a model (sl_scores), and the float formatter of
- * data_io's writers (sl_format).
+ * dataset's rows under a model (sl_scores, or sl_dots on data numbered as
+ * its support), and the float formatter of data_io's writers (sl_format).
  */
 #include <math.h>
 #include <stdint.h>
@@ -45,26 +45,45 @@ static double dot(const double *v, const int64_t *idx, const double *val, int64_
     return d;
 }
 
-/* The loop's contract, which solvers._python_steps keeps too.  Steps [t0, t1)
- * run over the CSR rows order[t0 - 1], ..., order[t1 - 2], the loss coded as
- * above; u is NULL without averaging, xbar NULL without centering (with
- * averaging, the vectors span only the features the data uses).  Both loops
- * make the same floating-point operations in the same order, dot products
- * summed left to right as sparse_core.row_dots sums them, so they write
- * bit-identical models; that needs -ffp-contract=off (no fused multiply-add).
- * st holds a, c, h, z, r, s, the last step's p and g, and the sparse touches:
- * each step adds its row's k for q = xbar . x, for v . x from step 2 on, for
- * the v update and for the u update from step 2 on, and a step that stops
- * the run only for its dot products.  Returns 0, or the first step whose p
- * or g is not finite, leaving a through s as the call found them. */
-int64_t sl_steps(const int64_t *order, const int64_t *indptr, const int64_t *idx,
+/* The row of step t: floor(m (splitmix64(seed + t GAMMA) >> 11) 2^-53), the
+ * t-th index of solvers.draw_indices.  The 53-bit integer and its scaling are
+ * exact, so the multiply by m is the one rounding; the product is
+ * nonnegative, so truncation is the floor.  Stateless: any step draws alone. */
+static int64_t draw(uint64_t seed, int64_t m, int64_t t)
+{
+    uint64_t z = seed + (uint64_t)t * 0x9E3779B97F4A7C15u;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    z ^= z >> 31;
+    return (int64_t)((double)m * ((double)(int64_t)(z >> 11) * 0x1p-53));
+}
+
+/* draw, for the tests that compare it with solvers.draw_indices */
+int64_t sl_draw(uint64_t seed, int64_t m, int64_t t) { return draw(seed, m, t); }
+
+/* The loop's contract, which solvers._python_steps keeps too.  Step t runs
+ * over the CSR row draw(seed, m, t) of the m rows, so a call over any
+ * [t0, t1) draws the rows a single call would, and no T-long array exists:
+ * memory is independent of T (t runs to t1 in int64_t, hence
+ * solvers.MAX_STEPS).  The loss is coded as above; u is NULL without
+ * averaging, xbar NULL without centering (with averaging, the vectors span
+ * only the features the data uses).  Both loops make the same
+ * floating-point operations in the same order, dot products summed left to
+ * right as sparse_core.row_dots sums them, so they write bit-identical
+ * models; that needs -ffp-contract=off (no fused multiply-add).  st holds
+ * a, c, h, z, r, s, the last step's p and g, and the sparse touches: each
+ * step adds its row's k for q = xbar . x, for v . x from step 2 on, for the
+ * v update and for the u update from step 2 on, and a step that stops the
+ * run only for its dot products.  Returns 0, or the first step whose p or g
+ * is not finite, leaving a through s as the call found them. */
+int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int64_t *idx,
                  const double *val, const double *labels, int loss, double lam,
                  double theta, const double *xbar, double *v, double *u, double *st,
                  int64_t t0, int64_t t1)
 {
     double a = st[A], c = st[C], h = st[H], z = st[Z], r = st[R], s = st[S], touches = st[K];
     for (int64_t t = t0; t < t1; t++) {
-        int64_t i = order[t - 1], lo = indptr[i], hi = indptr[i + 1];
+        int64_t i = draw(seed, m, t), lo = indptr[i], hi = indptr[i + 1];
         double q = xbar ? dot(xbar, idx, val, lo, hi) : 0.0, p = 0.0, g;
         touches += (double)((hi - lo) * ((xbar != NULL) + (t > 1)));
         if (t > 1) {
@@ -441,6 +460,16 @@ void sl_scores(const int64_t *feats, const double *w, int64_t n, double b, const
         }
         out[r] = d + b;
     }
+}
+
+/* w . x + b for each of the m CSR rows x into out, each index the position of
+ * its weight in w (the data a training loop ran over, numbered as its
+ * model's support), summed as the loop's dot and sl_scores sum. */
+void sl_dots(const double *w, double b, const int64_t *indptr, const int64_t *idx,
+             const double *val, int64_t m, double *out)
+{
+    for (int64_t r = 0; r < m; r++)
+        out[r] = dot(w, idx, val, indptr[r], indptr[r + 1]) + b;
 }
 
 

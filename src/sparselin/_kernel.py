@@ -1,15 +1,16 @@
 """Builds, caches and loads the compiled kernel in ``_kernel.c``.
 
-It holds the training loop (``sl_steps``), the scanners of the LIBSVM
-and model-file readers (``sl_scan``, ``sl_weights``) with their correctly
-rounded decimal-to-double converter, the lookup of feature indices in a
-model's support (``sl_lookup``; see ``sparse_core.lookup``) and the
-scoring of a dataset's rows (``sl_scores``; see ``losses.scores``), and
-the shortest round-trip float formatter of the model and prediction
-writers (``sl_format``; see ``data_io``), so training, ``predict`` and
-``eval`` load it; ``import sparselin`` does not.  The converter reads a
-table of 128-bit powers of five and the formatter one of 126-bit powers of
-ten; ``fives`` and ``tens`` define them, and a build compiles them into the
+It holds the training loop (``sl_steps``, with its row draw ``sl_draw``),
+the scanners of the LIBSVM and model-file readers (``sl_scan``,
+``sl_weights``) with their correctly rounded decimal-to-double converter,
+the lookup of feature indices in a model's support (``sl_lookup``; see
+``sparse_core.lookup``) and the scoring of a dataset's rows
+(``sl_scores`` and ``sl_dots``; see ``losses``), and the shortest
+round-trip float formatter of the model and prediction writers
+(``sl_format``; see ``data_io``), so training, ``predict`` and ``eval``
+load it; ``import sparselin`` does not.  The converter reads a table of
+128-bit powers of five and the formatter one of 126-bit powers of ten;
+``fives`` and ``tens`` define them, and a build compiles them into the
 library as a second C file (``compile_c``), so no caller ever handles them.
 
 The C source ships inside the package and is compiled on first use with the
@@ -90,16 +91,19 @@ def _array(dtype, none=False):
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    i64, dbl, flag, text = ctypes.c_int64, ctypes.c_double, ctypes.c_int, ctypes.c_char_p
+    u64, i64, dbl, flag, text = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_double, ctypes.c_int,
+                                 ctypes.c_char_p)
     ints, reals = _array(np.int64), _array(np.float64)
     maybe_ints, maybe_reals = _array(np.int64, none=True), _array(np.float64, none=True)
     for fn, args, result in (
-            (lib.sl_steps, [ints, ints, ints, reals, reals, flag, dbl, dbl, maybe_reals, reals,
-                            maybe_reals, reals, i64, i64], i64),
+            (lib.sl_steps, [u64, i64, ints, ints, reals, reals, flag, dbl, dbl, maybe_reals,
+                            reals, maybe_reals, reals, i64, i64], i64),
+            (lib.sl_draw, [u64, i64, i64], i64),
             (lib.sl_scan, [text, i64, i64, flag, i64, i64, ints, reals, ints, reals, ints], i64),
             (lib.sl_weights, [text, i64, i64, i64, ints, reals, ints], i64),
             (lib.sl_lookup, [ints, i64, ints, i64, ints, ints], None),
             (lib.sl_scores, [ints, reals, i64, dbl, ints, ints, reals, i64, ints, reals], None),
+            (lib.sl_dots, [reals, dbl, ints, ints, reals, i64, reals], None),
             (lib.sl_format, [reals, maybe_ints, i64, i64, _array(np.uint8), i64, ints], i64)):
         fn.argtypes, fn.restype = args, result
     return lib

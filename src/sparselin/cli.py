@@ -15,8 +15,8 @@ import numpy as np
 
 from .data_io import fmt_float, load_dataset, load_model, save_model, write_floats
 from .errors import NonFiniteError, SparselinError
-from .losses import LossKind, mean_loss, objective_value, penalized, scores, validate_labels
-from .solvers import asgd_train, casgd_train, sgd_train, TrainConfig
+from .losses import LossKind, mean_loss, penalized, scores, trained_objective, validate_labels
+from .solvers import MAX_STEPS, asgd_train, casgd_train, fit, sgd_train, TrainConfig
 
 _SOLVERS = {"sgd": sgd_train, "asgd": asgd_train, "casgd": casgd_train}
 _LOSS_NAMES = [k.value for k in LossKind]
@@ -30,13 +30,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def bounded(kind, low, high, what: str):
+def bounded(kind, low, high, what: str, above: str | None = None):
     """An argparse ``type``: a ``kind`` (int or float) from ``low`` to ``high``,
-    else an error saying it must be ``what``."""
+    else an error saying it must be ``what`` (``above``, where given, for a
+    value above ``high``)."""
     def number(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid number value"
         if not low <= value <= high:  # nan too
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+            must = above if above is not None and value > high else what
+            raise argparse.ArgumentTypeError(f"must be {must}, got {text!r}")
         return value
 
     return number
@@ -56,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--loss", required=True, choices=_LOSS_NAMES)
     train.add_argument("--lambda", dest="lam", required=True, type=positive_real,
                        help="regularization parameter (> 0)")
-    train.add_argument("--steps", required=True, type=bounded(int, 1, math.inf, ">= 1"),
-                       help="number of steps T (>= 1)")
+    train.add_argument("--steps", required=True, help=f"number of steps T (1 to {MAX_STEPS})",
+                       type=bounded(int, 1, MAX_STEPS, ">= 1", f"<= {MAX_STEPS}"))
     train.add_argument("--seed", required=True, help="64-bit sampling seed",
                        type=bounded(int, 0, 2**64 - 1, "an unsigned 64-bit integer"))
     train.add_argument("--dim", type=bounded(int, 0, math.inf, ">= 0"), default=None,
@@ -82,9 +84,10 @@ def cmd_train(args) -> int:
     data = load_dataset(args.data, dim_override=args.dim)
     cfg = TrainConfig(steps=args.steps, lam=args.lam, seed=args.seed,
                       loss=LossKind(args.loss))
-    model = _SOLVERS[args.algo](data, cfg)
+    # the parsed indices go once the loop has numbered them
+    model, data = fit(args.algo, data, cfg)
     save_model(model, args.model)
-    objective = objective_value(model, data, args.lam)
+    objective = trained_objective(model, data, args.lam)
     print(f"trained algo={args.algo} loss={args.loss} lambda={fmt_float(args.lam)} "
           f"T={args.steps} seed={args.seed} objective={fmt_float(objective)}")
     return 0

@@ -113,6 +113,10 @@ def scores(model: "LinearModel", data: "Dataset") -> np.ndarray:
         lib.sl_scores(model.feats, model.weights, model.feats.size, model.b, data.indptr,
                       data.indices, data.values, data.m,
                       np.empty(model.feats.size + 1, np.int64), p)
+    return _finite(p)
+
+
+def _finite(p: np.ndarray) -> np.ndarray:
     if not np.isfinite(p).all():
         i = int(np.isfinite(p).argmin())
         raise SparselinError(f"example {i + 1}: score {p[i]} is not finite")
@@ -154,6 +158,28 @@ def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
         raise ValueError("objective_value needs at least one example")
     validate_labels(data, model.loss)
     return penalized(model, lam, mean_loss(model.loss, p, data.labels))
+
+
+def trained_objective(model: "LinearModel", numbered: "Dataset", lam: float) -> float:
+    """``objective_value`` of a model on the data it was trained on, given as
+    ``solvers.fit`` returns it, each index the position of its weight in
+    ``model.weights``: no index is looked up.  Rows are summed as ``scores``
+    sums them, left to right from +0.0, then b is added, so the objective is
+    bit for bit that of ``objective_value`` on the data as read.  Compiled
+    where the kernel loads (``sl_dots``, which allocates nothing), else
+    ``row_dots``."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    lib = _kernel.load()
+    if lib is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = row_dots(model.weights, numbered.indptr, numbered.indices,
+                         numbered.values) + model.b
+    else:
+        p = np.empty(numbered.m)
+        lib.sl_dots(model.weights, model.b, numbered.indptr, numbered.indices, numbered.values,
+                    numbered.m, p)
+    return penalized(model, lam, mean_loss(model.loss, _finite(p), numbered.labels))
 
 
 def penalized(model: "LinearModel", lam: float, avg_loss: float) -> float:

@@ -32,10 +32,13 @@ or loaded (no compiler, say), and is the reference the compiled loop is
 tested against.  Both keep the contract stated at ``sl_steps``: the same
 arguments, the same floating-point operations in the same order (so
 bit-identical models), and the same count of sparse touches in the state
-array, which ``_train`` charges once.  Model recovery works in place, in
-the vectors it combines, and ends in the last one (v for sgd, u for asgd,
-xbar for casgd); numpy's floating-point flags report an overflow in it as a
-``NonFiniteError``.
+array, which ``_train`` charges once.  Each step draws its own row from the
+seed, the step number and m, as ``draw_indices`` defines the sequence
+(which the loops are tested against), so no T-long array is built and
+memory is independent of T, which is at most ``MAX_STEPS``.  Model recovery
+works in place, in the vectors it combines, and ends in the last one (v for
+sgd, u for asgd, xbar for casgd); numpy's floating-point flags report an
+overflow in it as a ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ _MASK64 = (1 << 64) - 1
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MUL2 = np.uint64(0x94D049BB133111EB)
+_GAMMA, _MUL1, _MUL2 = (int(c) for c in (_SM64_GAMMA, _SM64_MUL1, _SM64_MUL2))  # for _draw
+MAX_STEPS = 2**63 - 2  # the loops count t up to T + 1 in a signed 64-bit integer
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,8 @@ class TrainConfig:
     loss: LossKind
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must be from 1 to {MAX_STEPS}, got {self.steps}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be a positive finite real, got {self.lam}")
         if not 0 <= self.seed <= _MASK64:
@@ -176,6 +181,17 @@ def draw_indices(seed: int, steps: int, m: int) -> np.ndarray:
     return np.floor(m * unit).astype(np.int64)
 
 
+def _draw(seed: int, m: int, t: int) -> int:
+    """Step t's row, ``draw_indices(seed, T, m)[t - 1]`` for any T >= t, from
+    Python integers (``draw`` in ``_kernel.c``); the product is nonnegative, so
+    truncation is the floor."""
+    z = (seed + t * _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+    z ^= z >> 31
+    return int(m * ((z >> 11) * 2.0**-53))
+
+
 def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = None) -> float:
     """w . x + b in O(k log n'), summed as ``row_dots`` sums: over the features
     of x in the model's support, since the ±0.0 terms of the others change no
@@ -190,13 +206,21 @@ def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = Non
     return float(d[0]) + model.b
 
 
+def fit(algo: str, data: "Dataset", cfg: TrainConfig) -> tuple[LinearModel, "Dataset"]:
+    """The model of the solver ``algo`` names (sgd, asgd or casgd), and the data
+    its loop ran over: ``data``'s rows with feature ``model.feats[j]`` numbered
+    j, so each index of it is the position of its weight in ``model.weights``."""
+    average, center = {"sgd": (False, False), "asgd": (True, False), "casgd": (True, True)}[algo]
+    return _train(data, cfg, None, None, average, center)
+
+
 def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
-           observer: Observer | None, average: bool, center: bool) -> LinearModel:
+           observer: Observer | None, average: bool,
+           center: bool) -> tuple[LinearModel, "Dataset"]:
     """The loop behind all three solvers; ``center`` requires ``average``."""
     if data.m == 0:
         raise EmptyDatasetError("training needs at least one example")
     validate_labels(data, cfg.loss)
-    order = draw_indices(cfg.seed, cfg.steps, data.m)
     lam, T, kind = cfg.lam, cfg.steps, cfg.loss
     from . import _kernel  # here, so that importing sparselin does not import it
     from .data_io import Dataset  # here, because data_io imports this module
@@ -215,9 +239,9 @@ def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
     st = np.zeros(9)  # a, c, h, z, r, s, the last step's p and g, and the sparse touches
     lib = _kernel.load()
     # the loop's contract, one argument list for both loops: see sl_steps in _kernel.c
-    run = partial(_python_steps if lib is None else lib.sl_steps, order, data.indptr,
-                  data.indices, data.values, data.labels, _LOSSES.index(kind), lam, theta,
-                  xbar, v, u, st)
+    run = partial(_python_steps if lib is None else lib.sl_steps, cfg.seed, data.m,
+                  data.indptr, data.indices, data.values, data.labels, _LOSSES.index(kind),
+                  lam, theta, xbar, v, u, st)
     steps = ((t, t + 1) for t in range(1, T + 1)) if observer is not None else [(1, T + 1)]
     for t0, t1 in steps:
         bad = run(t0, t1)
@@ -247,10 +271,10 @@ def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
     except FloatingPointError:
         raise NonFiniteError(f"the model overflows when its sums are divided by lambda*T = "
                              f"{lam * T}; lambda may be too small for the data") from None
-    return LinearModel(feats, w, b, kind, dim)
+    return LinearModel(feats, w, b, kind, dim), data
 
 
-def _python_steps(order, indptr, indices, values, labels, loss, lam, theta, xbar, v, u, st,
+def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xbar, v, u, st,
                   t0, t1) -> int:
     """``sl_steps`` in Python, with its contract (see ``_kernel.c``).  Runs when
     the compiled kernel cannot be built or loaded, and is the reference the
@@ -259,7 +283,7 @@ def _python_steps(order, indptr, indices, values, labels, loss, lam, theta, xbar
     a, c, h, z, r, s, p, g, touches = st.tolist()
     q = 0.0
     for t in range(t0, t1):
-        i = order.item(t - 1)
+        i = _draw(seed, m, t)
         row, lo, hi = indptr[i:i + 2], indptr.item(i), indptr.item(i + 1)
         touches += (hi - lo) * ((xbar is not None) + (t > 1))
         if xbar is not None:
@@ -298,7 +322,7 @@ def sgd_train(
     observer: Observer | None = None,
 ) -> LinearModel:
     """Plain SGD; returns the last iterate."""
-    return _train(data, cfg, counter, observer, average=False, center=False)
+    return _train(data, cfg, counter, observer, average=False, center=False)[0]
 
 
 def asgd_train(
@@ -308,7 +332,7 @@ def asgd_train(
     observer: Observer | None = None,
 ) -> LinearModel:
     """SGD returning the average of all iterates instead of the last one."""
-    return _train(data, cfg, counter, observer, average=True, center=False)
+    return _train(data, cfg, counter, observer, average=True, center=False)[0]
 
 
 def casgd_train(
@@ -323,4 +347,4 @@ def casgd_train(
     inputs: the centering shift lives in the bias term, which makes the
     trained predictor invariant to translating the whole training set.
     """
-    return _train(data, cfg, counter, observer, average=True, center=True)
+    return _train(data, cfg, counter, observer, average=True, center=True)[0]

@@ -19,9 +19,9 @@ Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``,
 compiled as ``sl_scores``), is summed left to right from +0.0 as ``row_dots``
 sums it, in the compiled loop's order (see ``solvers``).  The loop and the
 passes here span only the n' features the data uses, so nothing on the
-train, predict or eval path is O(n): memory is O(m k + n').  ``check_csr``
-and ``squared_norm`` walk their input ``BLOCK`` items at a time, so they
-add no temporary of its size.
+train, predict or eval path is O(n): memory is O(m k + n').  ``check_csr``,
+``squared_norm`` and ``mean_vector`` walk their input ``BLOCK`` items at a
+time, so they add no temporary of its size.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ DenseVec = np.ndarray
 MAX_DIM = np.iinfo(np.intp).max // 8
 
 BLOCK_ROWS = 1024  # rows per ``row_dots`` step: its temporaries hold one block's nonzeros
-BLOCK = 1 << 16  # items per step of ``check_csr`` and ``squared_norm``, which bounds their temporaries
+BLOCK = 1 << 16  # items per step of the blocked passes, which bounds their temporaries
 
 
 @dataclass
@@ -187,17 +187,19 @@ def dot(v: DenseVec, x: SparseVec, counter: TouchCounter | None = None) -> float
 def mean_vector(data: "Dataset", counter: TouchCounter | None = None) -> DenseVec:
     """Mean feature vector of a dataset.
 
-    Sums the (1/m)-scaled nonzeros per feature in row order: O(m k) sparse
-    touches plus one O(n) allocation, no dense arithmetic pass.
+    Adds the (1/m)-scaled nonzeros to their features in row order, from +0.0,
+    ``BLOCK`` of them at a time: O(m k) sparse touches plus one O(n)
+    allocation, no dense arithmetic pass and no temporary of m k floats.
     """
     m = data.m
     if m == 0:
         raise EmptyDatasetError("mean_vector needs at least one example")
     if counter is not None:
         counter.sparse_touches += data.indices.size
-    # astype: bincount gives int64 zeros when there are no nonzeros at all
-    weights = data.values * (1.0 / m)
-    return np.bincount(data.indices, weights, data.dim).astype(np.float64, copy=False)
+    out, scale = np.zeros(data.dim), 1.0 / m
+    for lo in range(0, data.indices.size, BLOCK):
+        np.add.at(out, data.indices[lo:lo + BLOCK], data.values[lo:lo + BLOCK] * scale)
+    return out
 
 
 def squared_norm(v: DenseVec) -> float:

@@ -179,16 +179,16 @@ def recover_centered_iterate(state, lam: float) -> tuple[np.ndarray, float]:
     return spread(state, w), scale * state.r
 
 
-def loop_args(data: Dataset, loss: LossKind, lam: float, order: np.ndarray, average: bool,
+def loop_args(data: Dataset, loss: LossKind, lam: float, seed: int, average: bool,
               center: bool) -> tuple:
     """The arguments of ``sl_steps``/``_python_steps`` before t0 and t1, as
     ``_train`` builds them but over all of ``data``'s dimensions, with fresh
     zero sums and state array."""
     xbar = mean_vector(data) if center else None
     theta = 1.0 + squared_norm(xbar) if center else 0.0
-    return (order, data.indptr, data.indices, data.values, data.labels, _LOSSES.index(loss), lam,
-            theta, xbar, np.zeros(data.dim), np.zeros(data.dim) if average else None,
-            np.zeros(9))
+    return (seed, data.m, data.indptr, data.indices, data.values, data.labels,
+            _LOSSES.index(loss), lam, theta, xbar, np.zeros(data.dim),
+            np.zeros(data.dim) if average else None, np.zeros(9))
 
 
 def densify(x: SparseVec) -> np.ndarray:

@@ -1,16 +1,17 @@
-/* Runs sl_scan and then sl_steps of sparselin/_kernel.c, for the sanitizer
- * build in test_format.py.
+/* Runs sl_scan, then sl_steps and sl_dots of sparselin/_kernel.c, for the
+ * sanitizer build in test_format.py.
  *
- * Usage: steps_driver LOSS LAM T DIM AVERAGE [THETA XBAR_0 ... XBAR_DIM-1] < data
+ * Usage: steps_driver LOSS LAM T DIM AVERAGE SEED [THETA XBAR_0 ... XBAR_DIM-1] < data
  * The data are LIBSVM lines, the last without a line break.  They are read
  * into a malloc'ed buffer of exactly their bytes and a NUL, so the last
  * token ends at the NUL, and scanned into arrays of exactly as many rows as
- * the lines and nonzeros as the ':'s, the room sl_scan is given.  The loop then runs steps 1..T over
- * rows (t - 1) mod m, on malloc'ed copies of exactly the scanned size: u is
+ * the lines and nonzeros as the ':'s, the room sl_scan is given.  The loop then runs steps 1..T,
+ * drawing rows from SEED, on malloc'ed copies of exactly the scanned size: u is
  * NULL unless AVERAGE is 1, xbar NULL unless THETA and DIM values follow
  * (the reals as C hex floats).  Written to stdout, one line each, in hex:
  * indptr, the indices, the bits of the values and of the labels, the loop's
- * result, and the bits of the state array, of v and of u (empty without u).
+ * result, and the bits of the state array, of v, of u (empty without u) and
+ * of the rows' scores under the weights v and the bias 0.5 (sl_dots).
  * Exits 3 when the scan stops before the end.
  */
 #include <inttypes.h>
@@ -21,10 +22,12 @@
 int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t limit,
                 int64_t base, int64_t *indptr, double *labels, int64_t *idx, double *val,
                 int64_t *count);
-int64_t sl_steps(const int64_t *order, const int64_t *indptr, const int64_t *idx,
+int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int64_t *idx,
                  const double *val, const double *labels, int loss, double lam,
                  double theta, const double *xbar, double *v, double *u, double *st,
                  int64_t t0, int64_t t1);
+void sl_dots(const double *w, double b, const int64_t *indptr, const int64_t *idx,
+             const double *val, int64_t m, double *out);
 
 static void *copy(const void *src, size_t bytes)
 {
@@ -49,7 +52,7 @@ int main(int argc, char **argv)
     size_t size = 0, cap = 4096;
     char *text = malloc(cap), *buf;
     int64_t lines = 1, colons = 0, count[2], rows, nnz;
-    if (argc < 6 || !text)
+    if (argc < 7 || !text)
         return 2;
     for (size_t got; (got = fread(text + size, 1, cap - size, stdin)) > 0;)
         if ((size += got) == cap && !(text = realloc(text, cap *= 2)))
@@ -77,30 +80,32 @@ int main(int argc, char **argv)
     print_words(val, nnz);
     print_words(labels, rows);
 
-    int64_t steps = atoll(argv[3]), *order = malloc(8 * steps);
-    if (!order)
-        return 2;
-    for (int64_t t = 0; t < steps; t++)
-        order[t] = t % rows;
+    int64_t steps = atoll(argv[3]);
     double *v = calloc(dim, 8), *u = atoi(argv[5]) ? calloc(dim, 8) : NULL, *st = calloc(9, 8);
     double *xbar = NULL, theta = 0.0;
-    if (argc == 7 + dim) {
-        theta = strtod(argv[6], NULL);
+    if (argc == 8 + dim) {
+        theta = strtod(argv[7], NULL);
         xbar = malloc(8 * dim);
         for (int64_t j = 0; j < dim; j++)
-            xbar[j] = strtod(argv[7 + j], NULL);
+            xbar[j] = strtod(argv[8 + j], NULL);
     }
     int64_t *exact_indptr = copy(indptr, 8 * (rows + 1)), *exact_idx = copy(idx, 8 * nnz);
     double *exact_val = copy(val, 8 * nnz), *exact_labels = copy(labels, 8 * rows);
-    int64_t bad = sl_steps(order, exact_indptr, exact_idx, exact_val, exact_labels,
-                           atoi(argv[1]), strtod(argv[2], NULL), theta, xbar, v, u, st, 1,
-                           steps + 1);
+    int64_t bad = sl_steps(strtoull(argv[6], NULL, 10), rows, exact_indptr, exact_idx,
+                           exact_val, exact_labels, atoi(argv[1]), strtod(argv[2], NULL), theta,
+                           xbar, v, u, st, 1, steps + 1);
     print_words(&bad, 1);
     print_words(st, 9);
     print_words(v, dim);
     print_words(u, u ? dim : 0);
+    double *scores = malloc(8 * rows + 1);
+    if (!scores)
+        return 2;
+    sl_dots(v, 0.5, exact_indptr, exact_idx, exact_val, rows, scores);
+    print_words(scores, rows);
+    free(scores);
     free(exact_indptr), free(exact_idx), free(exact_val), free(exact_labels);
-    free(xbar), free(st), free(u), free(v), free(order);
+    free(xbar), free(st), free(u), free(v);
     free(val), free(labels), free(idx), free(indptr), free(buf), free(text);
     return 0;
 }

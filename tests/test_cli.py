@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from sparselin.cli import main
+from sparselin.cli import build_parser, main
+from sparselin.solvers import MAX_STEPS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 TRAIN_FLAGS = ["--algo", "sgd", "--loss", "squared", "--lambda", "1", "--steps", "1", "--seed", "0"]
@@ -306,6 +307,8 @@ class TestRejectedLambda:
 class TestRejectedTrainFlag:
     @pytest.mark.parametrize("flag, value, message", [
         ("--steps", "0", "must be >= 1"),
+        # the loops count steps in a signed 64-bit integer, up to T + 1
+        ("--steps", "9223372036854775807", "must be <= 9223372036854775806"),
         ("--seed", "-1", "must be an unsigned 64-bit integer"),
         ("--seed", "18446744073709551616", "must be an unsigned 64-bit integer"),
         ("--dim", "-1", "must be >= 0"),
@@ -319,6 +322,12 @@ class TestRejectedTrainFlag:
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if "error" in line] == [
             f"sparselin train: error: argument {flag}: {message}, got '{value}'"]
+
+
+def test_largest_step_count_parses():
+    args = build_parser().parse_args(["train", "--data", "d", "--model", "m", *TRAIN_FLAGS,
+                                      "--steps", "9223372036854775806"])
+    assert args.steps == 2**63 - 2 == MAX_STEPS
 
 
 class TestOneTimePassOverflow:

@@ -273,26 +273,29 @@ def test_sanitized_build(tmp_path):
             f"{w:x}" for w in scored.view(np.uint64).tolist()]
 
     # sl_scan reading LIBSVM lines whose last token ends at the buffer's NUL,
-    # and sl_steps over arrays of exactly the scanned size: sgd with NULL u and
-    # xbar, casgd, and a run that a non-finite step stops
+    # and sl_steps over arrays of exactly the scanned size, drawing its rows
+    # from the seed: sgd with NULL u and xbar, casgd, and a run that a
+    # non-finite step stops
     exe = sanitized(tmp_path, "steps_driver.c")
     rows = "1 1:0.5 3:-2\n-1 2:1.25\r\n1 1:1e-3 2:7 3:0.5"
-    for text, loss, lam, steps, average, center in [
-            (rows, LossKind.LOG, 0.1, 40, False, False),
-            (rows + "\n-1", LossKind.HINGE, 0.1, 40, True, True),
-            ("2 1:1", LossKind.SQUARED, 1e-300, 200, False, False)]:
+    for text, loss, lam, steps, average, center, seed in [
+            (rows, LossKind.LOG, 0.1, 40, False, False, 2**64 - 1),
+            (rows + "\n-1", LossKind.HINGE, 0.1, 40, True, True, 3),
+            ("2 1:1", LossKind.SQUARED, 1e-300, 200, False, False, 0)]:
         data = parse_libsvm(text.splitlines(), dim_override=3)
-        args = loop_args(data, loss, lam, np.arange(steps) % data.m, average, center)
+        args = loop_args(data, loss, lam, seed, average, center)
         bad = _python_steps(*args, 1, steps + 1)
-        argv = [str(_LOSSES.index(loss)), lam.hex(), str(steps), "3", str(int(average))]
+        argv = [str(_LOSSES.index(loss)), lam.hex(), str(steps), "3", str(int(average)),
+                str(seed)]
         if center:
-            argv += [x.hex() for x in (args[7], *args[8].tolist())]
+            argv += [x.hex() for x in (args[8], *args[9].tolist())]
         run = subprocess.run([str(exe), *argv], input=text, capture_output=True, text=True,
                              env=env)
         assert run.returncode == 0, run.stderr
         *_, v, u, st = args
+        scores = row_dots(v, data.indptr, data.indices, data.values) + 0.5
         words = [data.indptr, data.indices, data.values, data.labels, [bad], st, v,
-                 u if average else []]
+                 u if average else [], scores]
         assert run.stdout.splitlines() == [
             " ".join(f"{w:x}" for w in np.asarray(a).view(np.uint64).tolist()) for a in words]
         assert bool(bad) == (lam < 1e-200)

@@ -42,7 +42,7 @@ from sparselin import (
 )
 from sparselin import _kernel, data_io
 from sparselin.losses import scores
-from sparselin.solvers import _python_steps
+from sparselin.solvers import MAX_STEPS, _draw, _python_steps
 from sparselin.sparse_core import finalize_combine
 
 TRAINERS = [sgd_train, asgd_train, casgd_train]
@@ -134,6 +134,22 @@ def test_non_finite_error_is_the_same(train):
     assert counters[0] == counters[1]  # the failing step's dot products included
 
 
+@pytest.mark.parametrize("m", [1, 2, 10, 2**31 + 1, 2**53])
+def test_step_draws_are_draw_indices(m):
+    # each loop draws step t's row alone, from the seed, m and t: the
+    # compiled draw and the Python one give draw_indices' sequence, and agree
+    # at steps far beyond any array draw_indices could build
+    lib = _kernel.load()
+    seeds = [0, 1, 2**64 - 1] + np.random.default_rng(12).integers(
+        0, 2**64 - 1, 5, np.uint64, endpoint=True).tolist()
+    for seed in seeds:
+        want = draw_indices(seed, 500, m).tolist()
+        assert [lib.sl_draw(seed, m, t) for t in range(1, 501)] == want
+        assert [_draw(seed, m, t) for t in range(1, 501)] == want
+        for t in (2**32 + 7, 2**62 + 3, MAX_STEPS):
+            assert lib.sl_draw(seed, m, t) == _draw(seed, m, t) < m
+
+
 SOLVER_SUMS = {"sgd": (False, False), "asgd": (True, False), "casgd": (True, True)}
 
 
@@ -150,11 +166,10 @@ def test_one_loop_contract(solver, stops):
     else:
         data = random_dataset(np.random.default_rng(9), 12, 15, 5, LossKind.LOG)
         loss, lam, steps = LossKind.LOG, 0.05, 120
-    order = draw_indices(7, steps, data.m)
     runs = {}
     for loop in (_kernel.load().sl_steps, _python_steps):
         for spans in ([(1, steps + 1)], [(t, t + 1) for t in range(1, steps + 1)]):
-            args = loop_args(data, loss, lam, order, *SOLVER_SUMS[solver])
+            args = loop_args(data, loss, lam, 7, *SOLVER_SUMS[solver])
             for t0, t1 in spans:
                 bad = loop(*args, t0, t1)
                 if bad:

@@ -6,7 +6,8 @@ does with the memory.  On a dataset of a million nonzeros and a model of as
 many weights, the readers peak at the arrays they return, and scoring,
 validation and the penalty at their result: each within ``SLACK``, which
 the fixed-size buffers and blocks of these calls fit in and any temporary
-the size of the input does not.
+the size of the input does not.  Training draws each step's row inside the
+loop, so its peak does not grow with the number of steps.
 """
 
 import tracemalloc
@@ -14,7 +15,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparselin import Dataset, LinearModel, LossKind, _kernel
+from sparselin import (
+    Dataset,
+    LinearModel,
+    LossKind,
+    TrainConfig,
+    _kernel,
+    asgd_train,
+    casgd_train,
+    sgd_train,
+)
 from sparselin.data_io import load_dataset, load_model, save_model
 from sparselin.losses import scores
 from sparselin.sparse_core import squared_norm, support
@@ -98,3 +108,20 @@ def test_validation_and_the_norm_allocate_no_input_sized_temporary(files):
     norm, peak = traced_peak(squared_norm, model.weights)
     assert peak <= SLACK
     assert norm == float(np.cumsum(model.weights * model.weights)[-1])
+
+
+@pytest.mark.parametrize("train", [sgd_train, asgd_train, casgd_train])
+def test_training_memory_does_not_grow_with_the_steps(train):
+    # compiled training at T = 10^6 peaks as at T = 10^3: nothing T long
+    rng = np.random.default_rng(6)
+    m, k = 2_000, 20
+    indices = (np.cumsum(rng.integers(1, 50, size=(m, k)), axis=1)
+               + rng.integers(0, 100_000, size=(m, 1))).ravel()
+    data = Dataset(np.arange(0, m * k + 1, k), indices, rng.integers(1, 1000, m * k) / 1000,
+                   rng.choice([-1.0, 1.0], m), int(indices.max()) + 1)
+    peaks = []
+    for steps in (1_000, 1_000_000):
+        cfg = TrainConfig(steps=steps, lam=1e-3, seed=3, loss=LossKind.LOG)
+        _, peak = traced_peak(train, data, cfg)
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + (64 << 10)

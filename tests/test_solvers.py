@@ -34,6 +34,7 @@ from sparselin import (
     sgd_train,
     write_model,
 )
+from sparselin.solvers import MAX_STEPS
 
 ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
 
@@ -91,6 +92,12 @@ class TestTrainConfig:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError):
             cfg(steps=0)
+
+    def test_steps_fit_the_loop_counter(self):
+        # the loops count t up to T + 1 in a signed 64-bit integer
+        assert cfg(steps=2**63 - 2).steps == MAX_STEPS
+        with pytest.raises(ValueError):
+            cfg(steps=2**63 - 1)
 
     def test_nonpositive_lambda_rejected(self):
         with pytest.raises(ValueError):
