@@ -15,10 +15,10 @@ from .errors import (
     ParseError,
     SparselinError,
 )
-from .sparse_core import DenseVec, SparseVec, TouchCounter, dot, mean_vector
-from .losses import LossKind, loss_subgradient, loss_value, objective_value, validate_labels
+from .sparse_core import Dataset, DenseVec, SparseVec, TouchCounter, dot, mean_vector
+from .losses import (LinearModel, LossKind, loss_subgradient, loss_value, objective_value,
+                     validate_labels)
 from .solvers import (
-    LinearModel,
     SolverState,
     TrainConfig,
     asgd_train,
@@ -28,7 +28,6 @@ from .solvers import (
     sgd_train,
 )
 from .data_io import (
-    Dataset,
     load_dataset,
     load_model,
     parse_libsvm,

@@ -16,9 +16,8 @@ import numpy as np
 from .data_io import fmt_float, load_dataset, load_model, save_model, write_floats
 from .errors import NonFiniteError, SparselinError
 from .losses import LossKind, mean_loss, penalized, scores, trained_objective, validate_labels
-from .solvers import MAX_STEPS, asgd_train, casgd_train, fit, sgd_train, TrainConfig
+from .solvers import ALGOS, MAX_STEPS, TrainConfig, fit
 
-_SOLVERS = {"sgd": sgd_train, "asgd": asgd_train, "casgd": casgd_train}
 _LOSS_NAMES = [k.value for k in LossKind]
 
 
@@ -54,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train a linear model on a LIBSVM file")
     train.add_argument("--data", required=True, help="training data (LIBSVM format)")
     train.add_argument("--model", required=True, help="output model path")
-    train.add_argument("--algo", required=True, choices=sorted(_SOLVERS))
+    train.add_argument("--algo", required=True, choices=sorted(ALGOS))
     train.add_argument("--loss", required=True, choices=_LOSS_NAMES)
     train.add_argument("--lambda", dest="lam", required=True, type=positive_real,
                        help="regularization parameter (> 0)")

@@ -6,12 +6,8 @@ are empty or start with ``#`` are skipped.  Explicit ``:0`` values are
 dropped so the nonzero count stays meaningful.  A ``nan`` or ``inf`` label or
 value is a parse error.
 
-A parsed ``Dataset`` is one CSR (compressed sparse row) block of four
-contiguous arrays, as in LIBLINEAR: row i holds the 0-based feature indices
-``indices[indptr[i]:indptr[i+1]]`` (int64), their ``values`` (float64) and
-the label ``labels[i]`` (float64).  The readers write straight into these
-arrays, and a model's weights into its two; ``Dataset.row(i)`` is a
-read-only ``SparseVec`` view of one row.
+The readers write straight into a ``Dataset``'s CSR arrays (see
+``sparse_core``), and a model's weights into its two.
 
 ``parse_libsvm`` and ``read_model`` read text one line at a time.  The
 path-based ``load_dataset`` and ``load_model`` read the file in binary, and
@@ -76,7 +72,6 @@ from __future__ import annotations
 import math
 import os
 import stat
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -88,64 +83,13 @@ from .errors import (
     IndexOrderError,
     ParseError,
 )
-from .losses import LossKind
-from .solvers import LinearModel
-from .sparse_core import MAX_DIM, SparseVec, check_csr
+from .losses import LinearModel, LossKind
+from .sparse_core import MAX_DIM, Dataset
 
 MODEL_MAGIC = "sparselin-model v1"
 CHUNK = 1 << 16  # bytes per read of load_dataset and load_model, and per write of write_floats
 LINE_MAX = 45  # the longest line sl_format writes: 19 digits, ':', 24 bytes of float, '\n'
 _WRITE_BATCH = 512  # weight lines per write without the kernel; larger batches raise the peak RSS
-
-
-@dataclass(eq=False)
-class Dataset:
-    """Labeled sparse examples in CSR layout, sharing one feature-space dimension.
-
-    Validated once, here: one label per row, ``indptr`` runs monotonically
-    from 0 to the number of nonzeros, and each row's indices are strictly
-    increasing and lie in [0, dim).  The arrays are held as read-only,
-    C-contiguous views, as the kernel takes them (a strided one is copied).
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    labels: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
-                            ("values", np.float64), ("labels", np.float64)):
-            a = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
-            a.setflags(write=False)  # on a view, so a caller's own array stays writable
-            setattr(self, name, a)
-        if self.labels.shape != (self.indptr.size - 1,):
-            raise ValueError("need exactly one label per row")
-        check_csr(self.indptr, self.indices, self.values, self.dim)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[tuple[SparseVec, float]], dim: int) -> "Dataset":
-        """Pack (SparseVec, label) pairs into one dataset of dimension ``dim``."""
-        rows = list(rows)
-        for i, (x, _) in enumerate(rows):
-            if x.dim != dim:
-                raise DimensionError(f"example {i + 1} has dim {x.dim}, dataset dim is {dim}")
-        xs = [x for x, _ in rows]
-        return cls(np.cumsum([0] + [x.nnz for x in xs]),
-                   np.concatenate([np.empty(0, np.int64)] + [x.indices for x in xs]),
-                   np.concatenate([np.empty(0)] + [x.values for x in xs]),
-                   [y for _, y in rows], dim)
-
-    @property
-    def m(self) -> int:
-        return self.labels.size
-
-    def row(self, i: int) -> SparseVec:
-        """Example i's features as a read-only view; nothing is copied or re-checked."""
-        # Python int bounds: slicing with them is cheaper than with numpy scalars
-        lo, hi = self.indptr.item(i), self.indptr.item(i + 1)
-        return SparseVec.view(self.indices[lo:hi], self.values[lo:hi], self.dim)
 
 
 def fmt_float(x: float) -> str:

@@ -1,4 +1,8 @@
-"""Convex losses, their subderivatives, dataset scores and the regularized objective.
+"""Convex losses, the linear model, its scores on a dataset and the regularized objective.
+
+A ``LinearModel`` is (w, b) over its support plus the loss it was trained
+for; ``scores`` applies it to every row of a ``Dataset`` and
+``objective_value``/``trained_objective`` evaluate it.
 
 Prediction-side conventions at the nondifferentiable points are pinned so
 that independent implementations agree bit-for-bit: the absolute loss
@@ -12,17 +16,13 @@ few hundred.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, LabelError, SparselinError
-from .sparse_core import row_dots, search, squared_norm
-
-if TYPE_CHECKING:
-    from .data_io import Dataset
-    from .solvers import LinearModel
+from .sparse_core import Dataset, DenseVec, check_csr, row_dots, search, squared_norm
 
 
 class LossKind(Enum):
@@ -34,6 +34,39 @@ class LossKind(Enum):
     @property
     def is_classification(self) -> bool:
         return self in (LossKind.HINGE, LossKind.LOG)
+
+
+@dataclass
+class LinearModel:
+    """Deployable predictor (w, b) plus the metadata needed to apply it.
+
+    w is held as its support: ``weights[j]`` is the weight of feature
+    ``feats[j]`` (sorted, distinct int64 in [0, dim)), and every other
+    feature's weight is 0.  So a model costs O(n') memory however large
+    ``dim`` is, which bounds only the indices; ``dense`` gives the dim-long w.
+    """
+
+    feats: np.ndarray
+    weights: DenseVec
+    b: float
+    loss: LossKind
+    dim: int
+
+    def __post_init__(self):
+        self.feats = np.ascontiguousarray(self.feats, dtype=np.int64)
+        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        check_csr(np.array([0, self.feats.size]), self.feats, self.weights, self.dim)
+
+    @classmethod
+    def zero(cls, dim: int, loss: LossKind) -> LinearModel:
+        return cls(np.empty(0, np.int64), np.empty(0), 0.0, loss, dim)
+
+    def dense(self) -> DenseVec:
+        """w as a dim-long vector, 0 off the support: O(n) memory, for callers
+        that need the whole vector; nothing in training or scoring does."""
+        w = np.zeros(self.dim)
+        w[self.feats] = self.weights
+        return w
 
 
 def _check_label(kind: LossKind, y: float) -> None:
@@ -75,7 +108,7 @@ def loss_subgradient(kind: LossKind, p: float, y: float) -> float:
     return -1.0 if p <= y else 1.0
 
 
-def validate_labels(data: "Dataset", kind: LossKind) -> None:
+def validate_labels(data: Dataset, kind: LossKind) -> None:
     """Check every label once, up front; the per-step loss calls then only
     assert in debug runs."""
     if not kind.is_classification:
@@ -89,7 +122,7 @@ def validate_labels(data: "Dataset", kind: LossKind) -> None:
         )
 
 
-def scores(model: "LinearModel", data: "Dataset") -> np.ndarray:
+def scores(model: LinearModel, data: Dataset) -> np.ndarray:
     """w . x + b for every row x, bit for bit as ``predict`` and training score it.
 
     Each data index is looked up in the model's support, and a row sums
@@ -147,7 +180,7 @@ def mean_loss(kind: LossKind, p: np.ndarray, labels: np.ndarray) -> float:
         return float(np.cumsum(per_row)[-1]) / labels.size
 
 
-def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
+def objective_value(model: LinearModel, data: Dataset, lam: float) -> float:
     """Regularized objective: (lam/2)(|w|^2 + b^2) + average loss."""
     if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
@@ -160,7 +193,7 @@ def objective_value(model: "LinearModel", data: "Dataset", lam: float) -> float:
     return penalized(model, lam, mean_loss(model.loss, p, data.labels))
 
 
-def trained_objective(model: "LinearModel", numbered: "Dataset", lam: float) -> float:
+def trained_objective(model: LinearModel, numbered: Dataset, lam: float) -> float:
     """``objective_value`` of a model on the data it was trained on, given as
     ``solvers.fit`` returns it, each index the position of its weight in
     ``model.weights``: no index is looked up.  Rows are summed as ``scores``
@@ -182,7 +215,7 @@ def trained_objective(model: "LinearModel", numbered: "Dataset", lam: float) -> 
     return penalized(model, lam, mean_loss(model.loss, _finite(p), numbered.labels))
 
 
-def penalized(model: "LinearModel", lam: float, avg_loss: float) -> float:
+def penalized(model: LinearModel, lam: float, avg_loss: float) -> float:
     """The objective from a precomputed average loss: (lam/2)(|w|^2 + b^2) + avg_loss.
 
     A term that overflows (a model too large for the data or for λ) is an

@@ -32,13 +32,15 @@ or loaded (no compiler, say), and is the reference the compiled loop is
 tested against.  Both keep the contract stated at ``sl_steps``: the same
 arguments, the same floating-point operations in the same order (so
 bit-identical models), and the same count of sparse touches in the state
-array, which ``_train`` charges once.  Each step draws its own row from the
-seed, the step number and m, as ``draw_indices`` defines the sequence
-(which the loops are tested against), so no T-long array is built and
-memory is independent of T, which is at most ``MAX_STEPS``.  Model recovery
-works in place, in the vectors it combines, and ends in the last one (v for
-sgd, u for asgd, xbar for casgd); numpy's floating-point flags report an
-overflow in it as a ``NonFiniteError``.
+array, which ``_train`` charges once.  The rows are ``draw_indices``'
+sequence, a function of the seed, the step number and m: the compiled loop
+draws each step's row alone, and the Python loop draws windows of the
+sequence ``BLOCK`` steps at a time with ``draw_indices``' own code
+(``_rows``).  So no T-long array is built and memory is independent of T,
+which is at most ``MAX_STEPS``.  Model recovery works in place, in the
+vectors it combines, and ends in the last one (v for sgd, u for asgd, xbar
+for casgd); numpy's floating-point flags report an overflow in it as a
+``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -46,17 +48,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from itertools import chain
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionError, EmptyDatasetError, NonFiniteError, SparselinError
-from .losses import LossKind, loss_subgradient, validate_labels
+from .losses import LinearModel, LossKind, loss_subgradient, validate_labels
 from .sparse_core import (
+    BLOCK,
+    Dataset,
     DenseVec,
     SparseVec,
     TouchCounter,
-    check_csr,
     finalize_combine,
     lookup,
     mean_vector,
@@ -66,17 +70,14 @@ from .sparse_core import (
     support,
 )
 
-if TYPE_CHECKING:
-    from .data_io import Dataset
-
-
 _LOSSES = tuple(LossKind)  # the loop's loss codes are the positions here
 _MASK64 = (1 << 64) - 1
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MUL2 = np.uint64(0x94D049BB133111EB)
-_GAMMA, _MUL1, _MUL2 = (int(c) for c in (_SM64_GAMMA, _SM64_MUL1, _SM64_MUL2))  # for _draw
 MAX_STEPS = 2**63 - 2  # the loops count t up to T + 1 in a signed 64-bit integer
+# the solvers by name, each as the sums it keeps beyond (v, a): (average, center)
+ALGOS = {"sgd": (False, False), "asgd": (True, False), "casgd": (True, True)}
 
 
 @dataclass(frozen=True)
@@ -93,39 +94,6 @@ class TrainConfig:
             raise ValueError(f"lambda must be a positive finite real, got {self.lam}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass
-class LinearModel:
-    """Deployable predictor (w, b) plus the metadata needed to apply it.
-
-    w is held as its support: ``weights[j]`` is the weight of feature
-    ``feats[j]`` (sorted, distinct int64 in [0, dim)), and every other
-    feature's weight is 0.  So a model costs O(n') memory however large
-    ``dim`` is, which bounds only the indices; ``dense`` gives the dim-long w.
-    """
-
-    feats: np.ndarray
-    weights: DenseVec
-    b: float
-    loss: LossKind
-    dim: int
-
-    def __post_init__(self):
-        self.feats = np.ascontiguousarray(self.feats, dtype=np.int64)
-        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
-        check_csr(np.array([0, self.feats.size]), self.feats, self.weights, self.dim)
-
-    @classmethod
-    def zero(cls, dim: int, loss: LossKind) -> "LinearModel":
-        return cls(np.empty(0, np.int64), np.empty(0), 0.0, loss, dim)
-
-    def dense(self) -> DenseVec:
-        """w as a dim-long vector, 0 off the support: O(n) memory, for callers
-        that need the whole vector; nothing in training or scoring does."""
-        w = np.zeros(self.dim)
-        w[self.feats] = self.weights
-        return w
 
 
 @dataclass
@@ -171,25 +139,19 @@ def draw_indices(seed: int, steps: int, m: int) -> np.ndarray:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if steps == 0:
-        return np.empty(0, dtype=np.int64)
-    z = np.uint64(seed) + np.arange(1, steps + 1, dtype=np.uint64) * _SM64_GAMMA
+    return _rows(seed, m, 1, steps + 1)
+
+
+def _rows(seed: int, m: int, t0: int, t1: int) -> np.ndarray:
+    """Steps t0..t1-1 of the sequence, ``draw_indices(seed, T, m)[t0 - 1:t1 - 1]``
+    for any T >= t1 - 1, so a window draws what one call over every step
+    would (``draw`` in ``_kernel.c`` is its step t alone)."""
+    z = np.uint64(seed) + np.arange(t0, t1, dtype=np.uint64) * _SM64_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _SM64_MUL1
     z = (z ^ (z >> np.uint64(27))) * _SM64_MUL2
     z ^= z >> np.uint64(31)
     unit = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.floor(m * unit).astype(np.int64)
-
-
-def _draw(seed: int, m: int, t: int) -> int:
-    """Step t's row, ``draw_indices(seed, T, m)[t - 1]`` for any T >= t, from
-    Python integers (``draw`` in ``_kernel.c``); the product is nonnegative, so
-    truncation is the floor."""
-    z = (seed + t * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-    z ^= z >> 31
-    return int(m * ((z >> 11) * 2.0**-53))
 
 
 def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = None) -> float:
@@ -206,24 +168,22 @@ def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = Non
     return float(d[0]) + model.b
 
 
-def fit(algo: str, data: "Dataset", cfg: TrainConfig) -> tuple[LinearModel, "Dataset"]:
+def fit(algo: str, data: Dataset, cfg: TrainConfig) -> tuple[LinearModel, Dataset]:
     """The model of the solver ``algo`` names (sgd, asgd or casgd), and the data
     its loop ran over: ``data``'s rows with feature ``model.feats[j]`` numbered
     j, so each index of it is the position of its weight in ``model.weights``."""
-    average, center = {"sgd": (False, False), "asgd": (True, False), "casgd": (True, True)}[algo]
-    return _train(data, cfg, None, None, average, center)
+    return _train(data, cfg, None, None, *ALGOS[algo])
 
 
-def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
+def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None,
            observer: Observer | None, average: bool,
-           center: bool) -> tuple[LinearModel, "Dataset"]:
+           center: bool) -> tuple[LinearModel, Dataset]:
     """The loop behind all three solvers; ``center`` requires ``average``."""
     if data.m == 0:
         raise EmptyDatasetError("training needs at least one example")
     validate_labels(data, cfg.loss)
     lam, T, kind = cfg.lam, cfg.steps, cfg.loss
     from . import _kernel  # here, so that importing sparselin does not import it
-    from .data_io import Dataset  # here, because data_io imports this module
 
     # the loop runs over the n' features the data uses, feature feats[j] as j
     feats, dim = support(data.indices), data.dim
@@ -274,6 +234,7 @@ def _train(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None,
     return LinearModel(feats, w, b, kind, dim), data
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in C: callers check finiteness
 def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xbar, v, u, st,
                   t0, t1) -> int:
     """``sl_steps`` in Python, with its contract (see ``_kernel.c``).  Runs when
@@ -282,8 +243,9 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
     kind = _LOSSES[loss]
     a, c, h, z, r, s, p, g, touches = st.tolist()
     q = 0.0
-    for t in range(t0, t1):
-        i = _draw(seed, m, t)
+    rows = chain.from_iterable(_rows(seed, m, w, min(w + BLOCK, t1)).tolist()
+                               for w in range(t0, t1, BLOCK))
+    for t, i in enumerate(rows, t0):
         row, lo, hi = indptr[i:i + 2], indptr.item(i), indptr.item(i + 1)
         touches += (hi - lo) * ((xbar is not None) + (t > 1))
         if xbar is not None:
@@ -316,7 +278,7 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
 
 
 def sgd_train(
-    data: "Dataset",
+    data: Dataset,
     cfg: TrainConfig,
     counter: TouchCounter | None = None,
     observer: Observer | None = None,
@@ -326,7 +288,7 @@ def sgd_train(
 
 
 def asgd_train(
-    data: "Dataset",
+    data: Dataset,
     cfg: TrainConfig,
     counter: TouchCounter | None = None,
     observer: Observer | None = None,
@@ -336,7 +298,7 @@ def asgd_train(
 
 
 def casgd_train(
-    data: "Dataset",
+    data: Dataset,
     cfg: TrainConfig,
     counter: TouchCounter | None = None,
     observer: Observer | None = None,

@@ -1,13 +1,17 @@
-"""Sparse/dense vector types and the O(k) kernels the solvers are built from.
+"""Sparse/dense vector types, the CSR dataset and the O(k) kernels of the solvers.
 
-A feature vector with k nonzeros out of n dimensions is held as a sorted
-index/value pair list (``SparseVec``), which is also the read-only view a
-``Dataset`` hands out for one of its rows; model-side accumulators are plain
-float64 numpy arrays (``DenseVec``) over a model's support, the n' features
-it uses, numbered by their position in a sorted index array.  ``support``
-finds a dataset's features and ``lookup`` each index's position among them,
-which numbers a training set's features and finds a scored index's weight.
-``dot``, ``mean_vector`` and the step loop (see ``solvers``) charge
+A ``Dataset`` is one CSR (compressed sparse row) block of four contiguous
+arrays, as in LIBLINEAR: row i holds the 0-based feature indices
+``indices[indptr[i]:indptr[i+1]]`` (int64), their ``values`` (float64) and
+the label ``labels[i]`` (float64).  The readers of ``data_io`` write
+straight into these arrays.  ``Dataset.row(i)`` is a read-only ``SparseVec``
+view of one row: a sorted index/value pair list of k nonzeros out of n
+dimensions.  Model-side accumulators are plain float64 numpy arrays
+(``DenseVec``) over a model's support, the n' features it uses, numbered by
+their position in a sorted index array.  ``support`` finds a dataset's
+features and ``lookup`` each index's position among them, which numbers a
+training set's features and finds a scored index's weight.  ``dot``,
+``mean_vector`` and the step loop (see ``solvers``) charge
 ``sparse_touches`` to a ``TouchCounter``, so tests can assert that training
 loops never perform an O(n) operation.  The one-time dense passes
 (``squared_norm``, ``finalize_combine``) charge nothing themselves: the
@@ -27,14 +31,11 @@ time, so they add no temporary of its size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, EmptyDatasetError
-
-if TYPE_CHECKING:
-    from .data_io import Dataset
 
 # Dense vectors are bare float64 arrays; the alias documents intent.
 DenseVec = np.ndarray
@@ -86,7 +87,7 @@ class SparseVec:
         self.dim = dim
 
     @classmethod
-    def view(cls, indices: np.ndarray, values: np.ndarray, dim: int) -> "SparseVec":
+    def view(cls, indices: np.ndarray, values: np.ndarray, dim: int) -> SparseVec:
         """Wrap read-only arrays that are already valid, without copying or checking."""
         x = cls.__new__(cls)
         x.indices, x.values, x.dim = indices, values, dim
@@ -95,6 +96,56 @@ class SparseVec:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+
+@dataclass(eq=False)
+class Dataset:
+    """Labeled sparse examples in CSR layout, sharing one feature-space dimension.
+
+    Validated once, here: one label per row, ``indptr`` runs monotonically
+    from 0 to the number of nonzeros, and each row's indices are strictly
+    increasing and lie in [0, dim).  The arrays are held as read-only,
+    C-contiguous views, as the kernel takes them (a strided one is copied).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    labels: np.ndarray
+    dim: int
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.int64), ("indices", np.int64),
+                            ("values", np.float64), ("labels", np.float64)):
+            a = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            a.setflags(write=False)  # on a view, so a caller's own array stays writable
+            setattr(self, name, a)
+        if self.labels.shape != (self.indptr.size - 1,):
+            raise ValueError("need exactly one label per row")
+        check_csr(self.indptr, self.indices, self.values, self.dim)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[SparseVec, float]], dim: int) -> Dataset:
+        """Pack (SparseVec, label) pairs into one dataset of dimension ``dim``."""
+        rows = list(rows)
+        for i, (x, _) in enumerate(rows):
+            if x.dim != dim:
+                raise DimensionError(f"example {i + 1} has dim {x.dim}, dataset dim is {dim}")
+        xs = [x for x, _ in rows]
+        return cls(np.cumsum([0] + [x.nnz for x in xs]),
+                   np.concatenate([np.empty(0, np.int64)] + [x.indices for x in xs]),
+                   np.concatenate([np.empty(0)] + [x.values for x in xs]),
+                   [y for _, y in rows], dim)
+
+    @property
+    def m(self) -> int:
+        return self.labels.size
+
+    def row(self, i: int) -> SparseVec:
+        """Example i's features as a read-only view; nothing is copied or re-checked."""
+        # Python int bounds: slicing with them is cheaper than with numpy scalars
+        lo, hi = self.indptr.item(i), self.indptr.item(i + 1)
+        return SparseVec.view(self.indices[lo:hi], self.values[lo:hi], self.dim)
 
 
 def check_csr(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: int) -> None:
@@ -184,7 +235,7 @@ def dot(v: DenseVec, x: SparseVec, counter: TouchCounter | None = None) -> float
     return float(row_dots(v, np.array([0, x.nnz]), x.indices, x.values)[0])
 
 
-def mean_vector(data: "Dataset", counter: TouchCounter | None = None) -> DenseVec:
+def mean_vector(data: Dataset, counter: TouchCounter | None = None) -> DenseVec:
     """Mean feature vector of a dataset.
 
     Adds the (1/m)-scaled nonzeros to their features in row order, from +0.0,

@@ -16,16 +16,12 @@ Not meant for real training: the trace costs O(T*n) memory (pass
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from sparselin.losses import LossKind, loss_subgradient, validate_labels
-from sparselin.solvers import LinearModel, TrainConfig, draw_indices
-from sparselin.sparse_core import DenseVec, TouchCounter
-
-if TYPE_CHECKING:
-    from sparselin.data_io import Dataset
+from sparselin.losses import LinearModel, LossKind, loss_subgradient, validate_labels
+from sparselin.solvers import TrainConfig, draw_indices
+from sparselin.sparse_core import Dataset, DenseVec, TouchCounter
 
 
 @dataclass
@@ -46,7 +42,7 @@ class DenseTrace:
         return ws, bs
 
 
-def _densify_rows(data: "Dataset", counter: TouchCounter | None) -> np.ndarray:
+def _densify_rows(data: Dataset, counter: TouchCounter | None) -> np.ndarray:
     rows = np.zeros((data.m, data.dim))
     rows[np.repeat(np.arange(data.m), np.diff(data.indptr)), data.indices] = data.values
     if counter is not None:
@@ -87,7 +83,7 @@ def _run_dense(
 
 
 def dense_sgd(
-    data: "Dataset",
+    data: Dataset,
     cfg: TrainConfig,
     counter: TouchCounter | None = None,
     keep_trace: bool = True,
@@ -100,14 +96,14 @@ def dense_sgd(
     return _run_dense(rows, ys, order, cfg.lam, cfg.loss, counter, keep_trace)
 
 
-def dense_asgd(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None = None) -> LinearModel:
+def dense_asgd(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None = None) -> LinearModel:
     """Arithmetic mean of the dense_sgd iterates."""
     trace = dense_sgd(data, cfg, counter)
     w, b = trace.mean()
     return LinearModel(np.arange(data.dim), w, b, cfg.loss, data.dim)
 
 
-def dense_casgd(data: "Dataset", cfg: TrainConfig, counter: TouchCounter | None = None) -> LinearModel:
+def dense_casgd(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None = None) -> LinearModel:
     """Explicit dense centering, averaged run, then bias conversion.
 
     Center every example as x - xbar, average the dense iterates on the

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import os
 import re
@@ -380,6 +381,25 @@ class TestFailedTrainKeepsTheModelPath:
         assert sorted(os.listdir(tmp_path)) == ["data.txt", "model.txt"][:1 + earlier]
         assert not earlier or model.read_text() == "an earlier model\n"
 
+    def test_both_loops_print_one_line(self, tmp_path, capsys, monkeypatch):
+        # the fallback loop's v update overflows as the compiled one does,
+        # with no numpy RuntimeWarning as a second line: warnings are errors here
+        from sparselin import _kernel
+
+        assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
+        data = tmp_path / "data.txt"
+        data.write_text("1e10 1:1e300\n")
+        runs = []
+        for fallback in (False, True):
+            if fallback:
+                monkeypatch.setattr(_kernel, "load", lambda: None)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main(["train", "--data", str(data), "--model", str(tmp_path / "model.txt"),
+                           *TRAIN_FLAGS])
+            runs.append((rc, capsys.readouterr().err))
+        assert runs[0] == runs[1] == (1, "sparselin: error: model contains non-finite values\n")
+
     def test_replaces_a_model_keeping_its_mode(self, one_line_file, tmp_path):
         # the mode open gives: the umask's for a new file, an existing file's own
         model = tmp_path / "model.txt"
@@ -563,3 +583,43 @@ class TestEntryPoint:
                               env=dict(os.environ, PYTHONPATH=SRC))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False False\n"
+
+    def test_imports_form_one_chain(self):
+        # a module imports, at module level, only modules before it in the
+        # chain; a function imports only _kernel (see above); and no import
+        # waits under TYPE_CHECKING
+        chain = ["_kernel", "errors", "sparse_core", "losses", "solvers", "data_io", "cli",
+                 "__init__", "__main__"]
+
+        def package_modules(node):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "sparselin" for a in node.names)
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                return []
+            return [node.module] if node.module else [a.name for a in node.names]
+
+        for path in Path(SRC, "sparselin").glob("*.py"):
+            source = path.read_text()
+            assert "TYPE_CHECKING" not in source, path.name
+            tree = ast.parse(source)
+            for node in tree.body:
+                for name in package_modules(node):
+                    assert chain.index(name) < chain.index(path.stem), (path.name, name)
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for node in ast.walk(fn):
+                        assert package_modules(node) in ([], ["_kernel"]), (path.name, fn.name)
+
+    def test_names_resolve_from_their_old_modules(self):
+        import sparselin
+        from sparselin import data_io, solvers
+
+        assert data_io.Dataset is sparselin.Dataset
+        assert solvers.LinearModel is sparselin.LinearModel
+        assert sparselin.__all__ == """Dataset DenseVec DimensionError EmptyDatasetError
+            FormatError IndexOrderError LabelError LinearModel LossKind NonFiniteError
+            ParseError SolverState SparseVec SparselinError TouchCounter TrainConfig
+            asgd_train casgd_train dot draw_indices load_dataset load_model
+            loss_subgradient loss_value mean_vector objective_value parse_libsvm predict
+            read_model save_model sgd_train validate_labels write_libsvm
+            write_model""".split()

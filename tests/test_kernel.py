@@ -40,10 +40,10 @@ from sparselin import (
     draw_indices,
     sgd_train,
 )
-from sparselin import _kernel, data_io
+from sparselin import _kernel, data_io, solvers
 from sparselin.losses import scores
-from sparselin.solvers import MAX_STEPS, _draw, _python_steps
-from sparselin.sparse_core import finalize_combine
+from sparselin.solvers import ALGOS, MAX_STEPS, _python_steps, _rows
+from sparselin.sparse_core import BLOCK, finalize_combine
 
 TRAINERS = [sgd_train, asgd_train, casgd_train]
 
@@ -136,24 +136,24 @@ def test_non_finite_error_is_the_same(train):
 
 @pytest.mark.parametrize("m", [1, 2, 10, 2**31 + 1, 2**53])
 def test_step_draws_are_draw_indices(m):
-    # each loop draws step t's row alone, from the seed, m and t: the
-    # compiled draw and the Python one give draw_indices' sequence, and agree
-    # at steps far beyond any array draw_indices could build
+    # the compiled loop draws step t's row alone, from the seed, m and t, and
+    # the Python loop draws windows [t0, t1) of steps (_rows): both give
+    # draw_indices' sequence, and agree at steps far beyond any array
+    # draw_indices could build
     lib = _kernel.load()
     seeds = [0, 1, 2**64 - 1] + np.random.default_rng(12).integers(
         0, 2**64 - 1, 5, np.uint64, endpoint=True).tolist()
     for seed in seeds:
-        want = draw_indices(seed, 500, m).tolist()
-        assert [lib.sl_draw(seed, m, t) for t in range(1, 501)] == want
-        assert [_draw(seed, m, t) for t in range(1, 501)] == want
+        want = draw_indices(seed, BLOCK + 9, m)
+        assert [lib.sl_draw(seed, m, t) for t in range(1, 501)] == want[:500].tolist()
+        for t0, t1 in ((1, BLOCK + 1), (BLOCK - 4, BLOCK + 9), (BLOCK, BLOCK + 2), (7, 7)):
+            assert np.array_equal(_rows(seed, m, t0, t1), want[t0 - 1:t1 - 1])
         for t in (2**32 + 7, 2**62 + 3, MAX_STEPS):
-            assert lib.sl_draw(seed, m, t) == _draw(seed, m, t) < m
+            row = _rows(seed, m, t, t + 1)
+            assert row.tolist() == [lib.sl_draw(seed, m, t)] and 0 <= row[0] < m
 
 
-SOLVER_SUMS = {"sgd": (False, False), "asgd": (True, False), "casgd": (True, True)}
-
-
-@pytest.mark.parametrize("solver", sorted(SOLVER_SUMS))
+@pytest.mark.parametrize("solver", sorted(ALGOS))
 @pytest.mark.parametrize("stops", [False, True], ids=["finite", "stops"])
 def test_one_loop_contract(solver, stops):
     # sl_steps and _python_steps, each in one call for all steps and in one
@@ -169,7 +169,7 @@ def test_one_loop_contract(solver, stops):
     runs = {}
     for loop in (_kernel.load().sl_steps, _python_steps):
         for spans in ([(1, steps + 1)], [(t, t + 1) for t in range(1, steps + 1)]):
-            args = loop_args(data, loss, lam, 7, *SOLVER_SUMS[solver])
+            args = loop_args(data, loss, lam, 7, *ALGOS[solver])
             for t0, t1 in spans:
                 bad = loop(*args, t0, t1)
                 if bad:
@@ -182,6 +182,22 @@ def test_one_loop_contract(solver, stops):
     bad, (st, _), _ = compiled
     assert (bad > 1) == stops
     assert np.array(st).view(np.float64)[8] > 0  # the touches slot
+
+
+@pytest.mark.parametrize("solver", sorted(ALGOS))
+def test_python_loop_draws_in_windows(solver, monkeypatch):
+    # the Python loop draws its rows BLOCK steps at a time; with windows of 7
+    # steps, a call from t0 = 3 crosses many window ends and still leaves
+    # what the compiled loop leaves
+    data = random_dataset(np.random.default_rng(9), 12, 15, 5, LossKind.LOG)
+    monkeypatch.setattr(solvers, "BLOCK", 7)
+    runs = []
+    for loop in (_kernel.load().sl_steps, _python_steps):
+        args = loop_args(data, LossKind.LOG, 0.05, 7, *ALGOS[solver])
+        assert loop(*args, 1, 3) == loop(*args, 3, 120) == 0
+        *_, v, u, st = args
+        runs.append((bits(st, v), u is None or bits(u)))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("path", ["compiled", "fallback"])
