@@ -1,10 +1,11 @@
 /* The step loop of sparselin.solvers._train over CSR arrays (sl_steps), the
  * scanners of data_io's LIBSVM and model-file readers with their
  * decimal-to-double converter (number: Clinger's exact path and
- * Eisel-Lemire, strtod only where those cannot decide), the lookup of
- * feature indices in a model's support (sl_lookup) and the scores of a
- * dataset's rows under a model (sl_scores, or sl_dots on data numbered as
- * its support), and the float formatter of data_io's writers (sl_format).
+ * Eisel-Lemire, strtod only where those cannot decide), the directory of a
+ * model's support (sl_directory) through which sl_lookup finds feature
+ * indices and sl_scores scores a dataset's rows under the model (sl_dots
+ * scores data numbered as its support), and the float formatter of
+ * data_io's writers (sl_format).
  */
 #include <math.h>
 #include <stdint.h>
@@ -377,9 +378,13 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64
  * range of feats into nb <= n buckets of 2^shift keys each: dir[b], b =
  * 0..nb, is the first position whose feature >> shift is at least b, so a
  * key's bucket is feats[dir[b], dir[b + 1]), and a binary search there costs
- * O(log n) however skewed the features are.  dir has room for n + 1
- * entries.  directory() fills it and returns the shift. */
-static int directory(const int64_t *feats, int64_t n, int64_t *dir)
+ * O(log n) however skewed the features are.  dir has room for n + 1 entries
+ * (sparse_core.directory allocates it), and a caller builds it once for any
+ * number of sl_lookup or sl_scores calls.  sl_directory fills it and returns
+ * the shift.  (At most n / 8 buckets would take an eighth of the memory, but
+ * made sl_scores and sl_lookup about a fifth slower on a model of 181,144
+ * features, the larger buckets' second cache line prefetched too.) */
+int sl_directory(const int64_t *feats, int64_t n, int64_t *dir)
 {
     int64_t last = n ? feats[n - 1] : -1, nb;
     int shift = 0;
@@ -420,12 +425,11 @@ static inline int64_t position(const int64_t *feats, const int64_t *dir, int64_t
 }
 
 /* The position of each of keys[0, m) in the support feats[0, n), or n for a
- * key that is not there, into out; dir as above. */
-void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m, int64_t *dir,
-               int64_t *out)
+ * key that is not there, into out; dir and shift as sl_directory gives them. */
+void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m,
+               const int64_t *dir, int shift, int64_t *out)
 {
     int64_t last = n ? feats[n - 1] : -1;
-    int shift = directory(feats, n, dir);
     for (int64_t i = 0; i < m; i++) {
         if (i + 2 * AHEAD < m && keys[i + 2 * AHEAD] >= 0 && keys[i + 2 * AHEAD] <= last)
             __builtin_prefetch(&dir[keys[i + 2 * AHEAD] >> shift]);
@@ -436,17 +440,18 @@ void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m, 
 }
 
 /* w . x + b for each of the m CSR rows x into out, w being the weights
- * w[0, n) of the support feats[0, n); dir as above.  Each row sums
- * w[position] * value over its indices that are in the support, left to
- * right from +0.0 as sparse_core.row_dots sums.  An index that is not there
- * has weight 0 and adds nothing, whatever its value; losses.scores'
- * fallback adds 0.0 * 0.0 for it, which changes no sum that starts at +0.0
- * (such a sum is never -0.0). */
+ * w[0, n) of the support feats[0, n); dir and shift as sl_directory gives
+ * them, so the rows of a file can be scored a block at a time under one
+ * directory.  Each row sums w[position] * value over its indices that are
+ * in the support, left to right from +0.0 as sparse_core.row_dots sums.  An
+ * index that is not there has weight 0 and adds nothing, whatever its
+ * value; losses.Scorer's fallback adds 0.0 * 0.0 for it, which changes no
+ * sum that starts at +0.0 (such a sum is never -0.0). */
 void sl_scores(const int64_t *feats, const double *w, int64_t n, double b, const int64_t *indptr,
-               const int64_t *idx, const double *val, int64_t m, int64_t *dir, double *out)
+               const int64_t *idx, const double *val, int64_t m, const int64_t *dir, int shift,
+               double *out)
 {
     int64_t last = n ? feats[n - 1] : -1, j = indptr[0], nnz = indptr[m], pos;
-    int shift = directory(feats, n, dir);
     for (int64_t r = 0; r < m; r++) {
         double d = 0.0;
         for (; j < indptr[r + 1]; j++) {

@@ -3,12 +3,12 @@
 It holds the training loop (``sl_steps``, with its row draw ``sl_draw``),
 the scanners of the LIBSVM and model-file readers (``sl_scan``,
 ``sl_weights``) with their correctly rounded decimal-to-double converter,
-the lookup of feature indices in a model's support (``sl_lookup``; see
-``sparse_core.lookup``) and the scoring of a dataset's rows
-(``sl_scores`` and ``sl_dots``; see ``losses``), and the shortest
-round-trip float formatter of the model and prediction writers
-(``sl_format``; see ``data_io``), so training, ``predict`` and ``eval``
-load it; ``import sparselin`` does not.  The converter reads a table of
+the directory of a model's support (``sl_directory``; see
+``sparse_core.directory``) through which ``sl_lookup`` finds feature
+indices and ``sl_scores`` scores a dataset's rows (with ``sl_dots``; see
+``losses``), and the shortest round-trip float formatter of the model and
+prediction writers (``sl_format``; see ``data_io``), so training,
+``predict`` and ``eval`` load it; ``import sparselin`` does not.  The converter reads a table of
 128-bit powers of five and the formatter one of 126-bit powers of ten;
 ``fives`` and ``tens`` define them, and a build compiles them into the
 library as a second C file (``compile_c``), so no caller ever handles them.
@@ -84,10 +84,19 @@ def _build(path: str) -> None:
 
 def _array(dtype, none=False):
     """ctypes' type of a C-contiguous 1-d array of ``dtype``, passed as a pointer
-    to its data (ctypes refuses any other array); with ``none``, None is NULL."""
+    to its data (ctypes refuses any other array); with ``none``, None is NULL.
+    The pointer is made from the address alone: numpy's own conversion
+    (``ndarray.ctypes``) leaves a reference cycle per argument, garbage until
+    the cycle collector runs, which calls made a block at a time would pile
+    up."""
     t = np.ctypeslib.ndpointer(dtype, ndim=1, flags="C_CONTIGUOUS")
-    return type(t)(t.__name__, (t,), {"from_param": classmethod(
-        lambda cls, a: None if a is None else t.from_param(a))}) if none else t
+
+    def from_param(cls, a):
+        if a is None and none:
+            return None
+        return ctypes.c_void_p(t.from_param(a).data)  # checked: dtype, dimensions, layout
+
+    return type(t)(t.__name__, (t,), {"from_param": classmethod(from_param)})
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -101,8 +110,10 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
             (lib.sl_draw, [u64, i64, i64], i64),
             (lib.sl_scan, [text, i64, i64, flag, i64, i64, ints, reals, ints, reals, ints], i64),
             (lib.sl_weights, [text, i64, i64, i64, ints, reals, ints], i64),
-            (lib.sl_lookup, [ints, i64, ints, i64, ints, ints], None),
-            (lib.sl_scores, [ints, reals, i64, dbl, ints, ints, reals, i64, ints, reals], None),
+            (lib.sl_directory, [ints, i64, ints], flag),
+            (lib.sl_lookup, [ints, i64, ints, i64, ints, flag, ints], None),
+            (lib.sl_scores, [ints, reals, i64, dbl, ints, ints, reals, i64, ints, flag, reals],
+             None),
             (lib.sl_dots, [reals, dbl, ints, ints, reals, i64, reals], None),
             (lib.sl_format, [reals, maybe_ints, i64, i64, _array(np.uint8), i64, ints], i64)):
         fn.argtypes, fn.restype = args, result

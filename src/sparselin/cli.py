@@ -13,9 +13,9 @@ import sys
 
 import numpy as np
 
-from .data_io import fmt_float, load_dataset, load_model, save_model, write_floats
+from .data_io import fmt_float, load_dataset, load_model, load_scores, save_model, write_floats
 from .errors import NonFiniteError, SparselinError
-from .losses import LossKind, mean_loss, penalized, scores, trained_objective, validate_labels
+from .losses import LossKind, mean_loss, penalized, trained_objective
 from .solvers import ALGOS, MAX_STEPS, TrainConfig, fit
 
 _LOSS_NAMES = [k.value for k in LossKind]
@@ -94,7 +94,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    p = scores(model, load_dataset(args.data, require_labels=False))
+    p, _ = load_scores(args.data, model, require_labels=False)
     if args.out is None:
         write_floats(p, sys.stdout)
     else:
@@ -105,14 +105,12 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
-    data = load_dataset(args.data)
-    validate_labels(data, model.loss)
-    p = scores(model, data)
-    avg_loss = mean_loss(model.loss, p, data.labels)
+    p, labels = load_scores(args.data, model)
+    avg_loss = mean_loss(model.loss, p, labels)
     objective = penalized(model, args.lam, avg_loss)
     line = f"avg_loss={fmt_float(avg_loss)} objective={fmt_float(objective)}"
     if model.loss.is_classification:
-        line += f" accuracy={fmt_float(np.count_nonzero(p * data.labels > 0) / data.m)}"
+        line += f" accuracy={fmt_float(np.count_nonzero(p * labels > 0) / labels.size)}"
     print(line)
     return 0
 

@@ -43,6 +43,15 @@ without the kernel; without it (no compiler, say) every line takes the
 Python line code.  Bytes that are not UTF-8 are a ``ParseError``/
 ``FormatError`` naming their line.
 
+``load_scores``, which ``predict`` and ``eval`` read their data with,
+builds no ``Dataset``.  The same loop hands it each block before the
+block's lines are read; it scores the rows of the block before
+(``losses.Scorer``, whose lookup directory is built once), keeps their
+scores and labels in two m-long arrays, and empties its CSR arrays, which
+then take the new block with room sized from its line breaks and ':'s.  So
+it holds the model, those two arrays and one block's arrays, and its
+scores and errors are those of ``scores`` on the whole file.
+
 Model files (text, version ``v1``)::
 
     sparselin-model v1
@@ -83,7 +92,7 @@ from .errors import (
     IndexOrderError,
     ParseError,
 )
-from .losses import LinearModel, LossKind
+from .losses import LinearModel, LossKind, Scorer, check_labels, finite_scores
 from .sparse_core import MAX_DIM, Dataset
 
 MODEL_MAGIC = "sparselin-model v1"
@@ -138,9 +147,11 @@ class _Rows:
                                  else (dim_override, "dimension"))
         self.count = np.zeros(2, np.int64)  # sl_scan's room and result
 
-    def reserve(self, rows: int, nnz: int) -> None:
-        """Room for ``rows`` more rows and ``nnz`` more nonzeros; a file's lines
-        and ':'s bound all of them."""
+    def reserve(self, lines: int, colons: int) -> None:
+        self._room(lines, colons)  # a file's lines and ':'s bound its rows and nonzeros
+
+    def _room(self, rows: int, nnz: int) -> None:
+        """Room for ``rows`` more rows and ``nnz`` more nonzeros."""
         if self.rows + rows > self.labels.size:
             size = max(2 * self.labels.size, self.rows + rows)
             self.labels = _resized(self.labels, self.rows, size)
@@ -181,7 +192,7 @@ class _Rows:
                 continue
             indices.append(idx)
             values.append(val)
-        self.reserve(1, len(indices))
+        self._room(1, len(indices))
         end = self.nnz + len(indices)
         self.indices[self.nnz:end], self.values[self.nnz:end] = indices, values
         self.labels[self.rows], self.indptr[self.rows + 1] = y, end
@@ -208,6 +219,38 @@ class _Rows:
                else int(indices.max(initial=-1)) + 1)
         return Dataset(self.indptr[:self.rows + 1], indices, self.values[:self.nnz],
                        self.labels[:self.rows], dim)
+
+
+class _ScoredRows(_Rows):
+    """CSR rows scored under a model a block at a time: before each block's
+    lines are read (``block``), the rows of the block before are scored into
+    the m-long ``p`` and their labels kept in ``y``, and the CSR arrays then
+    take the new block's rows, with room for as many as its line breaks and
+    ':'s bound, so they stay the size of a block."""
+
+    def __init__(self, model: LinearModel, require_labels: bool):
+        super().__init__(None, require_labels)
+        self.score = Scorer(model)  # the directory, built once for every block
+        self.p, self.y, self.m = np.empty(0), np.empty(0), 0
+
+    def reserve(self, lines: int, colons: int) -> None:
+        self.p, self.y = np.empty(lines), np.empty(lines)  # a file's lines bound its rows
+
+    def block(self, block: bytes) -> None:
+        self.flush()
+        view = np.frombuffer(block, np.uint8)  # counted several times faster than by bytes.count
+        self._room(np.count_nonzero(view == ord("\n")) + 1, np.count_nonzero(view == ord(":")))
+
+    def flush(self) -> None:
+        """Score the rows read since the last flush, and empty the CSR arrays."""
+        m, rows, nnz = self.m, self.rows, self.nnz
+        if m + rows > self.p.size:
+            size = max(2 * self.p.size, m + rows)
+            self.p, self.y = _resized(self.p, m, size), _resized(self.y, m, size)
+        self.score(self.indptr[:rows + 1], self.indices[:nnz], self.values[:nnz],
+                   self.p[m:m + rows])
+        self.y[m:m + rows] = self.labels[:rows]
+        self.m, self.rows, self.nnz = m + rows, 0, 0
 
 
 def parse_libsvm(
@@ -262,9 +305,11 @@ def _count(fh: IO[bytes]) -> tuple[int, int]:
     return lines + (last != ord("\n")), colons  # a last line may lack its line break
 
 
-def _read_lines(path: str, reader, error) -> None:
+def _read_lines(path: str, reader, error, each_block=None) -> None:
     """Feed the text file at ``path`` to ``reader``: a regular file is counted
-    first (``reader.reserve(lines, colons)``); then, where the kernel loads,
+    first (``reader.reserve(lines, colons)``); then the file is read a block
+    of whole lines at a time (``_blocks``), each given to ``each_block``,
+    where given, before its lines are read.  Where the kernel loads,
     ``reader.scan(lib, block, pos, line_no)`` reads lines from ``pos`` until
     one does not fit it and returns where it stopped and the last line
     number it read.  Each line it stops at (each line, without the kernel)
@@ -279,6 +324,8 @@ def _read_lines(path: str, reader, error) -> None:
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
             reader.reserve(*_count(fh))
         for block in _blocks(fh):
+            if each_block is not None:
+                each_block(block)
             pos = 0
             while pos < len(block):
                 if lib is not None:
@@ -314,6 +361,27 @@ def load_dataset(
     rows = _Rows(dim_override, require_labels)
     _read_lines(path, rows, ParseError)
     return rows.dataset()
+
+
+def load_scores(path: str, model: LinearModel,
+                require_labels: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """``scores(model, data)`` and ``data.labels`` for ``data =
+    load_dataset(path, require_labels=require_labels)``, bit for bit, with
+    the labels checked for the model's loss (``validate_labels``) where they
+    are required; the errors come in the same order (a parse error anywhere
+    in the file, then a bad label, then a score that is not finite).  No
+    ``Dataset`` is built: the file is scored a block at a time as it is read
+    (``_ScoredRows``), so the call holds the model, the two m-long results
+    and the arrays of one block."""
+    rows = _ScoredRows(model, require_labels)
+    _read_lines(path, rows, ParseError, rows.block)
+    rows.flush()
+    if not rows.m:
+        raise EmptyDatasetError("no data lines found")
+    p, y = rows.p[:rows.m], rows.y[:rows.m]
+    if require_labels:
+        check_labels(y, model.loss)
+    return finite_scores(p), y
 
 
 def write_floats(x: np.ndarray, stream: IO[str], feats: np.ndarray | None = None) -> None:

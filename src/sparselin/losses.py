@@ -1,8 +1,11 @@
 """Convex losses, the linear model, its scores on a dataset and the regularized objective.
 
 A ``LinearModel`` is (w, b) over its support plus the loss it was trained
-for; ``scores`` applies it to every row of a ``Dataset`` and
-``objective_value``/``trained_objective`` evaluate it.
+for; a ``Scorer`` applies it to CSR rows, any number per call through one
+lookup directory: to every row of a ``Dataset`` (``scores``), or to a file
+a block at a time as it is read (``data_io.load_scores``, which ``predict``
+and ``eval`` use), bit for bit alike.  ``objective_value`` and
+``trained_objective`` evaluate it.
 
 Prediction-side conventions at the nondifferentiable points are pinned so
 that independent implementations agree bit-for-bit: the absolute loss
@@ -22,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, LabelError, SparselinError
-from .sparse_core import Dataset, DenseVec, check_csr, row_dots, search, squared_norm
+from .sparse_core import Dataset, DenseVec, check_csr, directory, row_dots, search, squared_norm
 
 
 class LossKind(Enum):
@@ -111,45 +114,70 @@ def loss_subgradient(kind: LossKind, p: float, y: float) -> float:
 def validate_labels(data: Dataset, kind: LossKind) -> None:
     """Check every label once, up front; the per-step loss calls then only
     assert in debug runs."""
+    check_labels(data.labels, kind)
+
+
+def check_labels(labels: np.ndarray, kind: LossKind) -> None:
+    """``validate_labels`` of the labels alone, naming the first bad one's example."""
     if not kind.is_classification:
         return
-    bad = np.flatnonzero((data.labels != 1.0) & (data.labels != -1.0))
+    bad = np.flatnonzero((labels != 1.0) & (labels != -1.0))
     if bad.size:
         i = int(bad[0])
         raise LabelError(
             f"example {i + 1}: {kind.value} loss needs labels in {{-1, +1}}, "
-            f"got {float(data.labels[i])}"
+            f"got {float(labels[i])}"
         )
 
 
-def scores(model: LinearModel, data: Dataset) -> np.ndarray:
-    """w . x + b for every row x, bit for bit as ``predict`` and training score it.
+class Scorer:
+    """w . x + b of CSR rows under one model, any number of rows per call.
 
     Each data index is looked up in the model's support, and a row sums
     w . x over the indices found there, left to right from +0.0, then adds
     b.  An index that is not there, at or beyond the model's ``dim`` too,
     has weight 0 and adds nothing, whatever its value.  Compiled where the
-    kernel loads (``sl_scores``: one pass over the rows, with an n'+1
-    directory as ``lookup`` builds and no other temporary); else ``search``
+    kernel loads (``sl_scores``: one pass over the rows, through the n' + 1
+    ``directory`` built here once, with no other temporary); else ``search``
     and ``row_dots``, an index not found taking a weight of 0.0 after the
-    last and a value of 0.0, whose +0.0 product changes no such sum."""
-    from . import _kernel  # here, so that importing sparselin does not import it
+    last and a value of 0.0, whose +0.0 product changes no such sum.  So
+    rows scored in blocks (``data_io.load_scores``) score bit for bit as in
+    one call (``scores``)."""
 
-    lib = _kernel.load()
-    if lib is None:
-        pos = search(model.feats, data.indices)
-        values = np.where(pos < model.feats.size, data.values, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = row_dots(np.append(model.weights, 0.0), data.indptr, pos, values) + model.b
-    else:
-        p = np.empty(data.m)
-        lib.sl_scores(model.feats, model.weights, model.feats.size, model.b, data.indptr,
-                      data.indices, data.values, data.m,
-                      np.empty(model.feats.size + 1, np.int64), p)
-    return _finite(p)
+    def __init__(self, model: LinearModel):
+        from . import _kernel  # here, so that importing sparselin does not import it
+
+        self.model, self.lib = model, _kernel.load()
+        if self.lib is None:
+            self.weights = np.append(model.weights, 0.0)
+        else:
+            self.directory = directory(self.lib, model.feats)
+
+    def __call__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                 out: np.ndarray) -> None:
+        """The scores of the rows ``indptr`` delimits in ``indices`` and ``values``
+        into ``out``, one per row, finite or not."""
+        model = self.model
+        if self.lib is None:
+            pos = search(model.feats, indices)
+            values = np.where(pos < model.feats.size, values, 0.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(row_dots(self.weights, indptr, pos, values), model.b, out=out)
+        else:
+            self.lib.sl_scores(model.feats, model.weights, model.feats.size, model.b, indptr,
+                               indices, values, out.size, *self.directory, out)
 
 
-def _finite(p: np.ndarray) -> np.ndarray:
+def scores(model: LinearModel, data: Dataset) -> np.ndarray:
+    """w . x + b for every row x, bit for bit as ``predict`` and training score
+    it: one ``Scorer`` call over all rows, then ``finite_scores``."""
+    p = np.empty(data.m)
+    Scorer(model)(data.indptr, data.indices, data.values, p)
+    return finite_scores(p)
+
+
+def finite_scores(p: np.ndarray) -> np.ndarray:
+    """``p``, unless a score is not finite: then an error naming the first one's example."""
     if not np.isfinite(p).all():
         i = int(np.isfinite(p).argmin())
         raise SparselinError(f"example {i + 1}: score {p[i]} is not finite")
@@ -212,7 +240,7 @@ def trained_objective(model: LinearModel, numbered: Dataset, lam: float) -> floa
         p = np.empty(numbered.m)
         lib.sl_dots(model.weights, model.b, numbered.indptr, numbered.indices, numbered.values,
                     numbered.m, p)
-    return penalized(model, lam, mean_loss(model.loss, _finite(p), numbered.labels))
+    return penalized(model, lam, mean_loss(model.loss, finite_scores(p), numbered.labels))
 
 
 def penalized(model: LinearModel, lam: float, avg_loss: float) -> float:

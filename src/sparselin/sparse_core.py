@@ -23,7 +23,9 @@ Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``,
 compiled as ``sl_scores``), is summed left to right from +0.0 as ``row_dots``
 sums it, in the compiled loop's order (see ``solvers``).  The loop and the
 passes here span only the n' features the data uses, so nothing on the
-train, predict or eval path is O(n): memory is O(m k + n').  ``check_csr``,
+train, predict or eval path is O(n): memory is O(m k + n') for ``train``,
+and O(m + n') for ``predict`` and ``eval``, which build no ``Dataset``
+(``data_io.load_scores``).  ``check_csr``,
 ``squared_norm`` and ``mean_vector`` walk their input ``BLOCK`` items at a
 time, so they add no temporary of its size.
 """
@@ -202,11 +204,20 @@ def support(indices: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
+def directory(lib, feats: np.ndarray) -> tuple[np.ndarray, int]:
+    """The compiled library ``lib``'s directory of ``feats`` (sorted, distinct
+    and nonnegative) and its shift, as ``sl_directory`` builds them: n' + 1
+    int64 entries, which ``sl_lookup`` and ``sl_scores`` take for any number
+    of calls over the same ``feats``."""
+    room = np.empty(feats.size + 1, np.int64)
+    return room, lib.sl_directory(feats, feats.size, room)
+
+
 def lookup(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """The position of each int64 key in ``feats`` (sorted, distinct and
     nonnegative), or ``feats.size`` for a key that is not there; O(n' + m log
     n') for m keys.  Compiled where the kernel loads (``sl_lookup``: a
-    directory of at most n' buckets, then a binary search in one), else
+    ``directory`` of at most n' buckets, then a binary search in one), else
     ``search``; both give the same positions."""
     from . import _kernel  # here, so that importing sparselin does not import it
 
@@ -214,7 +225,7 @@ def lookup(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
     if lib is None:
         return search(feats, keys)
     out = np.empty(keys.size, np.int64)
-    lib.sl_lookup(feats, feats.size, keys, keys.size, np.empty(feats.size + 1, np.int64), out)
+    lib.sl_lookup(feats, feats.size, keys, keys.size, *directory(lib, feats), out)
     return out
 
 
@@ -241,6 +252,9 @@ def mean_vector(data: Dataset, counter: TouchCounter | None = None) -> DenseVec:
     Adds the (1/m)-scaled nonzeros to their features in row order, from +0.0,
     ``BLOCK`` of them at a time: O(m k) sparse touches plus one O(n)
     allocation, no dense arithmetic pass and no temporary of m k floats.
+    The result is ``data.dim`` floats long, O(n) memory as
+    ``LinearModel.dense`` is, so it is for data of a moderate ``dim``;
+    training calls it only on its data numbered as the n' features it uses.
     """
     m = data.m
     if m == 0:

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import io
 import os
 import re
 import subprocess
@@ -8,9 +9,11 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparselin.cli import build_parser, main
+from sparselin.data_io import fmt_float
 from sparselin.solvers import MAX_STEPS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -489,7 +492,7 @@ class TestNonFiniteObjective:
 
 def through_fifo(tmp_path, capsys, argv, source):
     """``main(argv)``, each "FIFO" in argv naming a named pipe that another thread
-    fills with the bytes of the file ``source``: the exit code and stdout."""
+    fills with the bytes of the file ``source``: the exit code, stdout and stderr."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
 
@@ -512,7 +515,8 @@ def through_fifo(tmp_path, capsys, argv, source):
                 os.close(os.open(fifo, flags))
     assert not hung, "a command did not finish reading the pipe"
     fifo.unlink()
-    return rc, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
@@ -541,14 +545,113 @@ class TestPipeInputs:
         source = model if argv[2] == "FIFO" else data
         assert main([str(source) if a == "FIFO" else a for a in argv]) == 0
         expected = capsys.readouterr().out
-        assert through_fifo(tmp_path, capsys, argv, source) == ([0], expected)
+        assert through_fifo(tmp_path, capsys, argv, source) == ([0], expected, "")
 
     def test_train(self, tmp_path, capsys, reader_path, files):
         data, model, trained = files
         argv = ["train", "--data", "FIFO", "--model", str(tmp_path / "piped.txt"), "--algo",
                 "casgd", "--loss", "hinge", "--lambda", "1e-3", "--steps", "900", "--seed", "3"]
-        assert through_fifo(tmp_path, capsys, argv, data) == ([0], trained)
+        assert through_fifo(tmp_path, capsys, argv, data) == ([0], trained, "")
         assert (tmp_path / "piped.txt").read_bytes() == model.read_bytes()
+
+
+class TestScoredBlocks:
+    # predict and eval score a file a block of CHUNK bytes at a time as they
+    # read it; the errors, their order and the output must be those of
+    # scoring the whole file at once
+    MODEL = "sparselin-model v1\nloss hinge\ndim 4\nbias 0.5\n0:1\n1:-2\n3:0.25\n"
+    HUGE = "sparselin-model v1\nloss hinge\ndim 2\nbias 0\n0:1e300\n1:-1e300\n"
+
+    @pytest.fixture(params=["file", "fifo"])
+    def run(self, request, tmp_path, capsys, monkeypatch):
+        """``run(model, rows, command, *flags)``: ``command`` (predict or eval)
+        with a model file holding ``model`` and a data file or named pipe
+        holding ``rows``, read 64 bytes at a time: the exit code, stdout and
+        stderr."""
+        from sparselin import data_io
+
+        monkeypatch.setattr(data_io, "CHUNK", 64)
+
+        def run(model, rows, command, *flags):
+            model_path, data = tmp_path / "model.txt", tmp_path / "data.txt"
+            model_path.write_text(model)
+            data.write_bytes(rows.encode())
+            argv = [command, "--model", str(model_path), "--data", "FIFO", *flags]
+            if command == "eval":
+                argv += ["--lambda", "1"]
+            if request.param == "fifo":
+                (rc,), out, err = through_fifo(tmp_path, capsys, argv, data)
+                return rc, out, err
+            rc = main([str(data) if a == "FIFO" else a for a in argv])
+            captured = capsys.readouterr()
+            return rc, captured.out, captured.err
+
+        return run
+
+    GOOD = "1 1:1 2:0.5\n-1 3:2\n" * 40  # 600 bytes: ten blocks
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_a_parse_error_in_the_last_block_comes_first(self, run, reader_path, command):
+        rc, out, err = run(self.MODEL, "2 1:1\n" + self.GOOD + "1 x:1\n", command)
+        assert (rc, out) == (1, "")
+        assert err == "sparselin: error: line 82: bad feature index 'x'\n"
+
+    def test_a_bad_label_comes_before_a_non_finite_score(self, run, reader_path):
+        rows = "1 1:1e10\n" + self.GOOD + "0.5 1:1\n"
+        rc, out, err = run(self.HUGE, rows, "eval")
+        assert (rc, out) == (1, "")
+        assert err == ("sparselin: error: example 82: hinge loss needs labels in {-1, +1}, "
+                       "got 0.5\n")
+
+    @pytest.mark.parametrize("command", ["predict", "predict --out", "eval"])
+    def test_a_non_finite_score_writes_nothing(self, run, reader_path, tmp_path, command):
+        out_path = tmp_path / "out.txt"
+        command, *flags = command.split()
+        rc, out, err = run(self.HUGE, self.GOOD + "1 1:1e10\n" + self.GOOD, command,
+                           *(["--out", str(out_path)] if flags else []))
+        assert (rc, out) == (1, "")
+        assert err == "sparselin: error: example 81: score inf is not finite\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("rows", ["# only a comment\n", "# one\n\n  \n# two\n" * 20, ""])
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_no_data_lines(self, run, reader_path, command, rows):
+        assert run(self.MODEL, rows, command) == (
+            1, "", "sparselin: error: no data lines found\n")
+
+    # CRLF, comments and blank lines where blocks begin and end, a lone \r
+    # (a line break to text-mode reading), a row longer than a block, indices
+    # beyond the model's dim and :0 values
+    ROWS = ("1 1:0.5 2:-1\r\n# a comment, long enough to straddle a block boundary\r\n"
+            "\n\r\n-1 3:2 7:100\r\n1 1:1\r-1 2:0.25 4:0\n"
+            + "1 " + " ".join(f"{j}:0.{j}" for j in range(1, 40)) + "\n"
+            + "-1 2:3\r\n\n# end\n" * 9 + "1 4:-8")
+
+    def test_predict_bytes_are_those_of_whole_file_scoring(self, run, reader_path, tmp_path):
+        from sparselin.data_io import load_dataset, load_model, write_floats
+        from sparselin.losses import scores
+
+        rc, out, err = run(self.MODEL, self.ROWS, "predict")
+        assert (rc, err) == (0, "")
+        data = load_dataset(str(tmp_path / "data.txt"), require_labels=False)
+        assert data.m == 15
+        expected = io.StringIO()
+        write_floats(scores(load_model(str(tmp_path / "model.txt")), data), expected)
+        assert out == expected.getvalue()
+
+    def test_eval_line_is_that_of_whole_file_scoring(self, run, reader_path, tmp_path):
+        from sparselin.data_io import load_dataset, load_model
+        from sparselin.losses import mean_loss, penalized, scores
+
+        rc, out, err = run(self.MODEL, self.ROWS, "eval")
+        assert (rc, err) == (0, "")
+        model = load_model(str(tmp_path / "model.txt"))
+        data = load_dataset(str(tmp_path / "data.txt"))
+        p = scores(model, data)
+        avg = mean_loss(model.loss, p, data.labels)
+        accuracy = np.count_nonzero(p * data.labels > 0) / data.m
+        assert out == (f"avg_loss={fmt_float(avg)} objective="
+                       f"{fmt_float(penalized(model, 1.0, avg))} accuracy={fmt_float(accuracy)}\n")
 
 
 class TestEntryPoint:

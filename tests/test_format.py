@@ -245,14 +245,17 @@ def test_sanitized_build(tmp_path):
         assert run.stdout.splitlines() == [
             f"{i} {np.float64(float(v)).view(np.uint64):x}" for i, v in rows] + [str(stop)]
 
-    # sl_lookup over arrays of exactly their size: an empty support, misses
-    # below, between and past the features, and skewed buckets; then sl_scores
-    # over the keys as a dataset's indices, in rows of up to 3 and an empty
-    # one, with signed zeros among the weights and the values
+    # sl_directory and sl_lookup over arrays of exactly their size: an empty
+    # support, one feature, nine, misses below, between and past
+    # the features, and skewed buckets; then sl_scores over the keys as a
+    # dataset's indices, in rows of up to 3 and an empty one, with signed zeros
+    # among the weights and the values, in one call and in calls of one and of
+    # two rows over copies of just those rows that share the one directory
     exe = sanitized(tmp_path, "lookup_driver.c")
     hashed = 10**12
     for feats, keys in [([], [0, 1, hashed]), ([0], [0, 1, 2]), ([3], [0, 3, 4]),
                         ([2, 9, 40], [1, 2, 3, 9, 39, 40, 41, 10**18]),
+                        (list(range(5, 95, 10)), list(range(100))),
                         (list(range(999)) + [hashed - 1], [0, 998, 999, hashed - 2, hashed - 1,
                                                          hashed]),
                         (list(range(0, 3000, 3)), list(range(3005)))]:
@@ -266,11 +269,13 @@ def test_sanitized_build(tmp_path):
                                   *indptr.tolist()]))
         text += " " + " ".join(f"{w:x}" for w in np.concatenate(
             [weights, values, [bias]]).view(np.uint64).tolist())
-        run = subprocess.run([str(exe)], input=text, capture_output=True, text=True, env=env)
-        assert run.returncode == 0, run.stderr
         scored = row_dots(np.append(weights, 0.0), indptr, want, values) + bias
-        assert run.stdout.split() == [str(p) for p in want.tolist()] + [
-            f"{w:x}" for w in scored.view(np.uint64).tolist()]
+        for rows in ([], ["1"], ["2"]):
+            run = subprocess.run([str(exe), *rows], input=text, capture_output=True, text=True,
+                                 env=env)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout.split() == [str(p) for p in want.tolist()] + [
+                f"{w:x}" for w in scored.view(np.uint64).tolist()]
 
     # sl_scan reading LIBSVM lines whose last token ends at the buffer's NUL,
     # and sl_steps over arrays of exactly the scanned size, drawing its rows

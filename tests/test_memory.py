@@ -6,8 +6,10 @@ does with the memory.  On a dataset of a million nonzeros and a model of as
 many weights, the readers peak at the arrays they return, and scoring,
 validation and the penalty at their result: each within ``SLACK``, which
 the fixed-size buffers and blocks of these calls fit in and any temporary
-the size of the input does not.  Training draws each step's row inside the
-loop, so its peak does not grow with the number of steps.
+the size of the input does not.  Scoring a file as ``predict`` and ``eval``
+do holds no dataset, so its peak does not grow with the nonzeros per row.
+Training draws each step's row inside the loop, so its peak does not grow
+with the number of steps.
 """
 
 import tracemalloc
@@ -25,7 +27,7 @@ from sparselin import (
     casgd_train,
     sgd_train,
 )
-from sparselin.data_io import load_dataset, load_model, save_model
+from sparselin.data_io import load_dataset, load_model, load_scores, save_model
 from sparselin.losses import scores
 from sparselin.sparse_core import squared_norm, support
 
@@ -96,6 +98,28 @@ def test_scores_allocate_the_result_and_one_directory(files):
     p, peak = traced_peak(scores, model, data)
     assert p.size == M
     assert peak <= p.nbytes + 8 * (model.feats.size + 1) + SLACK
+
+
+@pytest.mark.parametrize("require_labels", [False, True])
+def test_scoring_a_file_peaks_at_two_results_and_one_directory(files, tmp_path, require_labels):
+    # predict and eval score the file a block at a time as they read it: beyond
+    # the model, the two m-long results and its directory, only the fixed
+    # block buffers, so rows of 200 nonzeros peak as rows of 20 do
+    model = load_model(files[1])
+    rng = np.random.default_rng(7)
+    m, peaks = 4_000, []
+    for k in (20, 200):
+        path = tmp_path / f"k{k}.txt"
+        # k features of the model's, every 37th from a random one, 1-based
+        starts = rng.integers(0, model.feats.size - 37 * k, size=(m, 1))
+        rows = model.feats[starts + 37 * np.arange(k)] + 1
+        path.write_text("".join(f"-1 {' '.join(f'{j}:0.5' for j in row)}\n"
+                                for row in rows.tolist()))
+        (p, labels), peak = traced_peak(load_scores, str(path), model, require_labels)
+        assert p.size == labels.size == m
+        assert peak <= 2 * 8 * m + 8 * (model.feats.size + 1) + SLACK
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + (64 << 10)
 
 
 def test_validation_and_the_norm_allocate_no_input_sized_temporary(files):
