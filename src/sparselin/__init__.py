@@ -19,7 +19,6 @@ from .sparse_core import Dataset, DenseVec, SparseVec, TouchCounter, dot, mean_v
 from .losses import (LinearModel, LossKind, loss_subgradient, loss_value, objective_value,
                      validate_labels)
 from .solvers import (
-    SolverState,
     TrainConfig,
     asgd_train,
     casgd_train,
@@ -51,7 +50,6 @@ __all__ = [
     "LossKind",
     "NonFiniteError",
     "ParseError",
-    "SolverState",
     "SparseVec",
     "SparselinError",
     "TouchCounter",

@@ -32,24 +32,25 @@ or loaded (no compiler, say), and is the reference the compiled loop is
 tested against.  Both keep the contract stated at ``sl_steps``: the same
 arguments, the same floating-point operations in the same order (so
 bit-identical models), and the same count of sparse touches in the state
-array, which ``_train`` charges once.  The rows are ``draw_indices``'
-sequence, a function of the seed, the step number and m: the compiled loop
-draws each step's row alone, and the Python loop draws windows of the
-sequence ``BLOCK`` steps at a time with ``draw_indices``' own code
-(``_rows``).  So no T-long array is built and memory is independent of T,
-which is at most ``MAX_STEPS``.  Model recovery works in place, in the
-vectors it combines, and ends in the last one (v for sgd, u for asgd, xbar
-for casgd); numpy's floating-point flags report an overflow in it as a
-``NonFiniteError``.
+array, which ``_train`` charges once.  ``_train`` makes one call, over the
+steps [1, T + 1).  A call over any window [t0, t1) continues the sums where
+the last call left them, bit for bit, so a caller observes single steps by
+running the loop itself over [t, t + 1) for each t.  The rows are
+``draw_indices``' sequence, a function of the seed, the step number and m:
+the compiled loop draws each step's row alone, and the Python loop draws
+windows of the sequence ``BLOCK`` steps at a time with ``draw_indices``'
+own code (``_rows``).  So no T-long array is built and memory is
+independent of T, which is at most ``MAX_STEPS``.  Model recovery works in
+place, in the vectors it combines, and ends in the last one (v for sgd, u
+for asgd, xbar for casgd); numpy's floating-point flags report an overflow
+in it as a ``NonFiniteError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
-from typing import Callable
 
 import numpy as np
 
@@ -58,7 +59,6 @@ from .losses import LinearModel, LossKind, loss_subgradient, validate_labels
 from .sparse_core import (
     BLOCK,
     Dataset,
-    DenseVec,
     SparseVec,
     TouchCounter,
     finalize_combine,
@@ -94,35 +94,6 @@ class TrainConfig:
             raise ValueError(f"lambda must be a positive finite real, got {self.lam}")
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass
-class SolverState:
-    """Solver state after step t; sums the solver does not keep stay at their defaults.
-
-    The vectors span the data's features only: component j of v, u and xbar
-    belongs to feature ``feats[j]`` of the model's ``dim``.
-    """
-
-    v: DenseVec
-    a: float
-    t: int
-    feats: np.ndarray
-    dim: int
-    u: DenseVec | None = None
-    c: float = 0.0
-    h: float = 0.0
-    xbar: DenseVec | None = None
-    theta: float = 0.0
-    z: float = 0.0
-    r: float = 0.0
-    s: float = 0.0
-
-
-# Called after every completed step with the solver state and the
-# prediction p used at that step (0.0 for step 1).  The state holds the
-# live arrays, so an observer that keeps it must copy it.  Test-only hook.
-Observer = Callable[[SolverState, float], None]
 
 
 def draw_indices(seed: int, steps: int, m: int) -> np.ndarray:
@@ -172,11 +143,10 @@ def fit(algo: str, data: Dataset, cfg: TrainConfig) -> tuple[LinearModel, Datase
     """The model of the solver ``algo`` names (sgd, asgd or casgd), and the data
     its loop ran over: ``data``'s rows with feature ``model.feats[j]`` numbered
     j, so each index of it is the position of its weight in ``model.weights``."""
-    return _train(data, cfg, None, None, *ALGOS[algo])
+    return _train(data, cfg, None, *ALGOS[algo])
 
 
-def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None,
-           observer: Observer | None, average: bool,
+def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, average: bool,
            center: bool) -> tuple[LinearModel, Dataset]:
     """The loop behind all three solvers; ``center`` requires ``average``."""
     if data.m == 0:
@@ -199,17 +169,10 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None,
     st = np.zeros(9)  # a, c, h, z, r, s, the last step's p and g, and the sparse touches
     lib = _kernel.load()
     # the loop's contract, one argument list for both loops: see sl_steps in _kernel.c
-    run = partial(_python_steps if lib is None else lib.sl_steps, cfg.seed, data.m,
-                  data.indptr, data.indices, data.values, data.labels, _LOSSES.index(kind),
-                  lam, theta, xbar, v, u, st)
-    steps = ((t, t + 1) for t in range(1, T + 1)) if observer is not None else [(1, T + 1)]
-    for t0, t1 in steps:
-        bad = run(t0, t1)
-        a, c, h, z, r, s, p, g, touches = st.tolist()
-        if bad:
-            break
-        if observer is not None:
-            observer(SolverState(v, a, t0, feats, dim, u, c, h, xbar, theta, z, r, s), p)
+    bad = (_python_steps if lib is None else lib.sl_steps)(
+        cfg.seed, data.m, data.indptr, data.indices, data.values, data.labels,
+        _LOSSES.index(kind), lam, theta, xbar, v, u, st, 1, T + 1)
+    a, c, h, z, r, s, p, g, touches = st.tolist()
     if counter is not None:
         counter.sparse_touches += int(touches)
     if bad:
@@ -277,36 +240,24 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
     return 0
 
 
-def sgd_train(
-    data: Dataset,
-    cfg: TrainConfig,
-    counter: TouchCounter | None = None,
-    observer: Observer | None = None,
-) -> LinearModel:
+def sgd_train(data: Dataset, cfg: TrainConfig,
+              counter: TouchCounter | None = None) -> LinearModel:
     """Plain SGD; returns the last iterate."""
-    return _train(data, cfg, counter, observer, average=False, center=False)[0]
+    return _train(data, cfg, counter, average=False, center=False)[0]
 
 
-def asgd_train(
-    data: Dataset,
-    cfg: TrainConfig,
-    counter: TouchCounter | None = None,
-    observer: Observer | None = None,
-) -> LinearModel:
+def asgd_train(data: Dataset, cfg: TrainConfig,
+               counter: TouchCounter | None = None) -> LinearModel:
     """SGD returning the average of all iterates instead of the last one."""
-    return _train(data, cfg, counter, observer, average=True, center=False)[0]
+    return _train(data, cfg, counter, average=True, center=False)[0]
 
 
-def casgd_train(
-    data: Dataset,
-    cfg: TrainConfig,
-    counter: TouchCounter | None = None,
-    observer: Observer | None = None,
-) -> LinearModel:
+def casgd_train(data: Dataset, cfg: TrainConfig,
+                counter: TouchCounter | None = None) -> LinearModel:
     """Averaged SGD on implicitly mean-centered data.
 
     Predictions from the returned model apply directly to raw, uncentered
     inputs: the centering shift lives in the bias term, which makes the
     trained predictor invariant to translating the whole training set.
     """
-    return _train(data, cfg, counter, observer, average=True, center=True)[0]
+    return _train(data, cfg, counter, average=True, center=True)[0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,11 +16,10 @@ from sparselin import (
     NonFiniteError,
     SparseVec,
     TrainConfig,
-    casgd_train,
+    _kernel,
     draw_indices,
-    sgd_train,
 )
-from sparselin.solvers import _LOSSES
+from sparselin.solvers import _LOSSES, ALGOS, _python_steps, fit
 from sparselin.sparse_core import mean_vector, squared_norm
 
 ALL_LOSSES = list(LossKind)
@@ -105,24 +105,19 @@ def _kink_gap(loss: LossKind, p: float, y: float) -> float:
     return float("inf")
 
 
-def _comparable(data: Dataset, cfg: TrainConfig, solvers) -> bool:
+def _comparable(data: Dataset, cfg: TrainConfig, algos) -> bool:
     labels = data.labels.tolist()
-    order = draw_indices(cfg.seed, cfg.steps, data.m)
-    for train in solvers:
-        worst_p = 0.0
-        worst_gap = float("inf")
-
-        def watch(state, p):
-            nonlocal worst_p, worst_gap
-            worst_p = max(worst_p, abs(p))
-            worst_gap = min(worst_gap, _kink_gap(cfg.loss, p, labels[order[state.t - 1]]))
-
-        try:
-            train(data, cfg, observer=watch)
+    order = draw_indices(cfg.seed, cfg.steps, data.m).tolist()
+    for algo in algos:
+        try:  # the trainer itself, for a NonFiniteError in the loop or in the model
+            fit(algo, data, cfg)
         except NonFiniteError:
             return False
-        if worst_p > _MAX_ABS_P or worst_gap < _MIN_KINK_GAP:
-            return False
+        args = loop_args(data, cfg.loss, cfg.lam, cfg.seed, *ALGOS[algo])
+        for step in trace(args, cfg.steps):
+            gap = _kink_gap(cfg.loss, step.p, labels[order[step.t - 1]])
+            if abs(step.p) > _MAX_ABS_P or gap < _MIN_KINK_GAP:
+                return False
     return True
 
 
@@ -140,7 +135,7 @@ def instance_family(seed: int, count: int, m_min: int = 1, centered: bool = Fals
     rng = np.random.default_rng(seed)
     produced = 0
     attempts = 0
-    solvers = (sgd_train, casgd_train) if centered else (sgd_train,)
+    algos = ("sgd", "casgd") if centered else ("sgd",)
     while produced < count:
         attempts += 1
         if attempts > 50 * count:
@@ -153,30 +148,22 @@ def instance_family(seed: int, count: int, m_min: int = 1, centered: bool = Fals
         data = random_dataset(rng, n, m, 8, loss, k_min=1)
         solver_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
         cfg = TrainConfig(steps=steps, lam=lam, seed=solver_seed, loss=loss)
-        if not _comparable(data, cfg, solvers):
+        if not _comparable(data, cfg, algos):
             continue
         produced += 1
         yield data, loss, lam, steps, solver_seed
 
 
-def spread(state, local: np.ndarray) -> np.ndarray:
-    """The dim-long vector holding ``local[j]`` at feature ``state.feats[j]``, 0 elsewhere."""
-    out = np.zeros(state.dim)
-    out[state.feats] = local
-    return out
+def recover_sgd_iterate(step, lam: float) -> tuple[np.ndarray, float]:
+    """The iterate (w_t, b_t) = -[v_t, a_t] / (lam*t) from the state after step t."""
+    scale = -1.0 / (lam * step.t)
+    return scale * step.v, scale * step.a
 
 
-def recover_sgd_iterate(state, lam: float) -> tuple[np.ndarray, float]:
-    """The iterate (w_t, b_t) = -[v_t, a_t] / (lam*t) from the solver state after step t."""
-    scale = -1.0 / (lam * state.t)
-    return spread(state, scale * state.v), scale * state.a
-
-
-def recover_centered_iterate(state, lam: float) -> tuple[np.ndarray, float]:
+def recover_centered_iterate(step, lam: float) -> tuple[np.ndarray, float]:
     """The centered-data iterate after step t, with its implicit (uncentered-input) bias."""
-    scale = -1.0 / (lam * state.t)
-    w = scale * (state.v - state.a * state.xbar)
-    return spread(state, w), scale * state.r
+    scale = -1.0 / (lam * step.t)
+    return scale * (step.v - step.a * step.xbar), scale * step.r
 
 
 def loop_args(data: Dataset, loss: LossKind, lam: float, seed: int, average: bool,
@@ -189,6 +176,42 @@ def loop_args(data: Dataset, loss: LossKind, lam: float, seed: int, average: boo
     return (seed, data.m, data.indptr, data.indices, data.values, data.labels,
             _LOSSES.index(loss), lam, theta, xbar, np.zeros(data.dim),
             np.zeros(data.dim) if average else None, np.zeros(9))
+
+
+class Step(NamedTuple):
+    """The loop's state after step t, and the prediction p that step used
+    (0.0 at step 1).  Sums the solver does not keep stay None or 0.0."""
+
+    t: int
+    p: float
+    v: np.ndarray
+    u: np.ndarray | None
+    xbar: np.ndarray | None
+    theta: float
+    a: float
+    c: float
+    h: float
+    z: float
+    r: float
+    s: float
+
+
+def trace(args: tuple, steps: int, loop=None):
+    """Steps 1..``steps`` of the loop over ``loop_args``' ``args``, one call per
+    step over [t, t + 1): yields each step's ``Step``, v and u copied.  ``loop``
+    defaults to the one ``_train`` runs (``sl_steps`` where the kernel loads);
+    pass ``_python_steps`` for the fallback.  A step that goes non-finite
+    raises ``NonFiniteError``, so no test reads a trace cut short."""
+    if loop is None:
+        lib = _kernel.load()
+        loop = _python_steps if lib is None else lib.sl_steps
+    *_, theta, xbar, v, u, st = args
+    for t in range(1, steps + 1):
+        if loop(*args, t, t + 1):
+            raise NonFiniteError(f"non-finite value at step {t}")
+        a, c, h, z, r, s, p = st.tolist()[:7]
+        yield Step(t, p, v.copy(), None if u is None else u.copy(), xbar, theta,
+                   a, c, h, z, r, s)
 
 
 def densify(x: SparseVec) -> np.ndarray:

@@ -7,7 +7,6 @@ an end-to-end optimization sanity check; 7 pins the loss layer; 8 pins
 reproducibility and the file formats.
 """
 
-import copy
 import io
 import math
 import time
@@ -18,12 +17,14 @@ import numpy as np
 from helpers import (
     dense_model,
     instance_family,
+    loop_args,
     model_rel_err,
     random_sparse,
     recover_sgd_iterate,
     rel_err,
     shift_dataset,
     shift_vec,
+    trace,
 )
 from reference_oracle import dense_casgd, dense_sgd
 from sparselin import (
@@ -47,6 +48,7 @@ from sparselin import (
     write_model,
 )
 from sparselin.cli import main as cli_main
+from sparselin.solvers import ALGOS
 
 
 @contextmanager
@@ -68,11 +70,9 @@ def test_criterion_1_iterate_recovery_equivalence():
             lams_seen.add(lam)
             count += 1
             cfg = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
-            snaps = []
-            sgd_train(data, cfg, observer=lambda st, p: snaps.append(copy.deepcopy(st)))
-            trace = dense_sgd(data, cfg)
+            snaps = list(trace(loop_args(data, loss, lam, seed, *ALGOS["sgd"]), steps))
             assert len(snaps) == steps
-            for st, (w_ref, b_ref) in zip(snaps, trace.iterates):
+            for st, (w_ref, b_ref) in zip(snaps, dense_sgd(data, cfg).iterates):
                 w, b = recover_sgd_iterate(st, lam)
                 assert rel_err(np.append(w, b), np.append(w_ref, b_ref)) <= 1e-9
         assert count >= 200

@@ -721,7 +721,7 @@ class TestEntryPoint:
         assert solvers.LinearModel is sparselin.LinearModel
         assert sparselin.__all__ == """Dataset DenseVec DimensionError EmptyDatasetError
             FormatError IndexOrderError LabelError LinearModel LossKind NonFiniteError
-            ParseError SolverState SparseVec SparselinError TouchCounter TrainConfig
+            ParseError SparseVec SparselinError TouchCounter TrainConfig
             asgd_train casgd_train dot draw_indices load_dataset load_model
             loss_subgradient loss_value mean_vector objective_value parse_libsvm predict
             read_model save_model sgd_train validate_labels write_libsvm

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ALL_LOSSES, NUMBER_EDGES, loop_args, random_dataset, shift_dataset
+from helpers import ALL_LOSSES, NUMBER_EDGES, loop_args, random_dataset, shift_dataset, trace
 from sparselin import (
     Dataset,
     FormatError,
@@ -63,21 +63,21 @@ def compiled():
 
 
 def assert_same_run(data, cfg, train):
-    """Same model, same per-step predictions and same touch counts on both paths."""
+    """Same model and touch counts from the trainer on both paths, and the same
+    per-step predictions from both loops; returns the fallback's predictions."""
+    algo = ALGOS[train.__name__.removesuffix("_train")]
+    ps = [[st.p for st in trace(loop_args(data, cfg.loss, cfg.lam, cfg.seed, *algo),
+                                cfg.steps, loop)]
+          for loop in (_kernel.load().sl_steps, _python_steps)]
     runs = []
-    for run in (train, lambda *a, **k: on_fallback(train, *a, **k)):
-        ps, counter = [], TouchCounter()
-        model = run(data, cfg, counter, observer=lambda st, p: ps.append(p))
-        plain = TouchCounter()
-        again = run(data, cfg, plain)  # without an observer: one call for all steps
-        assert np.array_equal(again.dense(), model.dense()) and again.b == model.b
-        assert plain == counter
-        runs.append((model, ps, counter))
-    (m1, ps1, c1), (m2, ps2, c2) = runs
+    for run in (train, lambda *a: on_fallback(train, *a)):
+        counter = TouchCounter()
+        runs.append((run(data, cfg, counter), counter))
+    (m1, c1), (m2, c2) = runs
     assert bits(m1.dense(), np.array([m1.b])) == bits(m2.dense(), np.array([m2.b]))
-    assert bits(np.array(ps1)) == bits(np.array(ps2))
+    assert bits(np.array(ps[0])) == bits(np.array(ps[1]))
     assert c1 == c2
-    return ps2
+    return ps[1]
 
 
 def labels_at_steps(data, cfg):

@@ -9,7 +9,8 @@ the fixed-size buffers and blocks of these calls fit in and any temporary
 the size of the input does not.  Scoring a file as ``predict`` and ``eval``
 do holds no dataset, so its peak does not grow with the nonzeros per row.
 Training draws each step's row inside the loop, so its peak does not grow
-with the number of steps.
+with the number of steps.  ``mean_vector`` allocates its ``dim`` floats and
+little more.
 """
 
 import tracemalloc
@@ -29,7 +30,7 @@ from sparselin import (
 )
 from sparselin.data_io import load_dataset, load_model, load_scores, save_model
 from sparselin.losses import scores
-from sparselin.sparse_core import squared_norm, support
+from sparselin.sparse_core import mean_vector, squared_norm, support
 
 SLACK = 1 << 20  # 1 MiB
 M, K = 50_000, 20  # rows and nonzeros per row: a million nonzeros
@@ -149,3 +150,14 @@ def test_training_memory_does_not_grow_with_the_steps(train):
         _, peak = traced_peak(train, data, cfg)
         peaks.append(peak)
     assert peaks[1] <= peaks[0] + (64 << 10)
+
+
+def test_mean_vector_allocates_its_dim_floats():
+    # the mean is data.dim floats long, as LinearModel.dense is, whatever the
+    # data: one row of two nonzeros at dim 10^6 peaks at those 8 MB
+    dim = 10**6
+    data = Dataset(np.array([0, 2]), np.array([3, dim - 1]), np.array([0.5, -2.0]),
+                   np.array([1.0]), dim)
+    xbar, peak = traced_peak(mean_vector, data)
+    assert xbar.size == dim and xbar[3] == 0.5 and xbar[dim - 1] == -2.0
+    assert 8 * dim <= peak <= 8 * dim + SLACK

@@ -1,4 +1,3 @@
-import copy
 import io
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from helpers import (
     dense_model,
     instance_family,
+    loop_args,
     model_rel_err,
     random_dataset,
     random_label,
@@ -14,6 +14,7 @@ from helpers import (
     recover_centered_iterate,
     recover_sgd_iterate,
     rel_err,
+    trace,
 )
 from reference_oracle import dense_sgd
 from sparselin import (
@@ -34,7 +35,7 @@ from sparselin import (
     sgd_train,
     write_model,
 )
-from sparselin.solvers import MAX_STEPS
+from sparselin.solvers import ALGOS, MAX_STEPS
 
 ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
 
@@ -171,11 +172,10 @@ class TestPerStepEquivalence:
     def test_gradient_sum_recovery_matches_dense_recurrence(self):
         for data, loss, lam, steps, seed in instance_family(seed=101, count=24):
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
-            snaps = []
-            sgd_train(data, c, observer=lambda st, p: snaps.append(copy.deepcopy(st)))
-            trace = dense_sgd(data, c)
-            assert len(snaps) == len(trace.iterates) == steps
-            for st, (w_ref, b_ref) in zip(snaps, trace.iterates):
+            snaps = list(trace(loop_args(data, loss, lam, seed, *ALGOS["sgd"]), steps))
+            iterates = dense_sgd(data, c).iterates
+            assert len(snaps) == len(iterates) == steps
+            for st, (w_ref, b_ref) in zip(snaps, iterates):
                 w, b = recover_sgd_iterate(st, lam)
                 assert rel_err(np.append(w, b), np.append(w_ref, b_ref)) <= 1e-9
 
@@ -183,36 +183,30 @@ class TestPerStepEquivalence:
         for data, loss, lam, steps, seed in instance_family(seed=33, count=8):
             c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             order = draw_indices(seed, steps, data.m)
-            ps = []
-            sgd_train(data, c, observer=lambda st, p: ps.append(p))
-            trace = dense_sgd(data, c)
+            ps = [st.p for st in trace(loop_args(data, loss, lam, seed, *ALGOS["sgd"]), steps)]
+            iterates = dense_sgd(data, c).iterates
             assert ps[0] == 0.0
             for t in range(2, steps + 1):
-                w_prev, b_prev = trace.iterates[t - 2]
+                w_prev, b_prev = iterates[t - 2]
                 x = data.row(order[t - 1])
                 model = dense_model(w_prev, b_prev, loss)
                 assert rel_err(ps[t - 1], predict(model, x)) <= 1e-9
 
     def test_prediction_path_casgd(self):
         for data, loss, lam, steps, seed in instance_family(seed=44, count=8, m_min=2):
-            c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
             order = draw_indices(seed, steps, data.m)
-            snaps, ps = [], []
-            casgd_train(data, c,
-                        observer=lambda st, p: (snaps.append(copy.deepcopy(st)), ps.append(p)))
+            snaps = list(trace(loop_args(data, loss, lam, seed, *ALGOS["casgd"]), steps))
             for t in range(2, steps + 1):
                 w_prev, b_prev = recover_centered_iterate(snaps[t - 2], lam)
                 x = data.row(order[t - 1])
                 model = dense_model(w_prev, b_prev, loss)
-                assert rel_err(ps[t - 1], predict(model, x)) <= 1e-9
+                assert rel_err(snaps[t - 1].p, predict(model, x)) <= 1e-9
 
 
 class TestAveragedState:
     def test_harmonic_numbers_and_u_start(self):
         data = random_dataset(np.random.default_rng(3), 8, 5, 4, LossKind.LOG)
-        snaps = []
-        asgd_train(data, cfg(steps=64, lam=0.1, seed=5, loss=LossKind.LOG),
-                   observer=lambda st, p: snaps.append(copy.deepcopy(st)))
+        snaps = list(trace(loop_args(data, LossKind.LOG, 0.1, 5, *ALGOS["asgd"]), 64))
         assert not snaps[0].u.any()  # h_0 = 0: step 1 contributes nothing to u
         harmonic = 0.0
         for t, st in enumerate(snaps, start=1):
@@ -257,19 +251,13 @@ class TestAveragedState:
 class TestCenteredState:
     def test_projection_sum_identity(self):
         for data, loss, lam, steps, seed in instance_family(seed=66, count=10, m_min=2):
-            c = TrainConfig(steps=steps, lam=lam, seed=seed, loss=loss)
-            snaps = []
-            casgd_train(data, c, observer=lambda st, p: snaps.append(copy.deepcopy(st)))
-            for st in snaps:
+            for st in trace(loop_args(data, loss, lam, seed, *ALGOS["casgd"]), steps):
                 z_ref = float(st.v @ st.xbar)
                 assert rel_err(st.z, z_ref) <= 1e-9
 
     def test_r_is_recomputed_exactly(self):
         data = random_dataset(np.random.default_rng(8), 10, 6, 4, LossKind.SQUARED)
-        snaps = []
-        casgd_train(data, cfg(steps=50, lam=0.5, seed=2),
-                    observer=lambda st, p: snaps.append(copy.deepcopy(st)))
-        for st in snaps:
+        for st in trace(loop_args(data, LossKind.SQUARED, 0.5, 2, *ALGOS["casgd"]), 50):
             assert st.r == st.a * st.theta - st.z
 
     @pytest.mark.parametrize("loss", list(LossKind))
