@@ -3,9 +3,8 @@
  * decimal-to-double converter (number: Clinger's exact path and
  * Eisel-Lemire, strtod only where those cannot decide), the directory of a
  * model's support (sl_directory) through which sl_lookup finds feature
- * indices and sl_scores scores a dataset's rows under the model (sl_dots
- * scores data numbered as its support), and the float formatter of
- * data_io's writers (sl_format).
+ * indices and sl_scores scores a dataset's rows under the model, and the
+ * float formatter of data_io's writers (sl_format).
  */
 #include <math.h>
 #include <stdint.h>
@@ -466,17 +465,6 @@ void sl_scores(const int64_t *feats, const double *w, int64_t n, double b, const
         out[r] = d + b;
     }
 }
-
-/* w . x + b for each of the m CSR rows x into out, each index the position of
- * its weight in w (the data a training loop ran over, numbered as its
- * model's support), summed as the loop's dot and sl_scores sum. */
-void sl_dots(const double *w, double b, const int64_t *indptr, const int64_t *idx,
-             const double *val, int64_t m, double *out)
-{
-    for (int64_t r = 0; r < m; r++)
-        out[r] = dot(w, idx, val, indptr[r], indptr[r + 1]) + b;
-}
-
 
 /* Shortest round-trip formatting: Giulietti's Schubfach ("The Schubfach way
  * to render doubles", 2020), as in Java's DoubleToDecimal, but with no

@@ -5,12 +5,12 @@ the scanners of the LIBSVM and model-file readers (``sl_scan``,
 ``sl_weights``) with their correctly rounded decimal-to-double converter,
 the directory of a model's support (``sl_directory``; see
 ``sparse_core.directory``) through which ``sl_lookup`` finds feature
-indices and ``sl_scores`` scores a dataset's rows (with ``sl_dots``; see
-``losses``), and the shortest round-trip float formatter of the model and
-prediction writers (``sl_format``; see ``data_io``), so training,
-``predict`` and ``eval`` load it; ``import sparselin`` does not.  The converter reads a table of
-128-bit powers of five and the formatter one of 126-bit powers of ten;
-``fives`` and ``tens`` define them, and a build compiles them into the
+indices and ``sl_scores`` scores a dataset's rows (see ``losses.Scorer``),
+and the shortest round-trip float formatter of the model and prediction
+writers (``sl_format``; see ``data_io``), so training, ``predict`` and
+``eval`` load it; ``import sparselin`` does not.  The converter reads a
+table of 128-bit powers of five and the formatter one of 126-bit powers of
+ten; ``fives`` and ``tens`` define them, and a build compiles them into the
 library as a second C file (``compile_c``), so no caller ever handles them.
 
 The C source ships inside the package and is compiled on first use with the
@@ -114,7 +114,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
             (lib.sl_lookup, [ints, i64, ints, i64, ints, flag, ints], None),
             (lib.sl_scores, [ints, reals, i64, dbl, ints, ints, reals, i64, ints, flag, reals],
              None),
-            (lib.sl_dots, [reals, dbl, ints, ints, reals, i64, reals], None),
             (lib.sl_format, [reals, maybe_ints, i64, i64, _array(np.uint8), i64, ints], i64)):
         fn.argtypes, fn.restype = args, result
     return lib

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data_io import fmt_float, load_dataset, load_model, load_scores, save_model, write_floats
 from .errors import NonFiniteError, SparselinError
-from .losses import LossKind, mean_loss, penalized, trained_objective
+from .losses import LossKind, mean_loss, objective_value, penalized
 from .solvers import ALGOS, MAX_STEPS, TrainConfig, fit
 
 _LOSS_NAMES = [k.value for k in LossKind]
@@ -83,10 +83,9 @@ def cmd_train(args) -> int:
     data = load_dataset(args.data, dim_override=args.dim)
     cfg = TrainConfig(steps=args.steps, lam=args.lam, seed=args.seed,
                       loss=LossKind(args.loss))
-    # the parsed indices go once the loop has numbered them
-    model, data = fit(args.algo, data, cfg)
+    model = fit(args.algo, data, cfg)
     save_model(model, args.model)
-    objective = trained_objective(model, data, args.lam)
+    objective = objective_value(model, data, args.lam)
     print(f"trained algo={args.algo} loss={args.loss} lambda={fmt_float(args.lam)} "
           f"T={args.steps} seed={args.seed} objective={fmt_float(objective)}")
     return 0

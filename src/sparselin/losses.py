@@ -4,8 +4,8 @@ A ``LinearModel`` is (w, b) over its support plus the loss it was trained
 for; a ``Scorer`` applies it to CSR rows, any number per call through one
 lookup directory: to every row of a ``Dataset`` (``scores``), or to a file
 a block at a time as it is read (``data_io.load_scores``, which ``predict``
-and ``eval`` use), bit for bit alike.  ``objective_value`` and
-``trained_objective`` evaluate it.
+and ``eval`` use), bit for bit alike.  ``objective_value`` evaluates it
+through the same ``Scorer``, as ``train`` prints it.
 
 Prediction-side conventions at the nondifferentiable points are pinned so
 that independent implementations agree bit-for-bit: the absolute loss
@@ -219,28 +219,6 @@ def objective_value(model: LinearModel, data: Dataset, lam: float) -> float:
         raise ValueError("objective_value needs at least one example")
     validate_labels(data, model.loss)
     return penalized(model, lam, mean_loss(model.loss, p, data.labels))
-
-
-def trained_objective(model: LinearModel, numbered: Dataset, lam: float) -> float:
-    """``objective_value`` of a model on the data it was trained on, given as
-    ``solvers.fit`` returns it, each index the position of its weight in
-    ``model.weights``: no index is looked up.  Rows are summed as ``scores``
-    sums them, left to right from +0.0, then b is added, so the objective is
-    bit for bit that of ``objective_value`` on the data as read.  Compiled
-    where the kernel loads (``sl_dots``, which allocates nothing), else
-    ``row_dots``."""
-    from . import _kernel  # here, so that importing sparselin does not import it
-
-    lib = _kernel.load()
-    if lib is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = row_dots(model.weights, numbered.indptr, numbered.indices,
-                         numbered.values) + model.b
-    else:
-        p = np.empty(numbered.m)
-        lib.sl_dots(model.weights, model.b, numbered.indptr, numbered.indices, numbered.values,
-                    numbered.m, p)
-    return penalized(model, lam, mean_loss(model.loss, finite_scores(p), numbered.labels))
 
 
 def penalized(model: LinearModel, lam: float, avg_loss: float) -> float:

@@ -139,15 +139,13 @@ def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = Non
     return float(d[0]) + model.b
 
 
-def fit(algo: str, data: Dataset, cfg: TrainConfig) -> tuple[LinearModel, Dataset]:
-    """The model of the solver ``algo`` names (sgd, asgd or casgd), and the data
-    its loop ran over: ``data``'s rows with feature ``model.feats[j]`` numbered
-    j, so each index of it is the position of its weight in ``model.weights``."""
+def fit(algo: str, data: Dataset, cfg: TrainConfig) -> LinearModel:
+    """The model of the solver ``algo`` names (sgd, asgd or casgd)."""
     return _train(data, cfg, None, *ALGOS[algo])
 
 
 def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, average: bool,
-           center: bool) -> tuple[LinearModel, Dataset]:
+           center: bool) -> LinearModel:
     """The loop behind all three solvers; ``center`` requires ``average``."""
     if data.m == 0:
         raise EmptyDatasetError("training needs at least one example")
@@ -194,7 +192,7 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     except FloatingPointError:
         raise NonFiniteError(f"the model overflows when its sums are divided by lambda*T = "
                              f"{lam * T}; lambda may be too small for the data") from None
-    return LinearModel(feats, w, b, kind, dim), data
+    return LinearModel(feats, w, b, kind, dim)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in C: callers check finiteness
@@ -243,13 +241,13 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
 def sgd_train(data: Dataset, cfg: TrainConfig,
               counter: TouchCounter | None = None) -> LinearModel:
     """Plain SGD; returns the last iterate."""
-    return _train(data, cfg, counter, average=False, center=False)[0]
+    return _train(data, cfg, counter, average=False, center=False)
 
 
 def asgd_train(data: Dataset, cfg: TrainConfig,
                counter: TouchCounter | None = None) -> LinearModel:
     """SGD returning the average of all iterates instead of the last one."""
-    return _train(data, cfg, counter, average=True, center=False)[0]
+    return _train(data, cfg, counter, average=True, center=False)
 
 
 def casgd_train(data: Dataset, cfg: TrainConfig,
@@ -260,4 +258,4 @@ def casgd_train(data: Dataset, cfg: TrainConfig,
     inputs: the centering shift lives in the bias term, which makes the
     trained predictor invariant to translating the whole training set.
     """
-    return _train(data, cfg, counter, average=True, center=True)[0]
+    return _train(data, cfg, counter, average=True, center=True)

@@ -1,5 +1,5 @@
-/* Runs sl_scan, then sl_steps and sl_dots of sparselin/_kernel.c, for the
- * sanitizer build in test_format.py.
+/* Runs sl_scan, then sl_steps of sparselin/_kernel.c, for the sanitizer
+ * build in test_format.py.
  *
  * Usage: steps_driver LOSS LAM T DIM AVERAGE SEED [THETA XBAR_0 ... XBAR_DIM-1] < data
  * The data are LIBSVM lines, the last without a line break.  They are read
@@ -10,8 +10,7 @@
  * NULL unless AVERAGE is 1, xbar NULL unless THETA and DIM values follow
  * (the reals as C hex floats).  Written to stdout, one line each, in hex:
  * indptr, the indices, the bits of the values and of the labels, the loop's
- * result, and the bits of the state array, of v, of u (empty without u) and
- * of the rows' scores under the weights v and the bias 0.5 (sl_dots).
+ * result, and the bits of the state array, of v and of u (empty without u).
  * Exits 3 when the scan stops before the end.
  */
 #include <inttypes.h>
@@ -26,8 +25,6 @@ int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int64_t 
                  const double *val, const double *labels, int loss, double lam,
                  double theta, const double *xbar, double *v, double *u, double *st,
                  int64_t t0, int64_t t1);
-void sl_dots(const double *w, double b, const int64_t *indptr, const int64_t *idx,
-             const double *val, int64_t m, double *out);
 
 static void *copy(const void *src, size_t bytes)
 {
@@ -98,12 +95,6 @@ int main(int argc, char **argv)
     print_words(st, 9);
     print_words(v, dim);
     print_words(u, u ? dim : 0);
-    double *scores = malloc(8 * rows + 1);
-    if (!scores)
-        return 2;
-    sl_dots(v, 0.5, exact_indptr, exact_idx, exact_val, rows, scores);
-    print_words(scores, rows);
-    free(scores);
     free(exact_indptr), free(exact_idx), free(exact_val), free(exact_labels);
     free(xbar), free(st), free(u), free(v);
     free(val), free(labels), free(idx), free(indptr), free(buf), free(text);

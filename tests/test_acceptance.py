@@ -146,18 +146,19 @@ def _complexity_instance(n, m, k, rng):
 
 
 def _timing_ratio(fn_small, fn_large, reps):
-    """Best-of-reps wall time of fn_large over fn_small, interleaved so CPU
-    drift hits both alike."""
+    """Best-of-reps process CPU time of fn_large over fn_small, interleaved so
+    CPU drift hits both alike.  CPU time, not wall time: another process
+    loading the machine delays these calls but adds no CPU time to them."""
     fn_small()
     fn_large()
     small = large = math.inf
     for _ in range(reps):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         fn_small()
-        small = min(small, time.perf_counter() - t0)
-        t0 = time.perf_counter()
+        small = min(small, time.process_time() - t0)
+        t0 = time.process_time()
         fn_large()
-        large = min(large, time.perf_counter() - t0)
+        large = min(large, time.process_time() - t0)
     return large / small
 
 
@@ -175,7 +176,7 @@ def test_criterion_5_complexity_contract():
             assert counter.outside_dense_touches <= outside_cap
             assert counter.sparse_touches <= 8 * steps * k
 
-        # wall-clock: doubling n leaves the sparse solver nearly unchanged
+        # CPU time: doubling n leaves the sparse solver nearly unchanged
         # while the dense oracle's per-step cost doubles.  Quiet-machine
         # ratio is ~1.02; retries with more reps ride out scheduler noise,
         # while a genuine O(T*n) regression measures ~2.0 on every attempt.

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import random_dataset
+from sparselin import LossKind, _kernel
 from sparselin.cli import build_parser, main
-from sparselin.data_io import fmt_float
+from sparselin.data_io import fmt_float, write_libsvm
 from sparselin.solvers import MAX_STEPS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -284,6 +286,31 @@ class TestEval:
         rc = main(["eval", "--model", str(model_path), "--data", str(data), "--lambda", "1"])
         assert rc == 0
         assert "accuracy=0\n" in capsys.readouterr().out
+
+
+class TestTrainObjective:
+    # train scores the data as read through the Scorer that eval scores a file
+    # with, so it prints eval's objective on the same file, model and lambda
+    @pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "fallback"])
+    @pytest.mark.parametrize("algo", ["sgd", "asgd", "casgd"])
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_equals_evals_objective(self, tmp_path, capsys, monkeypatch, kernel, algo, kind):
+        if not kernel:
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+        # rows without features, and a --dim beyond every index
+        data = random_dataset(np.random.default_rng(13), 40, 25, 6, kind)
+        assert np.diff(data.indptr).min() == 0
+        path, model = tmp_path / "data.txt", str(tmp_path / "model.txt")
+        with open(path, "w") as fh:
+            write_libsvm(data, fh)
+        assert main(["train", "--data", str(path), "--model", model, "--algo", algo,
+                     "--loss", kind.value, "--lambda", "0.05", "--steps", "300", "--seed", "9",
+                     "--dim", "80"]) == 0
+        trained = capsys.readouterr().out
+        assert main(["eval", "--model", model, "--data", str(path), "--lambda", "0.05"]) == 0
+        evaluated = capsys.readouterr().out
+        objective = re.compile(r"objective=(\S+)")
+        assert objective.search(trained)[1] == objective.search(evaluated)[1]
 
 
 class TestRejectedLambda:

@@ -298,9 +298,8 @@ def test_sanitized_build(tmp_path):
                              env=env)
         assert run.returncode == 0, run.stderr
         *_, v, u, st = args
-        scores = row_dots(v, data.indptr, data.indices, data.values) + 0.5
         words = [data.indptr, data.indices, data.values, data.labels, [bad], st, v,
-                 u if average else [], scores]
+                 u if average else []]
         assert run.stdout.splitlines() == [
             " ".join(f"{w:x}" for w in np.asarray(a).view(np.uint64).tolist()) for a in words]
         assert bool(bad) == (lam < 1e-200)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_model, random_dataset
+from helpers import dense_model
 from sparselin import (
     Dataset,
     DimensionError,
@@ -14,14 +14,12 @@ from sparselin import (
     LossKind,
     SparseVec,
     SparselinError,
-    _kernel,
     loss_subgradient,
     loss_value,
     objective_value,
     validate_labels,
 )
-from sparselin.losses import mean_loss, penalized, trained_objective
-from sparselin.solvers import TrainConfig, fit
+from sparselin.losses import mean_loss, penalized
 
 preds = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 reg_labels = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -159,31 +157,15 @@ class TestObjective:
 
 
 class TestTrainedObjective:
-    # train's objective scores the data its loop ran over, whose indices are
-    # already the positions of their weights: bit for bit objective_value's
-    @pytest.mark.parametrize("kernel", [True, False], ids=["compiled", "fallback"])
-    @pytest.mark.parametrize("algo", ["sgd", "asgd", "casgd"])
-    @pytest.mark.parametrize("kind", list(LossKind))
-    def test_equals_objective_value(self, monkeypatch, kernel, algo, kind):
-        if not kernel:
-            monkeypatch.setattr(_kernel, "load", lambda: None)
-        # rows without features and dimensions no row uses
-        data = random_dataset(np.random.default_rng(13), 40, 25, 6, kind)
-        cfg = TrainConfig(steps=300, lam=0.05, seed=9, loss=kind)
-        model, numbered = fit(algo, data, cfg)
-        assert numbered.dim == model.feats.size < data.dim
-        got, want = trained_objective(model, numbered, 0.05), objective_value(model, data, 0.05)
-        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
-
+    # the objective train prints is objective_value's on the data as read:
+    # tests/test_cli.py checks it equals eval's on the same file and model
     def test_non_finite_score_names_its_example(self):
         data = Dataset.from_rows([(SparseVec([], [], 2), 1.0), (SparseVec([1], [10.0], 2), 1.0)],
                                  2)
         model = LinearModel(np.array([1]), np.array([1e308]), 0.0, LossKind.SQUARED, 2)
-        numbered = Dataset(data.indptr, [0], data.values, data.labels, 1)
-        for objective, rows in ((objective_value, data), (trained_objective, numbered)):
-            with np.errstate(all="raise"):  # and no numpy warning
-                with pytest.raises(SparselinError, match="^example 2: score inf is not finite$"):
-                    objective(model, rows, 1.0)
+        with np.errstate(all="raise"):  # and no numpy warning
+            with pytest.raises(SparselinError, match="^example 2: score inf is not finite$"):
+                objective_value(model, data, 1.0)
 
 
 def row_loop_mean(kind, ps, ys):

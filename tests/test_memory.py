@@ -3,10 +3,11 @@
 numpy reports each array buffer it allocates to ``tracemalloc``, so the
 peak it records is that of the arrays a call makes, whatever the C library
 does with the memory.  On a dataset of a million nonzeros and a model of as
-many weights, the readers peak at the arrays they return, and scoring,
-validation and the penalty at their result: each within ``SLACK``, which
-the fixed-size buffers and blocks of these calls fit in and any temporary
-the size of the input does not.  Scoring a file as ``predict`` and ``eval``
+many weights, the readers peak at the arrays they return, scoring,
+validation and the penalty at their result, and the objective at one
+directory and four m-long arrays: each within ``SLACK``, which the
+fixed-size buffers and blocks of these calls fit in and any temporary the
+size of the input does not.  Scoring a file as ``predict`` and ``eval``
 do holds no dataset, so its peak does not grow with the nonzeros per row.
 Training draws each step's row inside the loop, so its peak does not grow
 with the number of steps.  ``mean_vector`` allocates its ``dim`` floats and
@@ -29,7 +30,7 @@ from sparselin import (
     sgd_train,
 )
 from sparselin.data_io import load_dataset, load_model, load_scores, save_model
-from sparselin.losses import scores
+from sparselin.losses import objective_value, scores
 from sparselin.sparse_core import mean_vector, squared_norm, support
 
 SLACK = 1 << 20  # 1 MiB
@@ -99,6 +100,12 @@ def test_scores_allocate_the_result_and_one_directory(files):
     p, peak = traced_peak(scores, model, data)
     assert p.size == M
     assert peak <= p.nbytes + 8 * (model.feats.size + 1) + SLACK
+    # train's objective scores so too, then adds m-long work: scores' p and its
+    # isfinite mask, check_labels' three masks beside p, and at most four
+    # m-long floats in mean_loss (p, 1 - p*y, the hinge terms and their cumsum)
+    objective, peak = traced_peak(objective_value, model, data, 1e-3)
+    assert objective > 0
+    assert peak <= 4 * p.nbytes + 8 * (model.feats.size + 1) + SLACK
 
 
 @pytest.mark.parametrize("require_labels", [False, True])
