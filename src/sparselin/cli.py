@@ -8,7 +8,9 @@ stable -- 0 success, 1 usage or data error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import sys
 
 import numpy as np
@@ -92,6 +94,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.out is None and sys.stdout is None:  # started with descriptor 1 closed
+        raise SparselinError("standard output is closed; give --out")
     model = load_model(args.model)
     p, _ = load_scores(args.data, model, require_labels=False)
     if args.out is None:
@@ -115,19 +119,46 @@ def cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Runs one command; returns its exit code.  The library's entry: it
+    leaves the garbage collector as it found it."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a write error is reported here, not at shutdown
+        return code
     except NonFiniteError as exc:
         print(f"sparselin: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (SparselinError, OSError) as exc:
         print(f"sparselin: error: {exc}", file=sys.stderr)
+        _drop_unwritten_stdout()
         return 1
     except MemoryError as exc:
         print(f"sparselin: error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _drop_unwritten_stdout() -> None:
+    """Points descriptor 1 at the null device if what stdout holds cannot be
+    written, so that the interpreter's flush at exit drops it rather than
+    reporting the error a second time and exiting 120."""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def run(argv=None) -> int:
+    """The program's one entry, for ``python -m sparselin`` and the
+    ``sparselin`` script: ``main(argv)``, then ``gc.freeze()``, however main
+    ends.  The process exits next, and the interpreter's collections at
+    shutdown skip frozen objects: the ~22,000 that numpy and the package
+    leave behind, which nothing needs freed (no command runs a collection)."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()

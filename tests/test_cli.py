@@ -1,5 +1,7 @@
 import ast
 import contextlib
+import gc
+import importlib
 import io
 import os
 import re
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from helpers import random_dataset
-from sparselin import LossKind, _kernel
+from sparselin import LossKind, _kernel, cli
 from sparselin.cli import build_parser, main
 from sparselin.data_io import fmt_float, write_libsvm
 from sparselin.solvers import MAX_STEPS
@@ -702,6 +704,52 @@ class TestEntryPoint:
         assert proc.returncode == 1
         assert "the following arguments are required: command" in proc.stderr
 
+    def test_main_never_freezes(self, one_line_file, tmp_path, capsys):
+        # tests and library callers run many commands in one process, whose
+        # objects must stay collectable
+        before = gc.get_freeze_count()
+        rc, model = train(one_line_file, tmp_path)
+        assert rc == 0
+        assert main(["predict", "--model", model, "--data", one_line_file]) == 0
+        assert main(["eval", "--model", model, "--data", one_line_file, "--lambda", "1"]) == 0
+        assert main(["eval", "--model", str(tmp_path / "missing"), "--data", one_line_file,
+                     "--lambda", "1"]) == 1
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("argv, outcome", [
+        (["train", "--data", "DATA", "--model", "MODEL", *TRAIN_FLAGS], 0),
+        (["train", "--data", "MISSING", "--model", "MODEL", *TRAIN_FLAGS], 1),
+        (["train", "--data", "DATA", "--model", "MODEL", "--algo", "sgd", "--loss", "squared",
+          "--lambda", "1e-300", "--steps", "200", "--seed", "0"], 2),
+        (["train", "--data", "DATA"], SystemExit(1)),
+    ], ids=["exit0", "exit1", "exit2", "usage"])
+    def test_run_freezes_once_however_main_ends(self, one_line_file, tmp_path, capsys,
+                                                monkeypatch, argv, outcome):
+        frozen = []
+        monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+        argv = [{"DATA": one_line_file, "MISSING": str(tmp_path / "missing"),
+                 "MODEL": str(tmp_path / "model.txt")}.get(a, a) for a in argv]
+        if isinstance(outcome, SystemExit):
+            with pytest.raises(SystemExit) as exc:
+                cli.run(argv)
+            assert exc.value.code == outcome.code
+        else:
+            assert cli.run(argv) == outcome
+        assert frozen == [True]
+
+    def test_script_and_module_share_one_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads(Path(SRC).parent.joinpath("pyproject.toml").read_text())
+        module, name = pyproject["project"]["scripts"]["sparselin"].split(":")
+        # __main__.py is ``sys.exit(<name>())`` for a name it imports from .cli
+        tree = ast.parse(Path(SRC, "sparselin", "__main__.py").read_text())
+        imported = {a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                    and node.module == "cli" for a in node.names}
+        exits = [node.value.args[0].func.id for node in tree.body
+                 if isinstance(node, ast.Expr) and ast.unparse(node.value.func) == "sys.exit"]
+        assert len(exits) == 1 and exits[0] in imported
+        assert getattr(importlib.import_module(module), name) is getattr(cli, exits[0])
+
     def test_import_loads_no_kernel(self):
         # the kernel's build and ctypes cost belongs to the commands that read
         # or train, not to every import; numpy may import ctypes on its own
@@ -753,3 +801,54 @@ class TestEntryPoint:
             loss_subgradient loss_value mean_vector objective_value parse_libsvm predict
             read_model save_model sgd_train validate_labels write_libsvm
             write_model""".split()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX descriptors and pipes")
+class TestStdoutWriteErrors:
+    # stdout to a file or pipe is block-buffered, so a summary line or a short
+    # prediction output is written only when main flushes it: an error there
+    # is one line and exit 1, not the interpreter's report at exit (code 120)
+    @pytest.fixture
+    def model(self, one_line_file, tmp_path, capsys):
+        rc, model = train(one_line_file, tmp_path)
+        assert rc == 0
+        capsys.readouterr()
+        return model
+
+    def command(self, command, model, one_line_file, tmp_path):
+        return {"train": ["train", "--data", one_line_file, "--model",
+                          str(tmp_path / "again.txt"), *TRAIN_FLAGS],
+                "predict": ["predict", "--model", model, "--data", one_line_file],
+                "eval": ["eval", "--model", model, "--data", one_line_file, "--lambda", "1"],
+                }[command]
+
+    def run(self, argv, **popen):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        return subprocess.run([sys.executable, "-m", "sparselin", *argv], stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60, **popen)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_full_device(self, model, one_line_file, tmp_path, command):
+        with open("/dev/full", "wb") as full:
+            proc = self.run(self.command(command, model, one_line_file, tmp_path), stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, "sparselin: error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    def test_pipe_with_no_reader(self, model, one_line_file, tmp_path, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run(self.command(command, model, one_line_file, tmp_path),
+                            stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "sparselin: error: [Errno 32] Broken pipe\n")
+
+    def test_predict_to_a_closed_stdout(self, model, one_line_file, tmp_path):
+        proc = self.run(self.command("predict", model, one_line_file, tmp_path),
+                        preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (
+            1, "sparselin: error: standard output is closed; give --out\n")
