@@ -14,7 +14,7 @@
 extern const uint64_t sl_fives[], sl_tens[];  /* number's and sl_format's; see _kernel.compile_c */
 
 enum { ABSOLUTE, SQUARED, HINGE, LOG };  /* solvers._LOSSES */
-enum { A, C, H, Z, R, S, P, G, K };       /* slots of the scalar state array */
+enum { A, C, H, Z, R, S, P, G };          /* slots of the scalar state array */
 
 /* losses.loss_subgradient, kinks and the overflow-safe log loss included */
 static double subgradient(int loss, double p, double y)
@@ -71,31 +71,27 @@ int64_t sl_draw(uint64_t seed, int64_t m, int64_t t) { return draw(seed, m, t); 
  * floating-point operations in the same order, dot products summed left to
  * right as sparse_core.row_dots sums them, so they write bit-identical
  * models; that needs -ffp-contract=off (no fused multiply-add).  st holds
- * a, c, h, z, r, s, the last step's p and g, and the sparse touches: each
- * step adds its row's k for q = xbar . x, for v . x from step 2 on, for the
- * v update and for the u update from step 2 on, and a step that stops the
- * run only for its dot products.  Returns 0, or the first step whose p or g
- * is not finite, leaving a through s as the call found them. */
+ * a, c, h, z, r, s and the last step's p and g.  Returns 0, or the first
+ * step whose p or g is not finite, leaving a through s as the call found
+ * them.  The loops count no touches (solvers._train charges them). */
 int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int64_t *idx,
                  const double *val, const double *labels, int loss, double lam,
                  double theta, const double *xbar, double *v, double *u, double *st,
                  int64_t t0, int64_t t1)
 {
-    double a = st[A], c = st[C], h = st[H], z = st[Z], r = st[R], s = st[S], touches = st[K];
+    double a = st[A], c = st[C], h = st[H], z = st[Z], r = st[R], s = st[S];
     for (int64_t t = t0; t < t1; t++) {
         int64_t i = draw(seed, m, t), lo = indptr[i], hi = indptr[i + 1];
         double q = xbar ? dot(xbar, idx, val, lo, hi) : 0.0, p = 0.0, g;
-        touches += (double)((hi - lo) * ((xbar != NULL) + (t > 1)));
         if (t > 1) {
             double d = dot(v, idx, val, lo, hi);
             /* sgd and asgd keep -(d + a), as the Python loop does */
             p = -(xbar ? d + r - a * q : d + a) / (lam * (double)(t - 1));
         }
         g = subgradient(loss, p, labels[i]);
-        st[P] = p, st[G] = g, st[K] = touches;
+        st[P] = p, st[G] = g;
         if (!(isfinite(p) && isfinite(g)))
             return t;
-        touches += (double)((hi - lo) * (1 + (u && t > 1)));
         for (int64_t j = lo; j < hi; j++)
             v[idx[j]] += g * val[j];
         a += g;
@@ -113,7 +109,7 @@ int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int64_t 
             s += r / (double)t;
         }
     }
-    st[A] = a, st[C] = c, st[H] = h, st[Z] = z, st[R] = r, st[S] = s, st[K] = touches;
+    st[A] = a, st[C] = c, st[H] = h, st[Z] = z, st[R] = r, st[S] = s;
     return 0;
 }
 

@@ -30,6 +30,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def exit(self, status=0, message=None):
+        if sys.stdout is not None:  # --help's text: main reports a write error in it
+            sys.stdout.flush()
+        super().exit(status, message)
+
 
 def bounded(kind, low, high, what: str, above: str | None = None):
     """An argparse ``type``: a ``kind`` (int or float) from ``low`` to ``high``,
@@ -94,8 +99,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.out is None and sys.stdout is None:  # started with descriptor 1 closed
-        raise SparselinError("standard output is closed; give --out")
     model = load_model(args.model)
     p, _ = load_scores(args.data, model, require_labels=False)
     if args.out is None:
@@ -121,8 +124,12 @@ def cmd_eval(args) -> int:
 def main(argv=None) -> int:
     """Runs one command; returns its exit code.  The library's entry: it
     leaves the garbage collector as it found it."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        # a command that prints its result needs stdout, before it does any work
+        if sys.stdout is None and getattr(args, "out", None) is None:  # descriptor 1 closed
+            hint = "; give --out" if "out" in args else ""
+            raise SparselinError(f"standard output is closed{hint}")
         code = args.func(args)
         if sys.stdout is not None:
             sys.stdout.flush()  # a write error is reported here, not at shutdown

@@ -27,23 +27,20 @@ the bias.
 
 The loop is compiled: ``sl_steps`` in ``_kernel.c`` runs it over the
 dataset's CSR arrays (built and cached by ``_kernel``).  ``_python_steps``
-is the same loop in Python; it runs on its own when no library can be built
-or loaded (no compiler, say), and is the reference the compiled loop is
-tested against.  Both keep the contract stated at ``sl_steps``: the same
-arguments, the same floating-point operations in the same order (so
-bit-identical models), and the same count of sparse touches in the state
-array, which ``_train`` charges once.  ``_train`` makes one call, over the
-steps [1, T + 1).  A call over any window [t0, t1) continues the sums where
-the last call left them, bit for bit, so a caller observes single steps by
-running the loop itself over [t, t + 1) for each t.  The rows are
-``draw_indices``' sequence, a function of the seed, the step number and m:
-the compiled loop draws each step's row alone, and the Python loop draws
-windows of the sequence ``BLOCK`` steps at a time with ``draw_indices``'
-own code (``_rows``).  So no T-long array is built and memory is
-independent of T, which is at most ``MAX_STEPS``.  Model recovery works in
-place, in the vectors it combines, and ends in the last one (v for sgd, u
-for asgd, xbar for casgd); numpy's floating-point flags report an overflow
-in it as a ``NonFiniteError``.
+is the same loop in Python, for when no library can be built or loaded (no
+compiler, say), and the reference the compiled loop is tested against:
+both keep the contract stated at ``sl_steps``, so their models are the
+same bit for bit.  ``_train`` makes one call, over the steps [1, T + 1); a
+call over any window [t0, t1) continues the sums where the last one left
+them, so a caller observes single steps by running the loop over [t, t + 1).
+The rows are ``draw_indices``' sequence, a function of the seed, the step
+and m: the compiled loop draws each step's row alone, the Python loop
+``BLOCK`` steps at a time (``_rows``), so no T-long array is built and
+memory is independent of T, which is at most ``MAX_STEPS``.  The loops
+count nothing: ``_train`` alone charges a ``TouchCounter``, from the rows
+the run drew (``_loop_touches``).  Model recovery works in place, in the
+vectors it combines, and ends in the last one (v for sgd, u for asgd, xbar
+for casgd); an overflow in it, flagged by numpy, is a ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -125,14 +122,12 @@ def _rows(seed: int, m: int, t0: int, t1: int) -> np.ndarray:
     return np.floor(m * unit).astype(np.int64)
 
 
-def predict(model: LinearModel, x: SparseVec, counter: TouchCounter | None = None) -> float:
+def predict(model: LinearModel, x: SparseVec) -> float:
     """w . x + b in O(k log n'), summed as ``row_dots`` sums: over the features
     of x in the model's support, since the ±0.0 terms of the others change no
     left-to-right sum."""
     if x.dim != model.dim:
         raise DimensionError(f"input dim {x.dim} != model dim {model.dim}")
-    if counter is not None:
-        counter.sparse_touches += x.nnz
     pos = search(model.feats, x.indices)
     hit = pos < model.feats.size
     d = row_dots(model.weights, np.array([0, np.count_nonzero(hit)]), pos[hit], x.values[hit])
@@ -155,30 +150,31 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
 
     # the loop runs over the n' features the data uses, feature feats[j] as j
     feats, dim = support(data.indices), data.dim
-    data = Dataset(data.indptr, lookup(feats, data.indices), data.values, data.labels, feats.size)
-
-    v = np.zeros(data.dim)
-    u = np.zeros(data.dim) if average else None
-    xbar = mean_vector(data, counter) if center else None
+    idx, n = lookup(feats, data.indices), feats.size
+    v = np.zeros(n)
+    u = np.zeros(n) if average else None
+    # a Dataset of the numbered data only for mean_vector, whose check it runs once more
+    xbar = mean_vector(Dataset(data.indptr, idx, data.values, data.labels, n)) if center else None
+    if counter is not None:  # the mean: m*k sparse touches
+        counter.sparse_touches += center * idx.size
     theta = 1.0 + squared_norm(xbar) if center else 0.0
     if not math.isfinite(theta):  # no lambda helps: the data's scale is at fault
         raise SparselinError(f"theta = 1 + |xbar|^2 = {theta} is not finite: "
                              "the feature means are too large to center")
-    st = np.zeros(9)  # a, c, h, z, r, s, the last step's p and g, and the sparse touches
+    st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
     lib = _kernel.load()
     # the loop's contract, one argument list for both loops: see sl_steps in _kernel.c
     bad = (_python_steps if lib is None else lib.sl_steps)(
-        cfg.seed, data.m, data.indptr, data.indices, data.values, data.labels,
+        cfg.seed, data.m, data.indptr, idx, data.values, data.labels,
         _LOSSES.index(kind), lam, theta, xbar, v, u, st, 1, T + 1)
-    a, c, h, z, r, s, p, g, touches = st.tolist()
-    if counter is not None:
-        counter.sparse_touches += int(touches)
+    a, c, h, z, r, s, p, g = st.tolist()
+    if counter is not None:  # the loop; once it finishes, theta and the model, at n
+        counter.sparse_touches += _loop_touches(cfg.seed, data.indptr, T, bad, average, center)
+        counter.outside_dense_touches += 0 if bad else dim * (1 + center)
     if bad:
         raise NonFiniteError(f"non-finite value at step {bad} (p={p}, g={g}); "
                              "lambda may be too small for the data")
 
-    if counter is not None:  # theta and the model: one-time passes, charged at the model's n
-        counter.outside_dense_touches += dim * (1 + center)
     try:
         # numpy's flags catch an overflow here, with no second pass over the model
         with np.errstate(over="raise", invalid="raise"):
@@ -195,6 +191,18 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     return LinearModel(feats, w, b, kind, dim)
 
 
+def _loop_touches(seed, indptr, T, bad, average, center) -> int:
+    """The sparse touches of T steps that step ``bad`` stopped (0 if none): at
+    step t, the row's k for q = xbar . x, for v . x and the u update from step
+    2 on, and for the v update, but at step ``bad`` only for its dot products."""
+    k, m, last = np.diff(indptr), indptr.size - 1, bad or T
+    K = sum(int(k[_rows(seed, m, w, min(w + BLOCK, last + 1))].sum())
+            for w in range(1, last + 1, BLOCK))
+    first, stop = (int(k[_rows(seed, m, t, t + 1)][0]) for t in (1, last))
+    total = (1 + center) * K + (1 + average) * (K - first)
+    return total - (bad > 0) * stop * (1 + average * (last > 1))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as in C: callers check finiteness
 def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xbar, v, u, st,
                   t0, t1) -> int:
@@ -202,13 +210,12 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
     the compiled kernel cannot be built or loaded, and is the reference the
     kernel is tested against."""
     kind = _LOSSES[loss]
-    a, c, h, z, r, s, p, g, touches = st.tolist()
+    a, c, h, z, r, s, p, g = st.tolist()
     q = 0.0
     rows = chain.from_iterable(_rows(seed, m, w, min(w + BLOCK, t1)).tolist()
                                for w in range(t0, t1, BLOCK))
     for t, i in enumerate(rows, t0):
         row, lo, hi = indptr[i:i + 2], indptr.item(i), indptr.item(i + 1)
-        touches += (hi - lo) * ((xbar is not None) + (t > 1))
         if xbar is not None:
             q = row_dots(xbar, row, indices, values).item()
         p = 0.0
@@ -219,9 +226,8 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
             p = -(d + r - a * q if xbar is not None else d + a) / (lam * (t - 1))
         g = loss_subgradient(kind, p, labels.item(i))
         if not (math.isfinite(p) and math.isfinite(g)):
-            st[6:] = p, g, touches
+            st[6:] = p, g
             return t
-        touches += (hi - lo) * (1 + (u is not None and t > 1))
         x, xv = indices[lo:hi], values[lo:hi]
         v[x] += g * xv
         a += g
@@ -234,7 +240,7 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
             z += g * q
             r = a * theta - z
             s += r / t
-    st[:] = a, c, h, z, r, s, p, g, touches
+    st[:] = a, c, h, z, r, s, p, g
     return 0
 
 

@@ -10,14 +10,8 @@ dimensions.  Model-side accumulators are plain float64 numpy arrays
 (``DenseVec``) over a model's support, the n' features it uses, numbered by
 their position in a sorted index array.  ``support`` finds a dataset's
 features and ``lookup`` each index's position among them, which numbers a
-training set's features and finds a scored index's weight.  ``dot``,
-``mean_vector`` and the step loop (see ``solvers``) charge
-``sparse_touches`` to a ``TouchCounter``, so tests can assert that training
-loops never perform an O(n) operation.  The one-time dense passes
-(``squared_norm``, ``finalize_combine``) charge nothing themselves: the
-solvers charge them as ``outside_dense_touches`` at the model's dimension.
-Zero-filled allocations are memory management, not vector arithmetic, and
-charge nothing.
+training set's features and finds a scored index's weight.  Nothing here
+counts its work: the solvers charge a ``TouchCounter`` for it.
 
 Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``,
 compiled as ``sl_scores``), is summed left to right from +0.0 as ``row_dots``
@@ -56,12 +50,13 @@ BLOCK = 1 << 16  # items per step of the blocked passes, which bounds their temp
 class TouchCounter:
     """Tallies of vector components read or written, split by locality.
 
-    ``loop_dense_touches`` must stay 0 for the sparse solvers; only the
-    naive dense reference implementations charge it.  A solver charges each
-    one-time dense pass (theta = 1 + |xbar|^2 for casgd, and the model's
-    recovery) at the model's dimension n, even where it makes the pass over
-    only the n' <= n features its data uses: the counts state the cost
-    model O(n + T*k), which holds for any n.
+    ``solvers._train`` alone charges them, once per counted run, from the
+    run's shape and the rows it drew: the mean and the loop as
+    ``sparse_touches``, each one-time dense pass (theta = 1 + |xbar|^2 for
+    casgd, the model's recovery) as ``outside_dense_touches`` at the model's
+    dimension n, though the pass spans only the n' <= n features the data
+    uses: the counts state the cost model O(n + T*k) for any n.  Zero fills
+    charge nothing.  ``loop_dense_touches`` stays 0 but for the dense oracle.
     """
 
     loop_dense_touches: int = 0
@@ -237,16 +232,14 @@ def search(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return pos
 
 
-def dot(v: DenseVec, x: SparseVec, counter: TouchCounter | None = None) -> float:
+def dot(v: DenseVec, x: SparseVec) -> float:
     """Sparse-dense dot product, O(k), summed as ``row_dots`` sums."""
     if x.dim != v.shape[0]:
         raise DimensionError(f"sparse dim {x.dim} != dense length {v.shape[0]}")
-    if counter is not None:
-        counter.sparse_touches += x.nnz
     return float(row_dots(v, np.array([0, x.nnz]), x.indices, x.values)[0])
 
 
-def mean_vector(data: Dataset, counter: TouchCounter | None = None) -> DenseVec:
+def mean_vector(data: Dataset) -> DenseVec:
     """Mean feature vector of a dataset.
 
     Adds the (1/m)-scaled nonzeros to their features in row order, from +0.0,
@@ -256,12 +249,9 @@ def mean_vector(data: Dataset, counter: TouchCounter | None = None) -> DenseVec:
     ``LinearModel.dense`` is, so it is for data of a moderate ``dim``;
     training calls it only on its data numbered as the n' features it uses.
     """
-    m = data.m
-    if m == 0:
+    if data.m == 0:
         raise EmptyDatasetError("mean_vector needs at least one example")
-    if counter is not None:
-        counter.sparse_touches += data.indices.size
-    out, scale = np.zeros(data.dim), 1.0 / m
+    out, scale = np.zeros(data.dim), 1.0 / data.m
     for lo in range(0, data.indices.size, BLOCK):
         np.add.at(out, data.indices[lo:lo + BLOCK], data.values[lo:lo + BLOCK] * scale)
     return out

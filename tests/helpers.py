@@ -175,7 +175,7 @@ def loop_args(data: Dataset, loss: LossKind, lam: float, seed: int, average: boo
     theta = 1.0 + squared_norm(xbar) if center else 0.0
     return (seed, data.m, data.indptr, data.indices, data.values, data.labels,
             _LOSSES.index(loss), lam, theta, xbar, np.zeros(data.dim),
-            np.zeros(data.dim) if average else None, np.zeros(9))
+            np.zeros(data.dim) if average else None, np.zeros(8))
 
 
 class Step(NamedTuple):

@@ -78,7 +78,7 @@ int main(int argc, char **argv)
     print_words(labels, rows);
 
     int64_t steps = atoll(argv[3]);
-    double *v = calloc(dim, 8), *u = atoi(argv[5]) ? calloc(dim, 8) : NULL, *st = calloc(9, 8);
+    double *v = calloc(dim, 8), *u = atoi(argv[5]) ? calloc(dim, 8) : NULL, *st = calloc(8, 8);
     double *xbar = NULL, theta = 0.0;
     if (argc == 8 + dim) {
         theta = strtod(argv[7], NULL);
@@ -92,7 +92,7 @@ int main(int argc, char **argv)
                            exact_val, exact_labels, atoi(argv[1]), strtod(argv[2], NULL), theta,
                            xbar, v, u, st, 1, steps + 1);
     print_words(&bad, 1);
-    print_words(st, 9);
+    print_words(st, 8);
     print_words(v, dim);
     print_words(u, u ? dim : 0);
     free(exact_indptr), free(exact_idx), free(exact_val), free(exact_labels);

@@ -820,6 +820,8 @@ class TestStdoutWriteErrors:
                           str(tmp_path / "again.txt"), *TRAIN_FLAGS],
                 "predict": ["predict", "--model", model, "--data", one_line_file],
                 "eval": ["eval", "--model", model, "--data", one_line_file, "--lambda", "1"],
+                "help": ["--help"],
+                "train-help": ["train", "--help"],
                 }[command]
 
     def run(self, argv, **popen):
@@ -828,8 +830,10 @@ class TestStdoutWriteErrors:
         return subprocess.run([sys.executable, "-m", "sparselin", *argv], stderr=subprocess.PIPE,
                               text=True, env=env, timeout=60, **popen)
 
+    # argparse prints --help and exits inside parse_args, which main runs in
+    # its try, so a write error in the help is reported as any other
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("command", ["train", "predict", "eval"])
+    @pytest.mark.parametrize("command", ["train", "predict", "eval", "help", "train-help"])
     def test_full_device(self, model, one_line_file, tmp_path, command):
         with open("/dev/full", "wb") as full:
             proc = self.run(self.command(command, model, one_line_file, tmp_path), stdout=full)
@@ -852,3 +856,13 @@ class TestStdoutWriteErrors:
                         preexec_fn=lambda: os.close(1))
         assert (proc.returncode, proc.stderr) == (
             1, "sparselin: error: standard output is closed; give --out\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_closed_stdout(self, model, one_line_file, tmp_path, command):
+        # the summary line has nowhere to go: refused before any work, so
+        # train writes no model
+        proc = self.run(self.command(command, model, one_line_file, tmp_path),
+                        preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (
+            1, "sparselin: error: standard output is closed\n")
+        assert not (tmp_path / "again.txt").exists()

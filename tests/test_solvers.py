@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from sparselin import (
     sgd_train,
     write_model,
 )
+from sparselin import _kernel, solvers
+from sparselin.errors import SparselinError
 from sparselin.solvers import ALGOS, MAX_STEPS
 
 ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
@@ -327,3 +330,91 @@ class TestTouchAccounting:
         assert counter.loop_dense_touches == 0
         assert counter.outside_dense_touches == dense_passes * n
         assert counter.sparse_touches == sparse_touches
+
+    # Rows of 0 to n nonzeros, some of them empty: every total is tallied
+    # here step by step, from the drawn rows and their sizes, and must come
+    # out the same from the compiled loop and the fallback, with the draw
+    # windows of both the loop and the charge crossed many times.
+    @pytest.fixture(params=["compiled", "fallback"])
+    def path(self, request, monkeypatch):
+        monkeypatch.setattr(solvers, "BLOCK", 3)
+        if request.param == "fallback":
+            monkeypatch.setattr(_kernel, "load", lambda: None)
+
+    @staticmethod
+    def ragged(dim=9, scale=1.0, label=None):
+        rng = np.random.default_rng(23)
+        rows = []
+        for k in (0, dim, 3, 0, 1, 7, 2, dim, 5, 0, 4, 6):
+            idx = np.sort(rng.choice(dim, size=k, replace=False))
+            y = float(rng.normal()) if label is None else label
+            rows.append((SparseVec(idx, scale * rng.normal(size=k), dim), y))
+        return Dataset.from_rows(rows, dim)
+
+    @staticmethod
+    def tally(data, c, algo, stop=0):
+        """The sparse touches the cost model charges: casgd's mean, m*k; at
+        step t, the row's k for q = xbar . x, for v . x from step 2 on, for
+        the v update and for the u update from step 2 on; and a step that
+        stops the run (``stop``) makes its dot products only."""
+        average, center = ALGOS[algo]
+        k = np.diff(data.indptr).tolist()
+        total = data.indices.size if center else 0
+        for t, i in enumerate(draw_indices(c.seed, stop or c.steps, data.m).tolist(), 1):
+            total += k[i] * (center + (t > 1))
+            if t != stop:
+                total += k[i] * (1 + (average and t > 1))
+        return total
+
+    @staticmethod
+    def counted(data, c, algo):
+        """The counter of one run, and the step that stopped it (0 if none)."""
+        counter = TouchCounter()
+        try:
+            getattr(solvers, f"{algo}_train")(data, c, counter)
+        except NonFiniteError as exc:
+            return counter, int(re.search(r"at step (\d+)", str(exc))[1])
+        return counter, 0
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_ragged_rows(self, path, algo):
+        data, c = self.ragged(), cfg(steps=50, lam=0.3, seed=6, loss=LossKind.SQUARED)
+        counter, stop = self.counted(data, c, algo)
+        assert stop == 0
+        assert counter == TouchCounter(0, data.dim * (1 + ALGOS[algo][1]),
+                                       self.tally(data, c, algo))
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    @pytest.mark.parametrize("label, first", [(float("inf"), True), (1e-300, False)],
+                             ids=["step_1", "later"])
+    def test_stopped_runs(self, path, algo, label, first):
+        # an infinite label makes step 1's g infinite; with lambda 1e-300,
+        # step 4's p overflows, on a row with nonzeros past the first
+        # window; a stopped run charges no dense pass
+        data, c = self.ragged(label=label), cfg(steps=50, lam=1e-300, seed=6)
+        counter, stop = self.counted(data, c, algo)
+        assert stop == (1 if first else 4)
+        assert counter == TouchCounter(0, 0, self.tally(data, c, algo, stop))
+
+    def test_casgd_theta_overflow(self, path):
+        # the mean is charged where it is computed, before theta is checked
+        data, counter = self.ragged(scale=1e200), TouchCounter()
+        with pytest.raises(SparselinError, match="theta"):
+            casgd_train(data, cfg(steps=50), counter)
+        assert counter == TouchCounter(0, 0, data.indices.size)
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_one_input_at_a_time(self, path, algo):
+        # doubling T moves only the loop's sparse touches; widening the
+        # feature space 10^6 times moves only the dense passes, exactly as much
+        data, c = self.ragged(), cfg(steps=40, lam=0.3, seed=8, loss=LossKind.SQUARED)
+        c2 = cfg(steps=80, lam=0.3, seed=8, loss=LossKind.SQUARED)
+        base, _ = self.counted(data, c, algo)
+        longer, _ = self.counted(data, c2, algo)
+        assert longer == TouchCounter(base.loop_dense_touches, base.outside_dense_touches,
+                                      self.tally(data, c2, algo))
+        assert longer.sparse_touches > base.sparse_touches
+        wide = Dataset(data.indptr, data.indices, data.values, data.labels, data.dim * 10**6)
+        wider, _ = self.counted(wide, c, algo)
+        assert wider == TouchCounter(base.loop_dense_touches,
+                                     base.outside_dense_touches * 10**6, base.sparse_touches)

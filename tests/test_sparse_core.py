@@ -10,7 +10,6 @@ from sparselin import (
     EmptyDatasetError,
     LossKind,
     SparseVec,
-    TouchCounter,
     dot,
     mean_vector,
 )
@@ -85,15 +84,6 @@ class TestDot:
         magnitude = sum(abs(v[i] * c) for i, c in zip(x.indices, x.values))
         assert abs(dot(v, x) - expected) <= 1e-12 * max(1.0, magnitude)
 
-    @given(dense_with_sparse())
-    def test_never_touches_dense_counters(self, pair):
-        v, x = pair
-        counter = TouchCounter()
-        dot(v, x, counter)
-        assert counter.loop_dense_touches == 0
-        assert counter.outside_dense_touches == 0
-        assert counter.sparse_touches == x.nnz
-
 
 class TestMeanVector:
     def test_two_examples(self):
@@ -132,13 +122,6 @@ class TestMeanVector:
         data = Dataset.from_rows([(SparseVec([], [], 2), 0.0)] * 2, 2)
         mean = mean_vector(data)
         assert mean.dtype == np.float64 and list(mean) == [0.0, 0.0]
-
-    def test_costs_only_sparse_touches(self):
-        counter = TouchCounter()
-        data = Dataset.from_rows([(SparseVec([0, 1], [1.0, 1.0], 4), 0.0)] * 3, 4)
-        mean_vector(data, counter)
-        assert counter.sparse_touches == 6
-        assert counter.loop_dense_touches == 0
 
 
 class TestSquaredNorm:
