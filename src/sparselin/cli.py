@@ -18,7 +18,7 @@ import numpy as np
 from .data_io import fmt_float, load_dataset, load_model, load_scores, save_model, write_floats
 from .errors import NonFiniteError, SparselinError
 from .losses import LossKind, mean_loss, objective_value, penalized
-from .solvers import ALGOS, MAX_STEPS, TrainConfig, fit
+from .solvers import ALGOS, MAX_SEED, MAX_STEPS, TrainConfig, fit
 
 _LOSS_NAMES = [k.value for k in LossKind]
 
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--steps", required=True, help=f"number of steps T (1 to {MAX_STEPS})",
                        type=bounded(int, 1, MAX_STEPS, ">= 1", f"<= {MAX_STEPS}"))
     train.add_argument("--seed", required=True, help="64-bit sampling seed",
-                       type=bounded(int, 0, 2**64 - 1, "an unsigned 64-bit integer"))
+                       type=bounded(int, 0, MAX_SEED, "an unsigned 64-bit integer"))
     train.add_argument("--dim", type=bounded(int, 0, math.inf, ">= 0"), default=None,
                        help="feature-space dimension (default: max index + 1)")
     train.set_defaults(func=cmd_train)

@@ -19,7 +19,7 @@ arrays are then allocated once at that size and filled in place, so a
 reader holds what it returns plus a few buffers of ``CHUNK`` bytes, which
 bound only the reads.  A pipe or other input that cannot be read twice, and
 a text stream, start with no room; a line that does not fit doubles the
-arrays, which then keep the lines read so far.
+arrays, or grows them to what it needs if that is more (``_grown``).
 
 The second pass takes blocks of whole lines ``CHUNK`` bytes at a time (a
 partial last line is carried over) and hands each block to a compiled
@@ -126,10 +126,15 @@ def _parse_feature(tok: str, line_no: int) -> tuple[int, float]:
     return idx - 1, val
 
 
-def _resized(a: np.ndarray, used: int, size: int) -> np.ndarray:
-    """A new array of ``size`` items of ``a``'s type that starts with ``a[:used]``."""
-    new = np.empty(size, a.dtype)
-    new[:used] = a[:used]  # the tail takes no memory until it is written
+def _grown(a: np.ndarray, used: int, need: int, extra: int = 0) -> np.ndarray:
+    """``a`` if it has room for ``need`` items (and ``extra`` slots more), else a
+    new array of its type with room for twice its items, or ``need`` if that is
+    more, that starts with its first ``used`` items (and the ``extra``)."""
+    size = a.size - extra
+    if need <= size:
+        return a
+    new = np.empty(max(2 * size, need) + extra, a.dtype)
+    new[:used + extra] = a[:used + extra]  # the tail takes no memory until it is written
     return new
 
 
@@ -151,15 +156,12 @@ class _Rows:
         self._room(lines, colons)  # a file's lines and ':'s bound its rows and nonzeros
 
     def _room(self, rows: int, nnz: int) -> None:
-        """Room for ``rows`` more rows and ``nnz`` more nonzeros."""
-        if self.rows + rows > self.labels.size:
-            size = max(2 * self.labels.size, self.rows + rows)
-            self.labels = _resized(self.labels, self.rows, size)
-            self.indptr = _resized(self.indptr, self.rows + 1, size + 1)
-        if self.nnz + nnz > self.values.size:
-            size = max(2 * self.values.size, self.nnz + nnz)
-            self.indices = _resized(self.indices, self.nnz, size)
-            self.values = _resized(self.values, self.nnz, size)
+        """Room for ``rows`` more rows and ``nnz`` more nonzeros.  The arrays grow
+        one at a time, so that each old one is freed before the next grows."""
+        self.labels = _grown(self.labels, self.rows, self.rows + rows)
+        self.indptr = _grown(self.indptr, self.rows, self.rows + rows, 1)  # one slot more
+        self.indices = _grown(self.indices, self.nnz, self.nnz + nnz)
+        self.values = _grown(self.values, self.nnz, self.nnz + nnz)
 
     def add_line(self, raw: str, line_no: int) -> None:
         line = raw.strip()
@@ -244,9 +246,8 @@ class _ScoredRows(_Rows):
     def flush(self) -> None:
         """Score the rows read since the last flush, and empty the CSR arrays."""
         m, rows, nnz = self.m, self.rows, self.nnz
-        if m + rows > self.p.size:
-            size = max(2 * self.p.size, m + rows)
-            self.p, self.y = _resized(self.p, m, size), _resized(self.y, m, size)
+        self.p = _grown(self.p, m, m + rows)
+        self.y = _grown(self.y, m, m + rows)
         self.score(self.indptr[:rows + 1], self.indices[:nnz], self.values[:nnz],
                    self.p[m:m + rows])
         self.y[m:m + rows] = self.labels[:rows]
@@ -464,10 +465,8 @@ class _ModelReader:
 
     def _room(self, k: int) -> None:
         """Room in the arrays for k more weights."""
-        if self.n + k > self.feats.size:
-            size = max(2 * self.feats.size, self.n + k)
-            self.feats = _resized(self.feats, self.n, size)
-            self.weights = _resized(self.weights, self.n, size)
+        self.feats = _grown(self.feats, self.n, self.n + k)
+        self.weights = _grown(self.weights, self.n, self.n + k)
 
     def add_line(self, line: str, line_no: int) -> None:
         n = len(self.header)

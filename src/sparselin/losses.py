@@ -72,9 +72,10 @@ class LinearModel:
         return w
 
 
-def _check_label(kind: LossKind, y: float) -> None:
-    if kind.is_classification and y not in (-1.0, 1.0):
-        raise LabelError(f"{kind.value} loss needs labels in {{-1, +1}}, got {y}")
+def _check_label(kind: LossKind, y: float, where: str = "") -> None:
+    if not (y in (-1.0, 1.0) if kind.is_classification else math.isfinite(y)):
+        need = "labels in {-1, +1}" if kind.is_classification else "finite labels"
+        raise LabelError(f"{where}{kind.value} loss needs {need}, got {y}")
 
 
 def loss_value(kind: LossKind, p: float, y: float) -> float:
@@ -118,16 +119,12 @@ def validate_labels(data: Dataset, kind: LossKind) -> None:
 
 
 def check_labels(labels: np.ndarray, kind: LossKind) -> None:
-    """``validate_labels`` of the labels alone, naming the first bad one's example."""
-    if not kind.is_classification:
-        return
-    bad = np.flatnonzero((labels != 1.0) & (labels != -1.0))
-    if bad.size:
-        i = int(bad[0])
-        raise LabelError(
-            f"example {i + 1}: {kind.value} loss needs labels in {{-1, +1}}, "
-            f"got {float(labels[i])}"
-        )
+    """``validate_labels`` of the labels alone, naming the first bad one's example:
+    every loss needs finite labels, and a classification loss labels of -1 or +1."""
+    ok = (labels == 1.0) | (labels == -1.0) if kind.is_classification else np.isfinite(labels)
+    if not ok.all():
+        i = int(ok.argmin())
+        _check_label(kind, float(labels[i]), f"example {i + 1}: ")
 
 
 class Scorer:
@@ -214,11 +211,10 @@ def objective_value(model: LinearModel, data: Dataset, lam: float) -> float:
         raise ValueError(f"lambda must be > 0, got {lam}")
     if model.dim != data.dim:
         raise DimensionError(f"model dim {model.dim} != data dim {data.dim}")
-    p = scores(model, data)
     if data.m == 0:
         raise ValueError("objective_value needs at least one example")
-    validate_labels(data, model.loss)
-    return penalized(model, lam, mean_loss(model.loss, p, data.labels))
+    validate_labels(data, model.loss)  # the label, then the score, as load_scores checks them
+    return penalized(model, lam, mean_loss(model.loss, scores(model, data), data.labels))
 
 
 def penalized(model: LinearModel, lam: float, avg_loss: float) -> float:

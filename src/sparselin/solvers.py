@@ -58,9 +58,9 @@ from .sparse_core import (
     Dataset,
     SparseVec,
     TouchCounter,
+    column_mean,
     finalize_combine,
     lookup,
-    mean_vector,
     row_dots,
     search,
     squared_norm,
@@ -68,11 +68,11 @@ from .sparse_core import (
 )
 
 _LOSSES = tuple(LossKind)  # the loop's loss codes are the positions here
-_MASK64 = (1 << 64) - 1
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MUL2 = np.uint64(0x94D049BB133111EB)
 MAX_STEPS = 2**63 - 2  # the loops count t up to T + 1 in a signed 64-bit integer
+MAX_SEED = 2**64 - 1  # a seed is splitmix64's state, an unsigned 64-bit integer
 # the solvers by name, each as the sums it keeps beyond (v, a): (average, center)
 ALGOS = {"sgd": (False, False), "asgd": (True, False), "casgd": (True, True)}
 
@@ -89,7 +89,7 @@ class TrainConfig:
             raise ValueError(f"steps must be from 1 to {MAX_STEPS}, got {self.steps}")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be a positive finite real, got {self.lam}")
-        if not 0 <= self.seed <= _MASK64:
+        if not 0 <= self.seed <= MAX_SEED:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
@@ -105,7 +105,7 @@ def draw_indices(seed: int, steps: int, m: int) -> np.ndarray:
         raise EmptyDatasetError("cannot draw indices from an empty dataset")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    if not 0 <= seed <= _MASK64:
+    if not 0 <= seed <= MAX_SEED:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return _rows(seed, m, 1, steps + 1)
 
@@ -145,6 +145,12 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     if data.m == 0:
         raise EmptyDatasetError("training needs at least one example")
     validate_labels(data, cfg.loss)
+    for lo in range(0, data.values.size, BLOCK):  # no temporary the size of the data
+        finite = np.isfinite(data.values[lo:lo + BLOCK])
+        if not finite.all():
+            j = lo + int(finite.argmin())
+            raise SparselinError(f"example {np.searchsorted(data.indptr, j, 'right')}: "
+                                 f"feature value {data.values[j]} is not finite")
     lam, T, kind = cfg.lam, cfg.steps, cfg.loss
     from . import _kernel  # here, so that importing sparselin does not import it
 
@@ -153,8 +159,7 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     idx, n = lookup(feats, data.indices), feats.size
     v = np.zeros(n)
     u = np.zeros(n) if average else None
-    # a Dataset of the numbered data only for mean_vector, whose check it runs once more
-    xbar = mean_vector(Dataset(data.indptr, idx, data.values, data.labels, n)) if center else None
+    xbar = column_mean(idx, data.values, data.m, n) if center else None
     if counter is not None:  # the mean: m*k sparse touches
         counter.sparse_touches += center * idx.size
     theta = 1.0 + squared_norm(xbar) if center else 0.0
@@ -247,13 +252,13 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
 def sgd_train(data: Dataset, cfg: TrainConfig,
               counter: TouchCounter | None = None) -> LinearModel:
     """Plain SGD; returns the last iterate."""
-    return _train(data, cfg, counter, average=False, center=False)
+    return _train(data, cfg, counter, *ALGOS["sgd"])
 
 
 def asgd_train(data: Dataset, cfg: TrainConfig,
                counter: TouchCounter | None = None) -> LinearModel:
     """SGD returning the average of all iterates instead of the last one."""
-    return _train(data, cfg, counter, average=True, center=False)
+    return _train(data, cfg, counter, *ALGOS["asgd"])
 
 
 def casgd_train(data: Dataset, cfg: TrainConfig,
@@ -264,4 +269,4 @@ def casgd_train(data: Dataset, cfg: TrainConfig,
     inputs: the centering shift lives in the bias term, which makes the
     trained predictor invariant to translating the whole training set.
     """
-    return _train(data, cfg, counter, average=True, center=True)
+    return _train(data, cfg, counter, *ALGOS["casgd"])

@@ -20,7 +20,7 @@ passes here span only the n' features the data uses, so nothing on the
 train, predict or eval path is O(n): memory is O(m k + n') for ``train``,
 and O(m + n') for ``predict`` and ``eval``, which build no ``Dataset``
 (``data_io.load_scores``).  ``check_csr``,
-``squared_norm`` and ``mean_vector`` walk their input ``BLOCK`` items at a
+``squared_norm`` and ``column_mean`` walk their input ``BLOCK`` items at a
 time, so they add no temporary of its size.
 """
 
@@ -240,20 +240,20 @@ def dot(v: DenseVec, x: SparseVec) -> float:
 
 
 def mean_vector(data: Dataset) -> DenseVec:
-    """Mean feature vector of a dataset.
-
-    Adds the (1/m)-scaled nonzeros to their features in row order, from +0.0,
-    ``BLOCK`` of them at a time: O(m k) sparse touches plus one O(n)
-    allocation, no dense arithmetic pass and no temporary of m k floats.
-    The result is ``data.dim`` floats long, O(n) memory as
-    ``LinearModel.dense`` is, so it is for data of a moderate ``dim``;
-    training calls it only on its data numbered as the n' features it uses.
-    """
+    """Mean feature vector of a dataset (``column_mean``), ``data.dim`` floats long:
+    O(n) memory as ``LinearModel.dense`` is, so it is for data of a moderate ``dim``."""
     if data.m == 0:
         raise EmptyDatasetError("mean_vector needs at least one example")
-    out, scale = np.zeros(data.dim), 1.0 / data.m
-    for lo in range(0, data.indices.size, BLOCK):
-        np.add.at(out, data.indices[lo:lo + BLOCK], data.values[lo:lo + BLOCK] * scale)
+    return column_mean(data.indices, data.values, data.m, data.dim)
+
+
+def column_mean(indices: np.ndarray, values: np.ndarray, m: int, dim: int) -> DenseVec:
+    """The mean of m > 0 CSR rows of nonzeros ``values`` at ``indices`` in [0, dim):
+    each scaled by 1/m and added to its feature in row order, from +0.0, ``BLOCK`` at a
+    time, so O(m k) sparse touches, one O(dim) allocation and no dense arithmetic pass."""
+    out, scale = np.zeros(dim), 1.0 / m
+    for lo in range(0, indices.size, BLOCK):
+        np.add.at(out, indices[lo:lo + BLOCK], values[lo:lo + BLOCK] * scale)
     return out
 
 

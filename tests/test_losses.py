@@ -19,6 +19,7 @@ from sparselin import (
     objective_value,
     validate_labels,
 )
+from sparselin.data_io import load_dataset, load_scores
 from sparselin.losses import mean_loss, penalized
 
 preds = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -48,6 +49,14 @@ class TestLossValues:
             loss_value(LossKind.HINGE, 0.0, 0.5)
         with pytest.raises(LabelError):
             loss_subgradient(LossKind.LOG, 0.0, 2.0)
+
+    @pytest.mark.parametrize("kind", list(LossKind))
+    def test_non_finite_label_rejected(self, kind):
+        for y in (math.inf, -math.inf, math.nan):
+            with pytest.raises(LabelError, match=f"^{kind.value} loss needs"):
+                loss_value(kind, 0.0, y)
+            with pytest.raises(LabelError, match=f"^{kind.value} loss needs"):
+                loss_subgradient(kind, 0.0, y)
 
 
 class TestSubgradients:
@@ -167,6 +176,19 @@ class TestTrainedObjective:
             with pytest.raises(SparselinError, match="^example 2: score inf is not finite$"):
                 objective_value(model, data, 1.0)
 
+    def test_a_bad_label_comes_before_a_non_finite_score(self, tmp_path):
+        # objective_value checks in load_scores' order (and so eval's): the
+        # label, then the score
+        path = tmp_path / "data.txt"
+        path.write_text("0.5 1:1e10\n")
+        model = LinearModel(np.array([0]), np.array([1e300]), 0.0, LossKind.HINGE, 1)
+        with pytest.raises(LabelError) as read:
+            load_scores(str(path), model)
+        with pytest.raises(LabelError) as scored:
+            objective_value(model, load_dataset(str(path)), 1.0)
+        assert (str(scored.value) == str(read.value)
+                == "example 1: hinge loss needs labels in {-1, +1}, got 0.5")
+
 
 def row_loop_mean(kind, ps, ys):
     """The per-row reference: ``loss_value`` summed in row order."""
@@ -208,6 +230,14 @@ class TestValidateLabels:
         data = Dataset.from_rows([(SparseVec([], [], 1), 3.25)], 1)
         validate_labels(data, LossKind.SQUARED)
         validate_labels(data, LossKind.ABSOLUTE)
+
+    @pytest.mark.parametrize("kind", [LossKind.SQUARED, LossKind.ABSOLUTE])
+    def test_regression_rejects_non_finite_and_names_example(self, kind):
+        for y in (math.inf, -math.inf, math.nan):
+            data = Dataset.from_rows([(SparseVec([], [], 1), 1.0), (SparseVec([], [], 1), y)], 1)
+            with pytest.raises(LabelError, match=f"^example 2: {kind.value} loss needs finite "
+                                                 f"labels, got {y}$"):
+                validate_labels(data, kind)
 
     def test_classification_rejects_and_names_example(self):
         data = Dataset.from_rows([(SparseVec([], [], 1), 1.0), (SparseVec([], [], 1), 0.0)], 1)

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import numpy as np
@@ -36,9 +37,10 @@ from sparselin import (
     sgd_train,
     write_model,
 )
-from sparselin import _kernel, solvers
+from sparselin import _kernel, losses, solvers, sparse_core
 from sparselin.errors import SparselinError
 from sparselin.solvers import ALGOS, MAX_STEPS
+from sparselin.sparse_core import check_csr
 
 ONE_EXAMPLE = Dataset.from_rows([(SparseVec([0], [1.0], 1), 2.0)], 1)
 
@@ -296,6 +298,37 @@ class TestGuards:
         with pytest.raises(LabelError):
             casgd_train(data, cfg(steps=5, loss=LossKind.HINGE))
 
+    # the readers refuse nan and inf line by line; training refuses them
+    # before the loop, naming the example, rather than blaming lambda
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_non_finite_label_rejected_for_every_loss(self, bad, loss):
+        data = Dataset.from_rows([(SparseVec([0], [1.0], 1), y) for y in (1.0, bad)], 1)
+        message = f"^example 2: {loss.value} loss needs .*, got {bad}$"
+        with pytest.raises(LabelError, match=message):
+            sgd_train(data, cfg(steps=5, loss=loss))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_non_finite_value_rejected(self, monkeypatch, bad, algo):
+        monkeypatch.setattr(solvers, "BLOCK", 3)  # the value is checked in the third block
+        rows = [([0, 1], [1.0, 2.0]), ([], []), ([0, 1, 2], [1.0, 1.0, 1.0]), ([1, 2], [3.0, bad])]
+        data = Dataset.from_rows([(SparseVec(i, v, 3), 1.0) for i, v in rows], 3)
+        message = f"^example 4: feature value {bad} is not finite$"
+        with pytest.raises(SparselinError, match=message):
+            getattr(solvers, f"{algo}_train")(data, cfg(steps=5))
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_each_solver_is_fit_by_its_name(self, algo):
+        data = random_dataset(np.random.default_rng(5), 20, 9, 5, LossKind.LOG)
+        c = cfg(steps=300, lam=0.05, seed=3, loss=LossKind.LOG)
+        models = getattr(solvers, f"{algo}_train")(data, c), solvers.fit(algo, data, c)
+        texts = [io.StringIO(), io.StringIO()]
+        for model, text in zip(models, texts):
+            write_model(model, text)
+        assert texts[0].getvalue() == texts[1].getvalue()
+        assert models[0].weights.tobytes() == models[1].weights.tobytes()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("train", [sgd_train, asgd_train, casgd_train])
@@ -385,16 +418,35 @@ class TestTouchAccounting:
                                        self.tally(data, c, algo))
 
     @pytest.mark.parametrize("algo", sorted(ALGOS))
-    @pytest.mark.parametrize("label, first", [(float("inf"), True), (1e-300, False)],
-                             ids=["step_1", "later"])
-    def test_stopped_runs(self, path, algo, label, first):
-        # an infinite label makes step 1's g infinite; with lambda 1e-300,
-        # step 4's p overflows, on a row with nonzeros past the first
-        # window; a stopped run charges no dense pass
-        data, c = self.ragged(label=label), cfg(steps=50, lam=1e-300, seed=6)
+    @pytest.mark.parametrize("first", [True, False], ids=["step_1", "later"])
+    def test_stopped_runs(self, path, algo, first):
+        # with lambda 1e-300, step 4's p overflows, on a row with nonzeros past
+        # the first window; a stopped run charges no dense pass.  Training
+        # refuses the non-finite label that alone could stop step 1 (p = 0
+        # there), so that step's charge is checked on _loop_touches itself
+        data, c = self.ragged(label=1e-300), cfg(steps=50, lam=1e-300, seed=6)
+        if first:
+            average, center = ALGOS[algo]
+            touches = solvers._loop_touches(c.seed, data.indptr, c.steps, 1, average, center)
+            assert touches + center * data.indices.size == self.tally(data, c, algo, 1)
+            return
         counter, stop = self.counted(data, c, algo)
-        assert stop == (1 if first else 4)
+        assert stop == 4
         assert counter == TouchCounter(0, 0, self.tally(data, c, algo, stop))
+
+    def test_a_casgd_run_checks_the_arrays_once(self, path, monkeypatch):
+        # the model's check: the data was checked when it was built, and the
+        # mean is taken over the numbered arrays, not a second Dataset
+        data, calls = self.ragged(), []
+
+        def counted_check(*args):
+            calls.append(args)
+            check_csr(*args)
+
+        monkeypatch.setattr(sparse_core, "check_csr", counted_check)
+        monkeypatch.setattr(losses, "check_csr", counted_check)
+        casgd_train(data, cfg(steps=50), TouchCounter())
+        assert len(calls) == 1
 
     def test_casgd_theta_overflow(self, path):
         # the mean is charged where it is computed, before theta is checked
