@@ -10,19 +10,20 @@ The readers write straight into a ``Dataset``'s CSR arrays (see
 ``sparse_core``), and a model's weights into its two.
 
 ``parse_libsvm`` and ``read_model`` read text one line at a time.  The
-path-based ``load_dataset`` and ``load_model`` read the file in binary, and
-a regular file twice.  The first pass counts it, ``CHUNK`` bytes at a time
-into one reused buffer (numpy's ``count_nonzero``): its line breaks bound
-the rows, and its ':'s the nonzeros and the weight lines, exactly for a
-file of ``'\\n'``-ended lines with no comment and no ``:0`` value.  The
-arrays are then allocated once at that size and filled in place, so a
-reader holds what it returns plus a few buffers of ``CHUNK`` bytes, which
-bound only the reads.  A pipe or other input that cannot be read twice, and
-a text stream, start with no room; a line that does not fit doubles the
-arrays, or grows them to what it needs if that is more (``_grown``).
+path-based readers read the file in binary.  ``load_dataset`` and
+``load_model``, which return exact-size arrays, count a regular file first,
+``CHUNK`` bytes at a time into one reused buffer (numpy's
+``count_nonzero``): its line breaks bound the rows, and its ':'s the
+nonzeros and the weight lines, exactly for a file of ``'\\n'``-ended lines
+with no comment and no ``:0`` value.  The arrays are then allocated once at
+that size and filled in place, so a reader holds what it returns plus a few
+buffers of ``CHUNK`` bytes, which bound only the reads.  Scoring input
+(``load_scores``), a pipe and a text stream are sized as they are read:
+they start with no room, and a line that does not fit doubles the arrays,
+or grows them to what it needs if that is more (``_grown``).
 
-The second pass takes blocks of whole lines ``CHUNK`` bytes at a time (a
-partial last line is carried over) and hands each block to a compiled
+The file is then read in blocks of whole lines ``CHUNK`` bytes at a time
+(a partial last line is carried over), and each block goes to a compiled
 scanner (``sl_scan``, ``sl_weights``).  A scanner accepts one narrow form:
 ASCII numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` that are finite,
 indices of at most 18 plain digits, space or tab between tokens, ``'\\n'``
@@ -44,13 +45,12 @@ Python line code.  Bytes that are not UTF-8 are a ``ParseError``/
 ``FormatError`` naming their line.
 
 ``load_scores``, which ``predict`` and ``eval`` read their data with,
-builds no ``Dataset``.  The same loop hands it each block before the
-block's lines are read; it scores the rows of the block before
-(``losses.Scorer``, whose lookup directory is built once), keeps their
-scores and labels in two m-long arrays, and empties its CSR arrays, which
-then take the new block with room sized from its line breaks and ':'s.  So
-it holds the model, those two arrays and one block's arrays, and its
-scores and errors are those of ``scores`` on the whole file.
+builds no ``Dataset``.  The same loop calls it before each block's lines
+are read; it scores the rows of the block before (``losses.Scorer``, whose
+lookup directory is built once), keeps their scores and labels in two
+m-long arrays, and empties its CSR arrays, which keep their room for the
+new block.  So it holds the model, those two arrays and about one block's
+arrays, and its scores and errors are those of ``scores`` on the whole file.
 
 Model files (text, version ``v1``)::
 
@@ -96,9 +96,8 @@ from .losses import LinearModel, LossKind, Scorer, check_labels, finite_scores
 from .sparse_core import MAX_DIM, Dataset
 
 MODEL_MAGIC = "sparselin-model v1"
-CHUNK = 1 << 16  # bytes per read of load_dataset and load_model, and per write of write_floats
+CHUNK = 1 << 16  # bytes per read of the path-based readers, and at most per write of write_floats
 LINE_MAX = 45  # the longest line sl_format writes: 19 digits, ':', 24 bytes of float, '\n'
-_WRITE_BATCH = 512  # weight lines per write without the kernel; larger batches raise the peak RSS
 
 
 def fmt_float(x: float) -> str:
@@ -225,23 +224,15 @@ class _Rows:
 
 class _ScoredRows(_Rows):
     """CSR rows scored under a model a block at a time: before each block's
-    lines are read (``block``), the rows of the block before are scored into
-    the m-long ``p`` and their labels kept in ``y``, and the CSR arrays then
-    take the new block's rows, with room for as many as its line breaks and
-    ':'s bound, so they stay the size of a block."""
+    lines are read (``flush``), the rows of the block before are scored into
+    the m-long ``p`` and their labels kept in ``y``, and the CSR arrays are
+    emptied but keep their room, which grows only for a line that does not
+    fit, so they stay about the size of a block."""
 
     def __init__(self, model: LinearModel, require_labels: bool):
         super().__init__(None, require_labels)
         self.score = Scorer(model)  # the directory, built once for every block
         self.p, self.y, self.m = np.empty(0), np.empty(0), 0
-
-    def reserve(self, lines: int, colons: int) -> None:
-        self.p, self.y = np.empty(lines), np.empty(lines)  # a file's lines bound its rows
-
-    def block(self, block: bytes) -> None:
-        self.flush()
-        view = np.frombuffer(block, np.uint8)  # counted several times faster than by bytes.count
-        self._room(np.count_nonzero(view == ord("\n")) + 1, np.count_nonzero(view == ord(":")))
 
     def flush(self) -> None:
         """Score the rows read since the last flush, and empty the CSR arrays."""
@@ -307,26 +298,26 @@ def _count(fh: IO[bytes]) -> tuple[int, int]:
 
 
 def _read_lines(path: str, reader, error, each_block=None) -> None:
-    """Feed the text file at ``path`` to ``reader``: a regular file is counted
-    first (``reader.reserve(lines, colons)``); then the file is read a block
-    of whole lines at a time (``_blocks``), each given to ``each_block``,
-    where given, before its lines are read.  Where the kernel loads,
-    ``reader.scan(lib, block, pos, line_no)`` reads lines from ``pos`` until
-    one does not fit it and returns where it stopped and the last line
-    number it read.  Each line it stops at (each line, without the kernel)
-    is decoded and split as text-mode reading would (universal newlines: a
-    lone '\\r' ends a line too) and given to ``reader.add_line(text,
-    line_no)``, and scanning resumes after it.  Bytes that are not UTF-8
-    raise ``error(line_no, message)``."""
+    """Feed the text file at ``path`` to ``reader``: without ``each_block``, a
+    regular file is counted first (``reader.reserve(lines, colons)``); then
+    the file is read a block of whole lines at a time (``_blocks``), and
+    ``each_block()``, where given, is called before each block's lines are
+    read.  Where the kernel loads, ``reader.scan(lib, block, pos, line_no)``
+    reads lines from ``pos`` until one does not fit it and returns where it
+    stopped and the last line number it read.  Each line it stops at (each
+    line, without the kernel) is decoded and split as text-mode reading
+    would (universal newlines: a lone '\\r' ends a line too) and given to
+    ``reader.add_line(text, line_no)``, and scanning resumes after it.  Bytes
+    that are not UTF-8 raise ``error(line_no, message)``."""
     from . import _kernel  # here, so that importing sparselin does not import it
 
     lib, line_no = _kernel.load(), 0
     with open(path, "rb") as fh:
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a pipe cannot be read twice
-            reader.reserve(*_count(fh))
+        if each_block is None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            reader.reserve(*_count(fh))  # a pipe cannot be read twice
         for block in _blocks(fh):
             if each_block is not None:
-                each_block(block)
+                each_block()
             pos = 0
             while pos < len(block):
                 if lib is not None:
@@ -371,11 +362,11 @@ def load_scores(path: str, model: LinearModel,
     the labels checked for the model's loss (``validate_labels``) where they
     are required; the errors come in the same order (a parse error anywhere
     in the file, then a bad label, then a score that is not finite).  No
-    ``Dataset`` is built: the file is scored a block at a time as it is read
-    (``_ScoredRows``), so the call holds the model, the two m-long results
-    and the arrays of one block."""
+    ``Dataset`` is built and nothing is counted: the file is read once and
+    scored a block at a time (``_ScoredRows``), so the call holds the model,
+    the two m-long results and about the arrays of one block."""
     rows = _ScoredRows(model, require_labels)
-    _read_lines(path, rows, ParseError, rows.block)
+    _read_lines(path, rows, ParseError, rows.flush)
     rows.flush()
     if not rows.m:
         raise EmptyDatasetError("no data lines found")
@@ -390,24 +381,26 @@ def write_floats(x: np.ndarray, stream: IO[str], feats: np.ndarray | None = None
     ``<feats[i]>:<float>`` for each nonzero x[i] (a model's weight lines),
     else ``<float>`` for every x[i]; each float as ``fmt_float`` writes it.
     Compiled where the kernel loads: ``sl_format`` fills one reused buffer of
-    ``CHUNK`` bytes, which goes to ``stream`` as text."""
+    ``CHUNK`` bytes, which goes to ``stream`` as text.  Without it, weight
+    lines go ``CHUNK // LINE_MAX`` at a time, so ``CHUNK`` bounds each write
+    of them either way."""
     from . import _kernel  # here, so that importing sparselin does not import it
 
-    lib = _kernel.load()
+    lib, size = _kernel.load(), max(CHUNK, LINE_MAX)
     if lib is None:
         if feats is None:
             stream.writelines(fmt_float(v) + "\n" for v in x.tolist())
             return
-        nonzero = np.flatnonzero(x)
-        for lo in range(0, nonzero.size, _WRITE_BATCH):
-            at = nonzero[lo:lo + _WRITE_BATCH]
+        nonzero, lines = np.flatnonzero(x), size // LINE_MAX
+        for lo in range(0, nonzero.size, lines):
+            at = nonzero[lo:lo + lines]
             stream.write("".join(f"{i}:{fmt_float(v)}\n"
                                  for i, v in zip(feats[at].tolist(), x[at].tolist())))
         return
     x = np.ascontiguousarray(x, dtype=np.float64)
     if feats is not None:
         feats = np.ascontiguousarray(feats, dtype=np.int64)
-    buf, stop = bytearray(max(CHUNK, LINE_MAX)), np.zeros(1, np.int64)
+    buf, stop = bytearray(size), np.zeros(1, np.int64)
     view = np.frombuffer(buf, np.uint8)  # holds buf's export: it cannot be resized or moved
     while stop[0] < x.size:
         n = lib.sl_format(x, feats, int(stop[0]), x.size, view, len(buf), stop)

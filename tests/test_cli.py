@@ -519,9 +519,9 @@ class TestNonFiniteObjective:
         assert model_path.read_text().endswith("bias 2e+200\n0:2e+200\n")
 
 
-def through_fifo(tmp_path, capsys, argv, source):
-    """``main(argv)``, each "FIFO" in argv naming a named pipe that another thread
-    fills with the bytes of the file ``source``: the exit code, stdout and stderr."""
+def fed_through_fifo(tmp_path, source, read):
+    """``[read(fifo)]``, ``fifo`` naming a named pipe that another thread fills
+    with the bytes of the file ``source``."""
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
 
@@ -529,10 +529,9 @@ def through_fifo(tmp_path, capsys, argv, source):
         with open(fifo, "wb") as fh:
             fh.write(source.read_bytes())
 
-    rc = []
+    result = []
     threads = [threading.Thread(target=feed, daemon=True),
-               threading.Thread(target=lambda: rc.append(main(
-                   [str(fifo) if a == "FIFO" else a for a in argv])), daemon=True)]
+               threading.Thread(target=lambda: result.append(read(str(fifo))), daemon=True)]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -544,6 +543,14 @@ def through_fifo(tmp_path, capsys, argv, source):
                 os.close(os.open(fifo, flags))
     assert not hung, "a command did not finish reading the pipe"
     fifo.unlink()
+    return result
+
+
+def through_fifo(tmp_path, capsys, argv, source):
+    """``main(argv)``, each "FIFO" in argv naming a named pipe that another thread
+    fills with the bytes of the file ``source``: the exit code, stdout and stderr."""
+    rc = fed_through_fifo(tmp_path, source,
+                          lambda fifo: main([fifo if a == "FIFO" else a for a in argv]))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -681,6 +688,60 @@ class TestScoredBlocks:
         accuracy = np.count_nonzero(p * data.labels > 0) / data.m
         assert out == (f"avg_loss={fmt_float(avg)} objective="
                        f"{fmt_float(penalized(model, 1.0, avg))} accuracy={fmt_float(accuracy)}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+class TestScoringInputIsReadOnce:
+    # predict and eval's reader sizes its arrays as it reads, so it reads a
+    # regular file once, as it reads a pipe, and gives for both the scores,
+    # labels and first error of whole-file scoring
+    MODEL, HUGE = TestScoredBlocks.MODEL, TestScoredBlocks.HUGE
+    # long rows, then many short ones, then long ones: later blocks hold more
+    # lines and more nonzeros than any before them
+    ROWS = ("".join(f"{(-1) ** i} " + " ".join(f"{j}:{j / 8}" for j in range(1, 30, i % 3 + 1))
+                    + "\n" for i in range(12))
+            + "-1 2:0.5\n1 1:3\n" * 120 + TestScoredBlocks.ROWS + "\n"
+            + "".join(f"1 {i % 4 + 1}:{i}e-3 {i + 5}:1\n" for i in range(200)))
+
+    @pytest.mark.parametrize("chunk", [64, None])
+    @pytest.mark.parametrize("model_text, rows, error", [
+        (MODEL, ROWS, None),
+        (MODEL, ROWS + "1 x:1\n" + ROWS, "line 489: bad feature index 'x'"),
+        (HUGE, ROWS.replace("# end", "0.5 1:1") + "1 1:1e10\n", "example 259: hinge loss"),
+        (HUGE, ROWS + "1 1:1e10\n" + ROWS, "example 468: score inf is not finite"),
+    ])
+    def test_a_file_is_not_counted_and_reads_as_a_pipe(self, tmp_path, monkeypatch, reader_path,
+                                                       chunk, model_text, rows, error):
+        from sparselin import data_io
+        from sparselin.errors import SparselinError
+        from sparselin.losses import scores
+
+        if chunk is not None:
+            monkeypatch.setattr(data_io, "CHUNK", chunk)
+        path, data = tmp_path / "model.txt", tmp_path / "data.txt"
+        path.write_text(model_text)
+        data.write_text(rows)
+        model = data_io.load_model(str(path))
+
+        def outcome(source):
+            try:
+                p, y = data_io.load_scores(source, model)
+            except SparselinError as exc:
+                return type(exc), str(exc)
+            return p.tobytes(), y.tobytes()
+
+        def counted(fh):
+            raise AssertionError("load_scores counted its input before reading it")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(data_io, "_count", counted)
+            from_file = outcome(str(data))
+        assert fed_through_fifo(tmp_path, data, outcome) == [from_file]
+        if error is None:
+            whole = data_io.load_dataset(str(data))
+            assert from_file == (scores(model, whole).tobytes(), whole.labels.tobytes())
+        else:
+            assert error in from_file[1]
 
 
 class TestEntryPoint:
