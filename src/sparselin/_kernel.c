@@ -37,7 +37,7 @@ static double subgradient(int loss, double p, double y)
     }
 }
 
-static double dot(const double *v, const int64_t *idx, const double *val, int64_t lo, int64_t hi)
+static double dot(const double *v, const int32_t *idx, const double *val, int64_t lo, int64_t hi)
 {
     double d = 0.0;
     for (int64_t j = lo; j < hi; j++)
@@ -67,14 +67,16 @@ int64_t sl_draw(uint64_t seed, int64_t m, int64_t t) { return draw(seed, m, t); 
  * memory is independent of T (t runs to t1 in int64_t, hence
  * solvers.MAX_STEPS).  The loss is coded as above; u is NULL without
  * averaging, xbar NULL without centering (with averaging, the vectors span
- * only the features the data uses).  Both loops make the same
+ * only the features the data uses).  idx holds each nonzero's feature as an
+ * int32 position in the data's support (sl_lookup numbers them), whose size
+ * sparse_core.MAX_SUPPORT bounds at 2^31 - 1.  Both loops make the same
  * floating-point operations in the same order, dot products summed left to
  * right as sparse_core.row_dots sums them, so they write bit-identical
  * models; that needs -ffp-contract=off (no fused multiply-add).  st holds
  * a, c, h, z, r, s and the last step's p and g.  Returns 0, or the first
  * step whose p or g is not finite, leaving a through s as the call found
  * them.  The loops count no touches (solvers._train charges them). */
-int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int64_t *idx,
+int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int32_t *idx,
                  const double *val, const double *labels, int loss, double lam,
                  double theta, const double *xbar, double *v, double *u, double *st,
                  int64_t t0, int64_t t1)
@@ -283,14 +285,17 @@ static const char *index_digits(const char *p, int64_t *out)
  * holds a ':' is all features with label 0.  Row r's label goes to labels[r]
  * and base plus the nonzeros so far to indptr[r]; the nonzeros go to idx
  * (0-based) and val, :0 values dropped.  count holds the room on entry, in
- * rows and in nonzeros, and gets the rows and nonzeros written.  Returns
- * where the scan stopped. */
+ * rows and in nonzeros, and gets the rows and nonzeros written; count[2]
+ * holds the largest index read before, and gets the largest read since, of
+ * a :0 value too, so that the default dimension is one limit accepts.
+ * Returns where the scan stopped. */
 int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t limit,
                 int64_t base, int64_t *indptr, double *labels, int64_t *idx, double *val,
                 int64_t *count)
 {
     const char *p = buf + pos, *stop = buf + end, *line, *q;
-    int64_t rows = 0, nnz = 0, row_room = count[0], nnz_room = count[1], row_start, prev, j;
+    int64_t rows = 0, nnz = 0, row_room = count[0], nnz_room = count[1], top = count[2];
+    int64_t row_start, prev, j;
     double y, v;
     while (p < stop && rows < row_room) {
         line = p;
@@ -327,6 +332,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
         }
         labels[rows] = y;
         indptr[rows++] = base + nnz;
+        top = prev > top ? prev : top;  /* a line's indices rise: prev is its largest */
         if (p < stop)
             p += line_break(p);
         continue;
@@ -337,6 +343,7 @@ refuse:
     }
     count[0] = rows;
     count[1] = nnz;
+    count[2] = top;
     return p - buf;
 }
 
@@ -373,13 +380,16 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64
  * range of feats into nb <= n buckets of 2^shift keys each: dir[b], b =
  * 0..nb, is the first position whose feature >> shift is at least b, so a
  * key's bucket is feats[dir[b], dir[b + 1]), and a binary search there costs
- * O(log n) however skewed the features are.  dir has room for n + 1 entries
- * (sparse_core.directory allocates it), and a caller builds it once for any
- * number of sl_lookup or sl_scores calls.  sl_directory fills it and returns
- * the shift.  (At most n / 8 buckets would take an eighth of the memory, but
- * made sl_scores and sl_lookup about a fifth slower on a model of 181,144
- * features, the larger buckets' second cache line prefetched too.) */
-int sl_directory(const int64_t *feats, int64_t n, int64_t *dir)
+ * O(log n) however skewed the features are.  A position, in dir and in
+ * sl_lookup's result, is an int32: the callers hold n to at most 2^31 - 1
+ * (sparse_core.MAX_SUPPORT), so every position 0..n fits.  dir has room for
+ * n + 1 entries (sparse_core.directory allocates it), and a caller builds it
+ * once for any number of sl_lookup or sl_scores calls.  sl_directory fills
+ * it and returns the shift.  (At most n / 8 buckets would take an eighth of
+ * the memory, but made sl_scores and sl_lookup about a fifth slower on a
+ * model of 181,144 features, the larger buckets' second cache line
+ * prefetched too.) */
+int sl_directory(const int64_t *feats, int64_t n, int32_t *dir)
 {
     int64_t last = n ? feats[n - 1] : -1, nb;
     int shift = 0;
@@ -403,7 +413,7 @@ int sl_directory(const int64_t *feats, int64_t n, int64_t *dir)
 #define AHEAD 16
 
 /* The position of key in feats[0, n), or n if it is not there. */
-static inline int64_t position(const int64_t *feats, const int64_t *dir, int64_t n,
+static inline int64_t position(const int64_t *feats, const int32_t *dir, int64_t n,
                                int64_t last, int shift, int64_t key)
 {
     int64_t lo, hi, mid;
@@ -419,10 +429,11 @@ static inline int64_t position(const int64_t *feats, const int64_t *dir, int64_t
     return lo < hi && feats[lo] == key ? lo : n;
 }
 
-/* The position of each of keys[0, m) in the support feats[0, n), or n for a
- * key that is not there, into out; dir and shift as sl_directory gives them. */
+/* The int32 position of each of keys[0, m) in the support feats[0, n), or n
+ * for a key that is not there, into out; dir and shift as sl_directory gives
+ * them. */
 void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m,
-               const int64_t *dir, int shift, int64_t *out)
+               const int32_t *dir, int shift, int32_t *out)
 {
     int64_t last = n ? feats[n - 1] : -1;
     for (int64_t i = 0; i < m; i++) {
@@ -430,7 +441,7 @@ void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m,
             __builtin_prefetch(&dir[keys[i + 2 * AHEAD] >> shift]);
         if (i + AHEAD < m && keys[i + AHEAD] >= 0 && keys[i + AHEAD] <= last)
             __builtin_prefetch(&feats[dir[keys[i + AHEAD] >> shift]]);
-        out[i] = position(feats, dir, n, last, shift, keys[i]);
+        out[i] = (int32_t)position(feats, dir, n, last, shift, keys[i]);
     }
 }
 
@@ -438,12 +449,13 @@ void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m,
  * w[0, n) of the support feats[0, n); dir and shift as sl_directory gives
  * them, so the rows of a file can be scored a block at a time under one
  * directory.  Each row sums w[position] * value over its indices that are
- * in the support, left to right from +0.0 as sparse_core.row_dots sums.  An
- * index that is not there has weight 0 and adds nothing, whatever its
- * value; losses.Scorer's fallback adds 0.0 * 0.0 for it, which changes no
- * sum that starts at +0.0 (such a sum is never -0.0). */
+ * in the support, left to right from +0.0 as sparse_core.row_dots sums.
+ * The rows' indices are int64 feature indices; the int32 directory finds
+ * their positions.  An index that is not there has weight 0 and adds
+ * nothing, whatever its value; losses.Scorer's fallback adds 0.0 * 0.0 for
+ * it, which changes no sum that starts at +0.0 (such a sum is never -0.0). */
 void sl_scores(const int64_t *feats, const double *w, int64_t n, double b, const int64_t *indptr,
-               const int64_t *idx, const double *val, int64_t m, const int64_t *dir, int shift,
+               const int64_t *idx, const double *val, int64_t m, const int32_t *dir, int shift,
                double *out)
 {
     int64_t last = n ? feats[n - 1] : -1, j = indptr[0], nnz = indptr[m], pos;

@@ -103,17 +103,18 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     u64, i64, dbl, flag, text = (ctypes.c_uint64, ctypes.c_int64, ctypes.c_double, ctypes.c_int,
                                  ctypes.c_char_p)
     ints, reals = _array(np.int64), _array(np.float64)
+    positions = _array(np.int32)  # into a support: see sparse_core.MAX_SUPPORT
     maybe_ints, maybe_reals = _array(np.int64, none=True), _array(np.float64, none=True)
     for fn, args, result in (
-            (lib.sl_steps, [u64, i64, ints, ints, reals, reals, flag, dbl, dbl, maybe_reals,
-                            reals, maybe_reals, reals, i64, i64], i64),
+            (lib.sl_steps, [u64, i64, ints, positions, reals, reals, flag, dbl, dbl,
+                            maybe_reals, reals, maybe_reals, reals, i64, i64], i64),
             (lib.sl_draw, [u64, i64, i64], i64),
             (lib.sl_scan, [text, i64, i64, flag, i64, i64, ints, reals, ints, reals, ints], i64),
             (lib.sl_weights, [text, i64, i64, i64, ints, reals, ints], i64),
-            (lib.sl_directory, [ints, i64, ints], flag),
-            (lib.sl_lookup, [ints, i64, ints, i64, ints, flag, ints], None),
-            (lib.sl_scores, [ints, reals, i64, dbl, ints, ints, reals, i64, ints, flag, reals],
-             None),
+            (lib.sl_directory, [ints, i64, positions], flag),
+            (lib.sl_lookup, [ints, i64, ints, i64, positions, flag, positions], None),
+            (lib.sl_scores, [ints, reals, i64, dbl, ints, ints, reals, i64, positions, flag,
+                             reals], None),
             (lib.sl_format, [reals, maybe_ints, i64, i64, _array(np.uint8), i64, ints], i64)):
         fn.argtypes, fn.restype = args, result
     return lib

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", required=True, help="64-bit sampling seed",
                        type=bounded(int, 0, MAX_SEED, "an unsigned 64-bit integer"))
     train.add_argument("--dim", type=bounded(int, 0, math.inf, ">= 0"), default=None,
-                       help="feature-space dimension (default: max index + 1)")
+                       help="feature-space dimension (default: the largest index in the data)")
     train.set_defaults(func=cmd_train)
 
     pred = sub.add_parser("predict", help="write raw predictions for a data file")

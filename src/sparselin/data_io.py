@@ -3,8 +3,9 @@
 Data files: one example per line, ``<label> <idx>:<val> ...`` with 1-based,
 strictly increasing indices (converted to 0-based internally).  Lines that
 are empty or start with ``#`` are skipped.  Explicit ``:0`` values are
-dropped so the nonzero count stays meaningful.  A ``nan`` or ``inf`` label or
-value is a parse error.
+dropped so the nonzero count stays meaningful, but their indices count
+toward the default dimension.  A ``nan`` or ``inf`` label or value is a
+parse error.
 
 The readers write straight into a ``Dataset``'s CSR arrays (see
 ``sparse_core``), and a model's weights into its two.
@@ -149,7 +150,9 @@ class _Rows:
         self.dim_override, self.require_labels = dim_override, require_labels
         self.limit, self.what = ((MAX_DIM, "the largest dimension") if dim_override is None
                                  else (dim_override, "dimension"))
-        self.count = np.zeros(2, np.int64)  # sl_scan's room and result
+        # sl_scan's room and result, and the largest 1-based index read, of a :0
+        # value too: the default dimension, which a --dim of it then accepts
+        self.count = np.zeros(3, np.int64)
 
     def reserve(self, lines: int, colons: int) -> None:
         self._room(lines, colons)  # a file's lines and ':'s bound its rows and nonzeros
@@ -193,6 +196,7 @@ class _Rows:
                 continue
             indices.append(idx)
             values.append(val)
+        self.count[2] = max(self.count.item(2), prev + 1)
         self._room(1, len(indices))
         end = self.nnz + len(indices)
         self.indices[self.nnz:end], self.values[self.nnz:end] = indices, values
@@ -203,23 +207,21 @@ class _Rows:
         """``sl_scan`` over ``block`` from ``pos`` into the room left: where it
         stopped, and the line number reached."""
         rows, nnz = self.rows, self.nnz
-        self.count[:] = self.labels.size - rows, self.values.size - nnz
+        self.count[:2] = self.labels.size - rows, self.values.size - nnz
         # indices the scanner accepts stay below 10**18 < MAX_DIM, so the clamp changes nothing
         stop = lib.sl_scan(block, pos, len(block), self.require_labels, min(self.limit, MAX_DIM),
                            nnz, self.indptr[rows + 1:], self.labels[rows:], self.indices[nnz:],
                            self.values[nnz:], self.count)
-        read, kept = self.count.tolist()
+        read, kept, _ = self.count.tolist()
         self.rows, self.nnz = rows + read, nnz + kept
         return stop, line_no + read
 
     def dataset(self) -> Dataset:
         if not self.rows:
             raise EmptyDatasetError("no data lines found")
-        indices = self.indices[:self.nnz]
-        dim = (self.dim_override if self.dim_override is not None
-               else int(indices.max(initial=-1)) + 1)
-        return Dataset(self.indptr[:self.rows + 1], indices, self.values[:self.nnz],
-                       self.labels[:self.rows], dim)
+        dim = self.dim_override if self.dim_override is not None else self.count.item(2)
+        return Dataset(self.indptr[:self.rows + 1], self.indices[:self.nnz],
+                       self.values[:self.nnz], self.labels[:self.rows], dim)
 
 
 class _ScoredRows(_Rows):
@@ -253,7 +255,8 @@ def parse_libsvm(
     """Parse a LIBSVM text stream into a Dataset.
 
     ``dim_override`` fixes the dimension (indices at or beyond it are an
-    error); otherwise the dimension is max observed index + 1, and an index
+    error); otherwise the dimension is the largest index read, 1-based, that
+    of a ``:0`` value too, so that it is one ``dim_override`` accepts; an index
     beyond ``sparse_core.MAX_DIM``, past which no dense weight vector could
     be described, is an error naming its line.  With
     ``require_labels=False`` a line whose first token contains ':' is

@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, LabelError, SparselinError
-from .sparse_core import Dataset, DenseVec, check_csr, directory, row_dots, search, squared_norm
+from .sparse_core import (Dataset, DenseVec, check_csr, check_support, directory, row_dots,
+                          search, squared_norm)
 
 
 class LossKind(Enum):
@@ -135,15 +136,17 @@ class Scorer:
     b.  An index that is not there, at or beyond the model's ``dim`` too,
     has weight 0 and adds nothing, whatever its value.  Compiled where the
     kernel loads (``sl_scores``: one pass over the rows, through the n' + 1
-    ``directory`` built here once, with no other temporary); else ``search``
-    and ``row_dots``, an index not found taking a weight of 0.0 after the
-    last and a value of 0.0, whose +0.0 product changes no such sum.  So
-    rows scored in blocks (``data_io.load_scores``) score bit for bit as in
-    one call (``scores``)."""
+    int32 ``directory`` built here once, with no other temporary); else
+    ``search`` and ``row_dots``, an index not found taking a weight of 0.0
+    after the last and a value of 0.0, whose +0.0 product changes no such
+    sum.  So rows scored in blocks (``data_io.load_scores``) score bit for
+    bit as in one call (``scores``).  Both paths refuse a model of more than
+    ``sparse_core.MAX_SUPPORT`` features (``check_support``)."""
 
     def __init__(self, model: LinearModel):
         from . import _kernel  # here, so that importing sparselin does not import it
 
+        check_support(model.feats)
         self.model, self.lib = model, _kernel.load()
         if self.lib is None:
             self.weights = np.append(model.weights, 0.0)

@@ -18,7 +18,10 @@ are kept so that centering never needs a dense operation inside the loop.
 The loop runs over the data's features only: ``_train`` finds the n'
 distinct feature indices the data uses (``sparse_core.support``), numbers
 them 0..n'-1 once (``sparse_core.lookup``), and trains on that compacted
-dataset, so v, u and xbar are n' long.  The allocation, the mean, the
+dataset, so v, u and xbar are n' long.  Through the loop it holds only
+the data, its int32 numbers (4 bytes per nonzero) and those 1-3 vectors:
+the sorted features are rebuilt from the numbers once the model is
+recovered, as the model's ``feats``.  The allocation, the mean, the
 finalize and the model itself then cost O(n'): the recovered n'-vector is
 the model's weights, on those features, with no n-length vector anywhere,
 so memory is O(m*k + n') for any ``dim`` up to ``sparse_core.MAX_DIM``.
@@ -157,6 +160,7 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     # the loop runs over the n' features the data uses, feature feats[j] as j
     feats, dim = support(data.indices), data.dim
     idx, n = lookup(feats, data.indices), feats.size
+    del feats
     v = np.zeros(n)
     u = np.zeros(n) if average else None
     xbar = column_mean(idx, data.values, data.m, n) if center else None
@@ -193,6 +197,9 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     except FloatingPointError:
         raise NonFiniteError(f"the model overflows when its sums are divided by lambda*T = "
                              f"{lam * T}; lambda may be too small for the data") from None
+    coeffs = v = u = xbar = None  # w is one of them: free the rest, so feats is not the peak
+    feats = np.empty(n, np.int64)
+    feats[idx] = data.indices  # exact: every position is hit, each by its own feature only
     return LinearModel(feats, w, b, kind, dim)
 
 

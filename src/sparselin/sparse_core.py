@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyDatasetError
+from .errors import DimensionError, EmptyDatasetError, SparselinError
 
 # Dense vectors are bare float64 arrays; the alias documents intent.
 DenseVec = np.ndarray
@@ -41,6 +41,10 @@ DenseVec = np.ndarray
 # must be one numpy can describe, whose size in bytes fits in a signed
 # pointer-sized integer.
 MAX_DIM = np.iinfo(np.intp).max // 8
+# The largest support: a position into one, 0..n' (n' for a miss), is an
+# int32, as LIBLINEAR's feature numbers are C ints, in ``lookup``'s result,
+# a ``directory`` and the training loop's numbered indices.
+MAX_SUPPORT = 2**31 - 1
 
 BLOCK_ROWS = 1024  # rows per ``row_dots`` step: its temporaries hold one block's nonzeros
 BLOCK = 1 << 16  # items per step of the blocked passes, which bounds their temporaries
@@ -199,27 +203,38 @@ def support(indices: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
+def check_support(feats: np.ndarray) -> None:
+    """Raise unless int32 positions can number ``feats``: at most ``MAX_SUPPORT``
+    features.  Checked where a support is turned into positions, before the
+    choice of the compiled or Python path, so both refuse alike."""
+    if feats.size > MAX_SUPPORT:
+        raise SparselinError(f"{feats.size} features exceed the {MAX_SUPPORT} "
+                             "that int32 positions can number")
+
+
 def directory(lib, feats: np.ndarray) -> tuple[np.ndarray, int]:
     """The compiled library ``lib``'s directory of ``feats`` (sorted, distinct
-    and nonnegative) and its shift, as ``sl_directory`` builds them: n' + 1
-    int64 entries, which ``sl_lookup`` and ``sl_scores`` take for any number
-    of calls over the same ``feats``."""
-    room = np.empty(feats.size + 1, np.int64)
+    and nonnegative, at most ``MAX_SUPPORT``) and its shift, as
+    ``sl_directory`` builds them: n' + 1 int32 positions, which ``sl_lookup``
+    and ``sl_scores`` take for any number of calls over the same ``feats``."""
+    room = np.empty(feats.size + 1, np.int32)
     return room, lib.sl_directory(feats, feats.size, room)
 
 
 def lookup(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The position of each int64 key in ``feats`` (sorted, distinct and
+    """The int32 position of each int64 key in ``feats`` (sorted, distinct and
     nonnegative), or ``feats.size`` for a key that is not there; O(n' + m log
     n') for m keys.  Compiled where the kernel loads (``sl_lookup``: a
     ``directory`` of at most n' buckets, then a binary search in one), else
-    ``search``; both give the same positions."""
+    ``search``; both give the same positions, and both refuse a support of
+    more than ``MAX_SUPPORT`` features (``check_support``)."""
     from . import _kernel  # here, so that importing sparselin does not import it
 
+    check_support(feats)
     lib = _kernel.load()
     if lib is None:
-        return search(feats, keys)
-    out = np.empty(keys.size, np.int64)
+        return search(feats, keys).astype(np.int32)
+    out = np.empty(keys.size, np.int32)
     lib.sl_lookup(feats, feats.size, keys, keys.size, *directory(lib, feats), out)
     return out
 

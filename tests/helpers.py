@@ -169,11 +169,11 @@ def recover_centered_iterate(step, lam: float) -> tuple[np.ndarray, float]:
 def loop_args(data: Dataset, loss: LossKind, lam: float, seed: int, average: bool,
               center: bool) -> tuple:
     """The arguments of ``sl_steps``/``_python_steps`` before t0 and t1, as
-    ``_train`` builds them but over all of ``data``'s dimensions, with fresh
-    zero sums and state array."""
+    ``_train`` builds them but over all of ``data``'s dimensions, each index
+    its own int32 position, with fresh zero sums and state array."""
     xbar = mean_vector(data) if center else None
     theta = 1.0 + squared_norm(xbar) if center else 0.0
-    return (seed, data.m, data.indptr, data.indices, data.values, data.labels,
+    return (seed, data.m, data.indptr, data.indices.astype(np.int32), data.values, data.labels,
             _LOSSES.index(loss), lam, theta, xbar, np.zeros(data.dim),
             np.zeros(data.dim) if average else None, np.zeros(8))
 

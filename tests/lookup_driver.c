@@ -10,25 +10,35 @@
  * line.  It scores `rows` rows per call (default all r), each call over
  * copies of its rows' indptr (rebased to 0), indices and values, as
  * data_io's reader scores a file a block at a time, and every call shares
- * the one directory.  The features, weights, directory (n + 1 entries),
- * keys, values, indptr, the copies, positions and scores are malloc'ed
- * arrays of exactly their size, so a read or write past one is caught.
+ * the one directory.  The features, weights, directory (n + 1 int32
+ * positions), keys, values, indptr, the copies, the m int32 positions and
+ * the scores are malloc'ed arrays of exactly their size, so a read or write
+ * past one is caught.
  */
 #include <inttypes.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
-int sl_directory(const int64_t *feats, int64_t n, int64_t *dir);
+int sl_directory(const int64_t *feats, int64_t n, int32_t *dir);
 void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m,
-               const int64_t *dir, int shift, int64_t *out);
+               const int32_t *dir, int shift, int32_t *out);
 void sl_scores(const int64_t *feats, const double *w, int64_t n, double b, const int64_t *indptr,
-               const int64_t *idx, const double *val, int64_t m, const int64_t *dir, int shift,
+               const int64_t *idx, const double *val, int64_t m, const int32_t *dir, int shift,
                double *out);
 
 static void *alloc(int64_t count)
 {
     void *a = malloc((count ? count : 1) * 8);
+    if (!a)
+        exit(2);
+    return a;
+}
+
+/* room for exactly count int32 positions, as sl_directory and sl_lookup write them */
+static int32_t *positions(int64_t count)
+{
+    int32_t *a = malloc((count ? count : 1) * sizeof *a);
     if (!a)
         exit(2);
     return a;
@@ -51,7 +61,7 @@ static void *read_array(int64_t *count, int known, const char *fmt)
 /* sl_scores of rows [lo, hi) of the dataset, from copies of exactly their size */
 static void score_rows(const int64_t *feats, const double *w, int64_t n, double b,
                        const int64_t *indptr, const int64_t *keys, const double *val,
-                       const int64_t *dir, int shift, int64_t lo, int64_t hi, double *out)
+                       const int32_t *dir, int shift, int64_t lo, int64_t hi, double *out)
 {
     int64_t first = indptr[lo], nnz = indptr[hi] - first, *ptr = alloc(hi - lo + 1);
     int64_t *idx = alloc(nnz);
@@ -68,11 +78,12 @@ static void score_rows(const int64_t *feats, const double *w, int64_t n, double 
 int main(int argc, char **argv)
 {
     int64_t n, m, r, rows, one = 1, *feats = read_array(&n, 0, "%" SCNd64);
-    int64_t *keys = read_array(&m, 0, "%" SCNd64), *dir = alloc(n + 1), *out = alloc(m);
+    int64_t *keys = read_array(&m, 0, "%" SCNd64);
+    int32_t *dir = positions(n + 1), *out = positions(m);
     int shift = sl_directory(feats, n, dir);
     sl_lookup(feats, n, keys, m, dir, shift, out);
     for (int64_t i = 0; i < m; i++)
-        printf("%" PRId64 "\n", out[i]);
+        printf("%" PRId32 "\n", out[i]);
     if (scanf("%" SCNd64, &r) == 1 && r >= 0) {
         int64_t step = argc > 1 ? atoll(argv[1]) : r;
         rows = r + 1;

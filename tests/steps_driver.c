@@ -9,8 +9,10 @@
  * drawing rows from SEED, on malloc'ed copies of exactly the scanned size: u is
  * NULL unless AVERAGE is 1, xbar NULL unless THETA and DIM values follow
  * (the reals as C hex floats).  Written to stdout, one line each, in hex:
- * indptr, the indices, the bits of the values and of the labels, the loop's
- * result, and the bits of the state array, of v and of u (empty without u).
+ * indptr, the indices, the bits of the values and of the labels, the largest
+ * index read, the loop's result, and the bits of the state array, of v and
+ * of u (empty without u).  The loop takes the indices as int32 positions,
+ * each index its own (a copy of exactly nnz int32s).
  * Exits 3 when the scan stops before the end.
  */
 #include <inttypes.h>
@@ -21,7 +23,7 @@
 int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t limit,
                 int64_t base, int64_t *indptr, double *labels, int64_t *idx, double *val,
                 int64_t *count);
-int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int64_t *idx,
+int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int32_t *idx,
                  const double *val, const double *labels, int loss, double lam,
                  double theta, const double *xbar, double *v, double *u, double *st,
                  int64_t t0, int64_t t1);
@@ -48,7 +50,7 @@ int main(int argc, char **argv)
 {
     size_t size = 0, cap = 4096;
     char *text = malloc(cap), *buf;
-    int64_t lines = 1, colons = 0, count[2], rows, nnz;
+    int64_t lines = 1, colons = 0, count[3], rows, nnz;
     if (argc < 7 || !text)
         return 2;
     for (size_t got; (got = fread(text + size, 1, cap - size, stdin)) > 0;)
@@ -62,6 +64,7 @@ int main(int argc, char **argv)
     }
     count[0] = lines;
     count[1] = colons;
+    count[2] = 0;
     int64_t *indptr = calloc(lines + 1, 8), *idx = malloc(8 * colons + 1);
     double *labels = malloc(8 * lines), *val = malloc(8 * colons + 1);
     if (!indptr || !idx || !labels || !val)
@@ -76,6 +79,7 @@ int main(int argc, char **argv)
     print_words(idx, nnz);
     print_words(val, nnz);
     print_words(labels, rows);
+    print_words(&count[2], 1);
 
     int64_t steps = atoll(argv[3]);
     double *v = calloc(dim, 8), *u = atoi(argv[5]) ? calloc(dim, 8) : NULL, *st = calloc(8, 8);
@@ -86,7 +90,12 @@ int main(int argc, char **argv)
         for (int64_t j = 0; j < dim; j++)
             xbar[j] = strtod(argv[8 + j], NULL);
     }
-    int64_t *exact_indptr = copy(indptr, 8 * (rows + 1)), *exact_idx = copy(idx, 8 * nnz);
+    int64_t *exact_indptr = copy(indptr, 8 * (rows + 1));
+    int32_t *exact_idx = malloc(4 * nnz + 1);
+    if (!exact_idx)
+        return 2;
+    for (int64_t j = 0; j < nnz; j++)
+        exact_idx[j] = (int32_t)idx[j];
     double *exact_val = copy(val, 8 * nnz), *exact_labels = copy(labels, 8 * rows);
     int64_t bad = sl_steps(strtoull(argv[6], NULL, 10), rows, exact_indptr, exact_idx,
                            exact_val, exact_labels, atoi(argv[1]), strtod(argv[2], NULL), theta,

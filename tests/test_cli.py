@@ -17,7 +17,7 @@ import pytest
 from helpers import random_dataset
 from sparselin import LossKind, _kernel, cli
 from sparselin.cli import build_parser, main
-from sparselin.data_io import fmt_float, write_libsvm
+from sparselin.data_io import fmt_float, load_dataset, parse_libsvm, write_libsvm
 from sparselin.solvers import MAX_STEPS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -144,6 +144,25 @@ def reader_path(request, monkeypatch):
     else:
         assert _kernel.load() is not None, "the compiled kernel could not be built or loaded"
     return request.param
+
+
+class TestDefaultDimension:
+    # the default dimension is the largest index read, that of a :0 value too,
+    # so it is a --dim the same file trains at, and one less is refused
+    @pytest.mark.parametrize("text, dim", [("1 1:1 2:0\n", 2), ("1 1:1\n-1 3:0\n1 2:1\n", 3),
+                                           ("1 5:0\n", 5)])
+    def test_an_explicit_zero_counts(self, reader_path, tmp_path, capsys, text, dim):
+        data, model = tmp_path / "train.txt", tmp_path / "model.txt"
+        data.write_text(text)
+        assert load_dataset(str(data)).dim == parse_libsvm(text.splitlines()).dim == dim
+        for extra in ([], ["--dim", str(dim)]):
+            assert main(["train", "--data", str(data), "--model", str(model), *TRAIN_FLAGS,
+                         *extra]) == 0
+            assert model.read_text().splitlines()[2] == f"dim {dim}"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--model", str(model), *TRAIN_FLAGS,
+                     "--dim", str(dim - 1)]) == 1
+        assert f"index {dim} exceeds dimension {dim - 1}" in capsys.readouterr().err
 
 
 class TestHashedSpace:

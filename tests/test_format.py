@@ -278,15 +278,15 @@ def test_sanitized_build(tmp_path):
                 f"{w:x}" for w in scored.view(np.uint64).tolist()]
 
     # sl_scan reading LIBSVM lines whose last token ends at the buffer's NUL,
-    # and sl_steps over arrays of exactly the scanned size, drawing its rows
-    # from the seed: sgd with NULL u and xbar, casgd, and a run that a
-    # non-finite step stops
+    # with the largest index read (that of a :0 value too), and sl_steps over
+    # arrays of exactly the scanned size, drawing its rows from the seed: sgd
+    # with NULL u and xbar, casgd, and a run that a non-finite step stops
     exe = sanitized(tmp_path, "steps_driver.c")
     rows = "1 1:0.5 3:-2\n-1 2:1.25\r\n1 1:1e-3 2:7 3:0.5"
     for text, loss, lam, steps, average, center, seed in [
             (rows, LossKind.LOG, 0.1, 40, False, False, 2**64 - 1),
             (rows + "\n-1", LossKind.HINGE, 0.1, 40, True, True, 3),
-            ("2 1:1", LossKind.SQUARED, 1e-300, 200, False, False, 0)]:
+            ("2 1:1 3:0", LossKind.SQUARED, 1e-300, 200, False, False, 0)]:
         data = parse_libsvm(text.splitlines(), dim_override=3)
         args = loop_args(data, loss, lam, seed, average, center)
         bad = _python_steps(*args, 1, steps + 1)
@@ -298,7 +298,8 @@ def test_sanitized_build(tmp_path):
                              env=env)
         assert run.returncode == 0, run.stderr
         *_, v, u, st = args
-        words = [data.indptr, data.indices, data.values, data.labels, [bad], st, v,
+        top = parse_libsvm(text.splitlines()).dim  # the largest index read, of a :0 too
+        words = [data.indptr, data.indices, data.values, data.labels, [top], [bad], st, v,
                  u if average else []]
         assert run.stdout.splitlines() == [
             " ".join(f"{w:x}" for w in np.asarray(a).view(np.uint64).tolist()) for a in words]

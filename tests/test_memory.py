@@ -5,13 +5,14 @@ peak it records is that of the arrays a call makes, whatever the C library
 does with the memory.  On a dataset of a million nonzeros and a model of as
 many weights, the readers peak at the arrays they return, scoring,
 validation and the penalty at their result, and the objective at one
-directory and four m-long arrays: each within ``SLACK``, which the
+int32 directory and four m-long arrays: each within ``SLACK``, which the
 fixed-size buffers and blocks of these calls fit in and any temporary the
 size of the input does not.  Scoring a file as ``predict`` and ``eval``
 do holds no dataset, so its peak does not grow with the nonzeros per row.
-Training draws each step's row inside the loop, so its peak does not grow
-with the number of steps.  ``mean_vector`` allocates its ``dim`` floats and
-little more.
+Through its loop, training holds 4 bytes per nonzero and its sums of n'
+floats, where ``asgd`` and ``casgd`` peak, and it draws each step's row
+inside the loop, so its peak does not grow with the number of steps.
+``mean_vector`` allocates its ``dim`` floats and little more.
 """
 
 import tracemalloc
@@ -99,13 +100,13 @@ def test_scores_allocate_the_result_and_one_directory(files):
     data, model = load_dataset(files[0]), load_model(files[1])
     p, peak = traced_peak(scores, model, data)
     assert p.size == M
-    assert peak <= p.nbytes + 8 * (model.feats.size + 1) + SLACK
+    assert peak <= p.nbytes + 4 * (model.feats.size + 1) + SLACK
     # train's objective scores so too, then adds m-long work: scores' p and its
     # isfinite mask, check_labels' three masks beside p, and at most four
     # m-long floats in mean_loss (p, 1 - p*y, the hinge terms and their cumsum)
     objective, peak = traced_peak(objective_value, model, data, 1e-3)
     assert objective > 0
-    assert peak <= 4 * p.nbytes + 8 * (model.feats.size + 1) + SLACK
+    assert peak <= 4 * p.nbytes + 4 * (model.feats.size + 1) + SLACK
 
 
 @pytest.mark.parametrize("require_labels", [False, True])
@@ -125,7 +126,7 @@ def test_scoring_a_file_peaks_at_two_results_and_one_directory(files, tmp_path, 
                                 for row in rows.tolist()))
         (p, labels), peak = traced_peak(load_scores, str(path), model, require_labels)
         assert p.size == labels.size == m
-        assert peak <= 2 * 8 * m + 8 * (model.feats.size + 1) + SLACK
+        assert peak <= 2 * 8 * m + 4 * (model.feats.size + 1) + SLACK
         peaks.append(peak)
     assert peaks[1] <= peaks[0] + (64 << 10)
 
@@ -140,6 +141,19 @@ def test_validation_and_the_norm_allocate_no_input_sized_temporary(files):
     norm, peak = traced_peak(squared_norm, model.weights)
     assert peak <= SLACK
     assert norm == float(np.cumsum(model.weights * model.weights)[-1])
+
+
+@pytest.mark.parametrize("train, sums", [(asgd_train, 2), (casgd_train, 3)])
+def test_training_holds_four_bytes_per_nonzero_and_its_sums(files, train, sums):
+    # through the loop, training holds the data, the int32 position of each
+    # nonzero and its n'-long sums (v and u, and casgd's mean); the support
+    # itself is rebuilt from the positions after the loop, the other sums freed
+    data = load_dataset(files[0])
+    n = support(data.indices).size
+    cfg = TrainConfig(steps=1_000, lam=1e-3, seed=3, loss=LossKind.HINGE)
+    model, peak = traced_peak(train, data, cfg)
+    assert model.feats.size == n > 900_000
+    assert peak <= 4 * data.indices.size + sums * 8 * n + SLACK
 
 
 @pytest.mark.parametrize("train", [sgd_train, asgd_train, casgd_train])

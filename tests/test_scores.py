@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dense_model, reference_scores
-from sparselin import Dataset, LinearModel, LossKind, SparselinError, _kernel, predict, sparse_core
+from sparselin import (Dataset, LinearModel, LossKind, SparselinError, TrainConfig, _kernel,
+                       predict, sparse_core)
 from sparselin.losses import scores
+from sparselin.solvers import fit
 from sparselin.sparse_core import BLOCK_ROWS, lookup, row_dots, search
 
 # products and sums of up to 12 of them stay finite
@@ -147,12 +149,28 @@ def test_lookup_edges(case, path):
     model = LinearModel(feats, weights, 0.25, LossKind.SQUARED, dim)
     position = {f: i for i, f in enumerate(feats)}
     want = [position.get(j, len(feats)) for j in data.indices.tolist()]
+    assert lookup(model.feats, data.indices).dtype == np.int32
     assert lookup(model.feats, data.indices).tolist() == want
     assert search(model.feats, data.indices).tolist() == want
     assert bits(scores(model, data)) == bits(reference_scores(model, data))
     if data_dim == dim:
         assert bits(scores(model, data)) == bits([predict(model, data.row(i))
                                                   for i in range(data.m)])
+
+
+def test_an_oversize_support_is_refused_alike(path, monkeypatch):
+    # int32 positions number at most MAX_SUPPORT features: the lookup, scoring
+    # and training refuse a larger support with one error on both paths
+    monkeypatch.setattr(sparse_core, "MAX_SUPPORT", 2)
+    data = rows_of([[0, 1], [2]], 3)
+    model = LinearModel([0, 1, 2], [1.0, 2.0, 3.0], 0.0, LossKind.SQUARED, 3)
+    cfg = TrainConfig(steps=5, lam=1.0, seed=0, loss=LossKind.SQUARED)
+    for call in (lambda: lookup(model.feats, data.indices), lambda: scores(model, data),
+                 lambda: fit("casgd", data, cfg)):
+        with pytest.raises(SparselinError,
+                           match="^3 features exceed the 2 that int32 positions can number$"):
+            call()
+    assert lookup(model.feats[:2], data.indices).tolist() == [0, 1, 2]
 
 
 @pytest.mark.parametrize("rows, first", [([[0], [1]], 1), ([[], [0, 1]], 2), ([[2], [1]], 2),
