@@ -126,9 +126,8 @@ int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int32_t 
  * reaches a token.  buf[end] must be a NUL byte, as in every Python bytes
  * object: each token scan stops there.  A scanner writes no more lines or
  * nonzeros than the room it is given, and also stops at the start of a line
- * that would not fit: data_io sizes its exact-size readers' room from a
- * count of a regular file's line breaks and ':'s, and its Python line code
- * makes more room for a line that does not fit (all other room grows so). */
+ * that would not fit, for which data_io makes room (by the one rule that its
+ * module docstring states). */
 static int digit(char c) { return c >= '0' && c <= '9'; }
 static int blank(char c) { return c == ' ' || c == '\t'; }
 /* The length of the line break at p < end: 1 for "\n", 2 for "\r\n", else 0. */

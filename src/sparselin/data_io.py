@@ -11,7 +11,8 @@ The readers write straight into a ``Dataset``'s CSR arrays (see
 ``sparse_core``), and a model's weights into its two.
 
 ``parse_libsvm`` and ``read_model`` read text one line at a time.  The
-path-based readers read the file in binary.  ``load_dataset`` and
+path-based readers read the file in binary, and every reader sizes its
+arrays by one rule, through its ``reserve``.  ``load_dataset`` and
 ``load_model``, which return exact-size arrays, count a regular file first,
 ``CHUNK`` bytes at a time into one reused buffer (numpy's
 ``count_nonzero``): its line breaks bound the rows, and its ':'s the
@@ -23,9 +24,13 @@ buffers of ``CHUNK`` bytes, which bound only the reads.  Scoring input
 they start with no room, and a line that does not fit doubles the arrays,
 or grows them to what it needs if that is more (``_grown``).
 
-The file is then read in blocks of whole lines ``CHUNK`` bytes at a time
-(a partial last line is carried over), and each block goes to a compiled
-scanner (``sl_scan``, ``sl_weights``).  A scanner accepts one narrow form:
+The file is then read ``CHUNK`` bytes at a time, and a read that does not
+end in ``'\\n'`` is completed with ``readline``: so each block holds whole
+lines (a line longer than ``CHUNK`` is one block, a ``'\\r\\n'`` is never
+split) and only the file's last block may lack a final line break; ``read``
+waits for ``CHUNK`` bytes or the end of a pipe as of a file.  Each block
+goes to a compiled scanner (``sl_scan``, ``sl_weights``).  A scanner
+accepts one narrow form:
 ASCII numbers ``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` that are finite,
 indices of at most 18 plain digits, space or tab between tokens, ``'\\n'``
 or ``'\\r\\n'`` at the end of each line, and the same index checks as the
@@ -82,7 +87,7 @@ from __future__ import annotations
 import math
 import os
 import stat
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -154,12 +159,10 @@ class _Rows:
         # value too: the default dimension, which a --dim of it then accepts
         self.count = np.zeros(3, np.int64)
 
-    def reserve(self, lines: int, colons: int) -> None:
-        self._room(lines, colons)  # a file's lines and ':'s bound its rows and nonzeros
-
-    def _room(self, rows: int, nnz: int) -> None:
-        """Room for ``rows`` more rows and ``nnz`` more nonzeros.  The arrays grow
-        one at a time, so that each old one is freed before the next grows."""
+    def reserve(self, rows: int, nnz: int) -> None:
+        """Room for ``rows`` more rows and ``nnz`` more nonzeros (a file's lines and
+        ':'s bound them).  The arrays grow one at a time, so that each old one is
+        freed before the next grows."""
         self.labels = _grown(self.labels, self.rows, self.rows + rows)
         self.indptr = _grown(self.indptr, self.rows, self.rows + rows, 1)  # one slot more
         self.indices = _grown(self.indices, self.nnz, self.nnz + nnz)
@@ -197,7 +200,7 @@ class _Rows:
             indices.append(idx)
             values.append(val)
         self.count[2] = max(self.count.item(2), prev + 1)
-        self._room(1, len(indices))
+        self.reserve(1, len(indices))
         end = self.nnz + len(indices)
         self.indices[self.nnz:end], self.values[self.nnz:end] = indices, values
         self.labels[self.rows], self.indptr[self.rows + 1] = y, end
@@ -228,8 +231,8 @@ class _ScoredRows(_Rows):
     """CSR rows scored under a model a block at a time: before each block's
     lines are read (``flush``), the rows of the block before are scored into
     the m-long ``p`` and their labels kept in ``y``, and the CSR arrays are
-    emptied but keep their room, which grows only for a line that does not
-    fit, so they stay about the size of a block."""
+    emptied but keep their room (sized as the module docstring says), so they
+    stay about the size of a block."""
 
     def __init__(self, model: LinearModel, require_labels: bool):
         super().__init__(None, require_labels)
@@ -269,24 +272,6 @@ def parse_libsvm(
     return rows.dataset()
 
 
-def _blocks(fh: IO[bytes]) -> Iterator[bytes]:
-    """The file's bytes as blocks of whole lines, read ``CHUNK`` bytes at a
-    time; a partial last line is carried over to the next block, and only
-    the file's last block may lack a final newline."""
-    pending: list[bytes] = []
-    while chunk := fh.read(CHUNK):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            pending.append(memoryview(chunk)[:cut])  # copied once, by the join
-            yield b"".join(pending)
-            pending = [chunk[cut:]]
-        else:
-            pending.append(chunk)
-    last = b"".join(pending)
-    if last:
-        yield last
-
-
 def _count(fh: IO[bytes]) -> tuple[int, int]:
     """The lines and the ':' bytes of the regular file ``fh``, read ``CHUNK``
     bytes at a time into one buffer; ``fh`` is then back at its start."""
@@ -301,15 +286,13 @@ def _count(fh: IO[bytes]) -> tuple[int, int]:
 
 
 def _read_lines(path: str, reader, error, each_block=None) -> None:
-    """Feed the text file at ``path`` to ``reader``: without ``each_block``, a
-    regular file is counted first (``reader.reserve(lines, colons)``); then
-    the file is read a block of whole lines at a time (``_blocks``), and
-    ``each_block()``, where given, is called before each block's lines are
-    read.  Where the kernel loads, ``reader.scan(lib, block, pos, line_no)``
-    reads lines from ``pos`` until one does not fit it and returns where it
-    stopped and the last line number it read.  Each line it stops at (each
-    line, without the kernel) is decoded and split as text-mode reading
-    would (universal newlines: a lone '\\r' ends a line too) and given to
+    """Feed the text file at ``path`` to ``reader``, read and sized as the
+    module docstring says: without ``each_block``, a regular file is counted
+    first (``reader.reserve(lines, colons)``); ``each_block()``, where given,
+    is called before each block's lines are read.  Where the kernel loads,
+    ``reader.scan(lib, block, pos, line_no)`` reads lines from ``pos`` until
+    one does not fit it and returns where it stopped and the last line number
+    it read.  Each line it stops at (each line, without the kernel) goes to
     ``reader.add_line(text, line_no)``, and scanning resumes after it.  Bytes
     that are not UTF-8 raise ``error(line_no, message)``."""
     from . import _kernel  # here, so that importing sparselin does not import it
@@ -318,7 +301,9 @@ def _read_lines(path: str, reader, error, each_block=None) -> None:
     with open(path, "rb") as fh:
         if each_block is None and stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             reader.reserve(*_count(fh))  # a pipe cannot be read twice
-        for block in _blocks(fh):
+        while block := fh.read(CHUNK):
+            if not block.endswith(b"\n"):
+                block += fh.readline()  # the rest of the last line
             if each_block is not None:
                 each_block()
             pos = 0
@@ -365,9 +350,8 @@ def load_scores(path: str, model: LinearModel,
     the labels checked for the model's loss (``validate_labels``) where they
     are required; the errors come in the same order (a parse error anywhere
     in the file, then a bad label, then a score that is not finite).  No
-    ``Dataset`` is built and nothing is counted: the file is read once and
-    scored a block at a time (``_ScoredRows``), so the call holds the model,
-    the two m-long results and about the arrays of one block."""
+    ``Dataset`` is built: the file is read once, as the module docstring
+    says, and scored a block at a time (``_ScoredRows``)."""
     rows = _ScoredRows(model, require_labels)
     _read_lines(path, rows, ParseError, rows.flush)
     rows.flush()
@@ -457,12 +441,10 @@ class _ModelReader:
         self.state = np.zeros(2, np.int64)  # sl_weights' last index and room, then lines read
 
     def reserve(self, lines: int, colons: int) -> None:
-        self._room(colons)  # a weight line holds one ':', a header line none
-
-    def _room(self, k: int) -> None:
-        """Room in the arrays for k more weights."""
-        self.feats = _grown(self.feats, self.n, self.n + k)
-        self.weights = _grown(self.weights, self.n, self.n + k)
+        """Room for ``colons`` more weights: a weight line holds one ':', a header
+        line none."""
+        self.feats = _grown(self.feats, self.n, self.n + colons)
+        self.weights = _grown(self.weights, self.n, self.n + colons)
 
     def add_line(self, line: str, line_no: int) -> None:
         n = len(self.header)
@@ -506,7 +488,7 @@ class _ModelReader:
         if not math.isfinite(val):
             raise FormatError(f"weight {idx} is not finite", line_no)
         self.prev = idx
-        self._room(1)
+        self.reserve(1, 1)
         self.feats[self.n], self.weights[self.n] = idx, val
         self.n += 1
 

@@ -568,20 +568,35 @@ class TestScanners:
             assert data_io._count(fh) == (lines, body.count(b":"))
             assert fh.tell() == 0
 
-    def test_reads_at_most_one_chunk_at_a_time(self, monkeypatch):
-        body = b"".join(b"1 %d:0.5\n" % i for i in range(1, 200)) + b"1 1:1" * 40
-        sizes = []
+    def test_blocks_end_at_the_first_line_break_after_a_chunk(self, tmp_path, monkeypatch):
+        # a read of CHUNK bytes is completed to the end of its last line: a
+        # "\r\n" cut by the read, and a line longer than CHUNK, end one block
+        body = (b"1 1:0." + b"5" * 57 + b"\r\n"
+                + b"".join(b"1 %d:0.5\r\n" % i for i in range(1, 200))
+                + b"1 1:1" * 40 + b"\n" + b"1 1:1" * 40)
+        path = tmp_path / "data.txt"
+        path.write_bytes(body)
+        blocks = []
 
-        class Recording(io.BytesIO):
-            def read(self, n=-1):
-                sizes.append(n)
-                return super().read(n)
+        class Blocks:
+            def reserve(self, lines, colons):
+                pass
+
+            def scan(self, lib, block, pos, line_no):
+                blocks.append(block)
+                return len(block), line_no
 
         monkeypatch.setattr(data_io, "CHUNK", 64)
-        blocks = list(data_io._blocks(Recording(body)))
-        assert b"".join(blocks) == body
-        assert all(block.endswith(b"\n") for block in blocks[:-1])
-        assert sizes and all(0 < n <= 64 for n in sizes)
+        monkeypatch.setattr(_kernel, "load", lambda: "lib")
+        data_io._read_lines(str(path), Blocks(), ParseError)
+        at = 0
+        for block in blocks:
+            end = body.find(b"\n", at + 63) + 1 or len(body)
+            assert block == body[at:end]
+            at = end
+        assert at == len(body)
+        assert blocks[0][63:] == b"\r\n"
+        assert len(blocks[-2]) > 64 and len(blocks[-1]) > 64
 
 
 # ---- the number reader ------------------------------------------------------

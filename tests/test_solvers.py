@@ -340,6 +340,44 @@ class TestDeterminism:
         assert m1.b == m2.b
 
 
+class Touched(np.ndarray):
+    """An array that counts the elements each indexing, item assignment, ufunc
+    and ``__array_function__`` call reads or writes in it (``touches``).  What
+    these return is a plain ndarray, so that it is not counted again."""
+
+    def __array_finalize__(self, obj):
+        self.touches = 0
+
+    def __getitem__(self, key):
+        out = self.view(np.ndarray)[key]
+        self.touches += np.size(out)
+        return out
+
+    def __setitem__(self, key, value):
+        plain = self.view(np.ndarray)
+        self.touches += np.size(plain[key])
+        plain[key] = value
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return getattr(ufunc, method)(*counted(inputs), **counted(kwargs))
+
+    def __array_function__(self, func, types, args, kwargs):
+        return func(*counted(args), **counted(kwargs))
+
+
+def counted(x):
+    """``x`` with each ``Touched`` in it, in a list, tuple or dict too, as a
+    plain ndarray, its whole size added to its ``touches``."""
+    if isinstance(x, dict):
+        return {key: counted(y) for key, y in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(counted, x))
+    if isinstance(x, Touched):
+        x.touches += x.size
+        return x.view(np.ndarray)
+    return x
+
+
 class TestTouchAccounting:
     # sgd/asgd finish with one dense recovery pass; casgd adds the one-time
     # squared-norm pass for 1 + |xbar|^2
@@ -454,6 +492,23 @@ class TestTouchAccounting:
         with pytest.raises(SparselinError, match="theta"):
             casgd_train(data, cfg(steps=50), counter)
         assert counter == TouchCounter(0, 0, data.indices.size)
+
+    @pytest.mark.parametrize("algo", sorted(ALGOS))
+    def test_the_loop_touches_no_dense_vector(self, algo):
+        # the reference loop, which the compiled one is tested to match bit for
+        # bit, over the same rows in dim and in 100*dim features: its reads and
+        # writes of v, u and xbar do not grow with the dimension, and are at
+        # most twice the sparse touches charged (an update reads and writes)
+        data, c = self.ragged(), cfg(steps=50, lam=0.3, seed=6, loss=LossKind.SQUARED)
+        counts = []
+        for dim in (data.dim, 100 * data.dim):
+            wide = Dataset(data.indptr, data.indices, data.values, data.labels, dim)
+            args = list(loop_args(wide, c.loss, c.lam, c.seed, *ALGOS[algo]))
+            args[9:12] = [None if x is None else x.view(Touched) for x in args[9:12]]  # xbar, v, u
+            sums = [x for x in args[9:12] if x is not None]
+            assert solvers._python_steps(*args, 1, c.steps + 1) == 0
+            counts.append(sum(x.touches for x in sums))
+        assert 0 < counts[0] == counts[1] <= 2 * self.tally(data, c, algo)
 
     @pytest.mark.parametrize("algo", sorted(ALGOS))
     def test_one_input_at_a_time(self, path, algo):
