@@ -66,8 +66,10 @@ int64_t sl_draw(uint64_t seed, int64_t m, int64_t t) { return draw(seed, m, t); 
  * [t0, t1) draws the rows a single call would, and no T-long array exists:
  * memory is independent of T (t runs to t1 in int64_t, hence
  * solvers.MAX_STEPS).  The loss is coded as above; u is NULL without
- * averaging, xbar NULL without centering (with averaging, the vectors span
- * only the features the data uses).  idx holds each nonzero's feature as an
+ * averaging; v and u span only the features the data uses.  q is NULL
+ * without centering, else the m row products q[i] = xbar . x_i, summed as
+ * sparse_core.row_dots sums (solvers._train computes them once, before the
+ * loop, so no step reads xbar).  idx holds each nonzero's feature as an
  * int32 position in the data's support (sl_lookup numbers them), whose size
  * sparse_core.MAX_SUPPORT bounds at 2^31 - 1.  Both loops make the same
  * floating-point operations in the same order, dot products summed left to
@@ -78,17 +80,17 @@ int64_t sl_draw(uint64_t seed, int64_t m, int64_t t) { return draw(seed, m, t); 
  * them.  The loops count no touches (solvers._train charges them). */
 int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int32_t *idx,
                  const double *val, const double *labels, int loss, double lam,
-                 double theta, const double *xbar, double *v, double *u, double *st,
+                 double theta, const double *q, double *v, double *u, double *st,
                  int64_t t0, int64_t t1)
 {
     double a = st[A], c = st[C], h = st[H], z = st[Z], r = st[R], s = st[S];
     for (int64_t t = t0; t < t1; t++) {
         int64_t i = draw(seed, m, t), lo = indptr[i], hi = indptr[i + 1];
-        double q = xbar ? dot(xbar, idx, val, lo, hi) : 0.0, p = 0.0, g;
+        double p = 0.0, g;
         if (t > 1) {
             double d = dot(v, idx, val, lo, hi);
             /* sgd and asgd keep -(d + a), as the Python loop does */
-            p = -(xbar ? d + r - a * q : d + a) / (lam * (double)(t - 1));
+            p = -(q ? d + r - a * q[i] : d + a) / (lam * (double)(t - 1));
         }
         g = subgradient(loss, p, labels[i]);
         st[P] = p, st[G] = g;
@@ -105,8 +107,8 @@ int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int32_t 
             c += a / (double)t;
             h += 1.0 / (double)t;
         }
-        if (xbar) {
-            z += g * q;
+        if (q) {
+            z += g * q[i];
             r = a * theta - z;
             s += r / (double)t;
         }
@@ -534,13 +536,37 @@ static uint64_t shortest(int q, uint64_t c, int *e)
     return (vb & 3) < 2 || ((vb & 3) == 2 && !(s & 1)) ? s : t;
 }
 
+/* The two digits of each of 00..99, so that decimal divides once per pair */
+static const char digit_pairs[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
 /* The decimal digits of f, written backwards to end; returns their start. */
 static char *decimal(uint64_t f, char *end)
 {
-    do
-        *--end = (char)('0' + f % 10);
-    while (f /= 10);
+    for (; f >= 100; f /= 100) {
+        end -= 2;
+        memcpy(end, digit_pairs + 2 * (f % 100), 2);
+    }
+    if (f >= 10) {
+        end -= 2;
+        memcpy(end, digit_pairs + 2 * f, 2);
+    } else {
+        *--end = (char)('0' + f);
+    }
     return end;
+}
+
+/* f / ten, adding zeros to *e, if f is a multiple of ten = 10^zeros, else f */
+static uint64_t strip_zeros(uint64_t f, uint64_t ten, int zeros, int *e)
+{
+    if (f % ten)
+        return f;
+    *e += zeros;
+    return f / ten;
 }
 
 /* The finite x at p as data_io.fmt_float writes it (repr without a final
@@ -560,8 +586,13 @@ static char *format_double(double x, char *p)
         return p;
     }
     f = bq ? shortest(bq - 1075, C_MIN | f, &e) : shortest(Q_MIN, f, &e);
-    for (; f % 10 == 0; f /= 10)
-        e++;
+    /* f < 2^64 ends in at most 19 zeros: stripping 8, 8, 4, 2 and 1 of them,
+     * each where they are there, strips any count up to 23 */
+    f = strip_zeros(f, 100000000, 8, &e);
+    f = strip_zeros(f, 100000000, 8, &e);
+    f = strip_zeros(f, 10000, 4, &e);
+    f = strip_zeros(f, 100, 2, &e);
+    f = strip_zeros(f, 10, 1, &e);
     d = decimal(f, digits + sizeof digits);
     n = (int)(digits + sizeof digits - d);
     point = e + n;  /* x = 0.d 10^point */

@@ -14,17 +14,22 @@ iterate average is recovered as -(h*v - u)/(lam*T), -c/(lam*T).  Centering
 vector xbar and theta = 1 + |xbar|^2 are computed once, and the projection
 sum z = v . xbar, the centered bias sum r = a*theta - z and its average s
 are kept so that centering never needs a dense operation inside the loop.
+The one product with xbar a step needs, q = xbar . x, depends only on the
+row, so ``_train`` computes it once per row before the loop (``row_dots``,
+in the loop's order) and drops xbar: the loop reads q[i], and the
+recovery computes xbar again, the same bits, once u is the only sum left.
 
 The loop runs over the data's features only: ``_train`` finds the n'
 distinct feature indices the data uses (``sparse_core.support``), numbers
 them 0..n'-1 once (``sparse_core.lookup``), and trains on that compacted
 dataset, so v, u and xbar are n' long.  Through the loop it holds only
-the data, its int32 numbers (4 bytes per nonzero) and those 1-3 vectors:
-the sorted features are rebuilt from the numbers once the model is
-recovered, as the model's ``feats``.  The allocation, the mean, the
-finalize and the model itself then cost O(n'): the recovered n'-vector is
-the model's weights, on those features, with no n-length vector anywhere,
-so memory is O(m*k + n') for any ``dim`` up to ``sparse_core.MAX_DIM``.
+the data, its int32 numbers (4 bytes per nonzero), v, u for averaging,
+and for centering the m row products q: the sorted features are rebuilt
+from the numbers once the model is recovered, as the model's ``feats``.
+The allocation, the mean, the finalize and the model itself then cost
+O(n'): the recovered n'-vector is the model's weights, on those features,
+with no n-length vector anywhere, so memory is O(m*k + n') for any ``dim``
+up to ``sparse_core.MAX_DIM``.
 Adding dimensions the data never uses changes no bit of the weights or of
 the bias.
 
@@ -43,7 +48,8 @@ memory is independent of T, which is at most ``MAX_STEPS``.  The loops
 count nothing: ``_train`` alone charges a ``TouchCounter``, from the rows
 the run drew (``_loop_touches``).  Model recovery works in place, in the
 vectors it combines, and ends in the last one (v for sgd, u for asgd, xbar
-for casgd); an overflow in it, flagged by numpy, is a ``NonFiniteError``.
+for casgd, which it allocates once v is freed); an overflow in it, flagged
+by numpy, is a ``NonFiniteError``.
 """
 
 from __future__ import annotations
@@ -161,21 +167,26 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     feats, dim = support(data.indices), data.dim
     idx, n = lookup(feats, data.indices), feats.size
     del feats
+    theta, q = 0.0, None
+    if center:  # xbar is held only for theta and each row's q = xbar . x
+        xbar = column_mean(idx, data.values, data.m, n)
+        if counter is not None:  # the mean: m*k sparse touches
+            counter.sparse_touches += idx.size
+        theta = 1.0 + squared_norm(xbar)
+        if not math.isfinite(theta):  # no lambda helps: the data's scale is at fault
+            raise SparselinError(f"theta = 1 + |xbar|^2 = {theta} is not finite: "
+                                 "the feature means are too large to center")
+        q = row_dots(xbar, data.indptr, idx, data.values)
+        del xbar
     v = np.zeros(n)
     u = np.zeros(n) if average else None
-    xbar = column_mean(idx, data.values, data.m, n) if center else None
-    if counter is not None:  # the mean: m*k sparse touches
-        counter.sparse_touches += center * idx.size
-    theta = 1.0 + squared_norm(xbar) if center else 0.0
-    if not math.isfinite(theta):  # no lambda helps: the data's scale is at fault
-        raise SparselinError(f"theta = 1 + |xbar|^2 = {theta} is not finite: "
-                             "the feature means are too large to center")
     st = np.zeros(8)  # a, c, h, z, r, s, and the last step's p and g
     lib = _kernel.load()
     # the loop's contract, one argument list for both loops: see sl_steps in _kernel.c
     bad = (_python_steps if lib is None else lib.sl_steps)(
         cfg.seed, data.m, data.indptr, idx, data.values, data.labels,
-        _LOSSES.index(kind), lam, theta, xbar, v, u, st, 1, T + 1)
+        _LOSSES.index(kind), lam, theta, q, v, u, st, 1, T + 1)
+    q = None  # the recovery holds no more than the loop did
     a, c, h, z, r, s, p, g = st.tolist()
     if counter is not None:  # the loop; once it finishes, theta and the model, at n
         counter.sparse_touches += _loop_touches(cfg.seed, data.indptr, T, bad, average, center)
@@ -190,23 +201,27 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
             scale = 1.0 / np.float64(lam * T)
             coeffs, bias = [(-scale, v)], a
             if average:
-                coeffs, bias = [(-h * scale, v), (scale, u)], c
-            if center:
-                coeffs, bias = coeffs + [(c * scale, xbar)], s
+                coeffs, bias = [(-h * scale, v), (scale, u)], s if center else c
             w, b = finalize_combine(coeffs), float(-bias * scale)
+            coeffs = v = u = None  # w is one of them: free the other before the mean or feats
+            if center:  # the mean again, the same bits, rounded as one combine of all three
+                xbar = column_mean(idx, data.values, data.m, n)
+                w = finalize_combine([(1.0, w), (c * scale, xbar)])
     except FloatingPointError:
         raise NonFiniteError(f"the model overflows when its sums are divided by lambda*T = "
                              f"{lam * T}; lambda may be too small for the data") from None
-    coeffs = v = u = xbar = None  # w is one of them: free the rest, so feats is not the peak
     feats = np.empty(n, np.int64)
     feats[idx] = data.indices  # exact: every position is hit, each by its own feature only
     return LinearModel(feats, w, b, kind, dim)
 
 
 def _loop_touches(seed, indptr, T, bad, average, center) -> int:
-    """The sparse touches of T steps that step ``bad`` stopped (0 if none): at
-    step t, the row's k for q = xbar . x, for v . x and the u update from step
-    2 on, and for the v update, but at step ``bad`` only for its dot products."""
+    """The sparse touches of T steps that step ``bad`` stopped (0 if none), in
+    the paper's terms: at step t, the row's k for q = xbar . x, for v . x and
+    the u update from step 2 on, and for the v update, but at step ``bad``
+    only for its dot products.  (The loops read q, computed once per row
+    before them, and the model's recovery computes xbar a second time; the
+    charge is the paper's single mean and k per step.)"""
     k, m, last = np.diff(indptr), indptr.size - 1, bad or T
     K = sum(int(k[_rows(seed, m, w, min(w + BLOCK, last + 1))].sum())
             for w in range(1, last + 1, BLOCK))
@@ -216,26 +231,25 @@ def _loop_touches(seed, indptr, T, bad, average, center) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in C: callers check finiteness
-def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xbar, v, u, st,
+def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, q, v, u, st,
                   t0, t1) -> int:
     """``sl_steps`` in Python, with its contract (see ``_kernel.c``).  Runs when
     the compiled kernel cannot be built or loaded, and is the reference the
     kernel is tested against."""
     kind = _LOSSES[loss]
     a, c, h, z, r, s, p, g = st.tolist()
-    q = 0.0
     rows = chain.from_iterable(_rows(seed, m, w, min(w + BLOCK, t1)).tolist()
                                for w in range(t0, t1, BLOCK))
     for t, i in enumerate(rows, t0):
         row, lo, hi = indptr[i:i + 2], indptr.item(i), indptr.item(i + 1)
-        if xbar is not None:
-            q = row_dots(xbar, row, indices, values).item()
+        if q is not None:
+            qi = q.item(i)
         p = 0.0
         if t > 1:
             d = row_dots(v, row, indices, values).item()
             # sgd and asgd keep -(d + a): with q = 0 the centered form can
             # flip the sign of a zero prediction
-            p = -(d + r - a * q if xbar is not None else d + a) / (lam * (t - 1))
+            p = -(d + r - a * qi if q is not None else d + a) / (lam * (t - 1))
         g = loss_subgradient(kind, p, labels.item(i))
         if not (math.isfinite(p) and math.isfinite(g)):
             st[6:] = p, g
@@ -248,8 +262,8 @@ def _python_steps(seed, m, indptr, indices, values, labels, loss, lam, theta, xb
                 u[x] += (h * g) * xv
             c += a / t
             h += 1.0 / t
-        if xbar is not None:
-            z += g * q
+        if q is not None:
+            z += g * qi
             r = a * theta - z
             s += r / t
     st[:] = a, c, h, z, r, s, p, g

@@ -19,8 +19,8 @@ sums it, in the compiled loop's order (see ``solvers``).  The loop and the
 passes here span only the n' features the data uses, so nothing on the
 train, predict or eval path is O(n): memory is O(m k + n') for ``train``,
 and O(m + n') for ``predict`` and ``eval``, which build no ``Dataset``
-(``data_io.load_scores``).  ``check_csr``,
-``squared_norm`` and ``column_mean`` walk their input ``BLOCK`` items at a
+(``data_io.load_scores``).  ``check_csr`` and ``squared_norm`` walk their
+input ``BLOCK`` items at a time and ``column_mean`` ``BLOCK_MEAN`` at a
 time, so they add no temporary of its size.
 """
 
@@ -48,6 +48,10 @@ MAX_SUPPORT = 2**31 - 1
 
 BLOCK_ROWS = 1024  # rows per ``row_dots`` step: its temporaries hold one block's nonzeros
 BLOCK = 1 << 16  # items per step of the blocked passes, which bounds their temporaries
+# items per ``np.add.at`` step of ``column_mean``: its temporaries, the scaled
+# values and numpy's own, take about 0.07 MB, where BLOCK's 0.6 MB would set
+# the peak of casgd's model recovery
+BLOCK_MEAN = 1 << 12
 
 
 @dataclass
@@ -59,8 +63,11 @@ class TouchCounter:
     ``sparse_touches``, each one-time dense pass (theta = 1 + |xbar|^2 for
     casgd, the model's recovery) as ``outside_dense_touches`` at the model's
     dimension n, though the pass spans only the n' <= n features the data
-    uses: the counts state the cost model O(n + T*k) for any n.  Zero fills
-    charge nothing.  ``loop_dense_touches`` stays 0 but for the dense oracle.
+    uses: the counts state the cost model O(n + T*k) for any n.  They charge
+    the paper's terms: one mean and, at each step, k for q = xbar . x, where
+    the implementation computes q once per row before the loop and the
+    mean twice (for theta and q, and for the recovery).  Zero fills charge
+    nothing.  ``loop_dense_touches`` stays 0 but for the dense oracle.
     """
 
     loop_dense_touches: int = 0
@@ -264,11 +271,12 @@ def mean_vector(data: Dataset) -> DenseVec:
 
 def column_mean(indices: np.ndarray, values: np.ndarray, m: int, dim: int) -> DenseVec:
     """The mean of m > 0 CSR rows of nonzeros ``values`` at ``indices`` in [0, dim):
-    each scaled by 1/m and added to its feature in row order, from +0.0, ``BLOCK`` at a
-    time, so O(m k) sparse touches, one O(dim) allocation and no dense arithmetic pass."""
+    each scaled by 1/m and added to its feature in row order, from +0.0, ``BLOCK_MEAN``
+    at a time, so O(m k) sparse touches, one O(dim) allocation and no dense arithmetic
+    pass.  The order is fixed, so every call on the same arrays gives the same bits."""
     out, scale = np.zeros(dim), 1.0 / m
-    for lo in range(0, indices.size, BLOCK):
-        np.add.at(out, indices[lo:lo + BLOCK], values[lo:lo + BLOCK] * scale)
+    for lo in range(0, indices.size, BLOCK_MEAN):
+        np.add.at(out, indices[lo:lo + BLOCK_MEAN], values[lo:lo + BLOCK_MEAN] * scale)
     return out
 
 

@@ -20,7 +20,7 @@ from sparselin import (
     draw_indices,
 )
 from sparselin.solvers import _LOSSES, ALGOS, _python_steps, fit
-from sparselin.sparse_core import mean_vector, squared_norm
+from sparselin.sparse_core import column_mean, mean_vector, row_dots, squared_norm
 
 ALL_LOSSES = list(LossKind)
 
@@ -170,12 +170,14 @@ def loop_args(data: Dataset, loss: LossKind, lam: float, seed: int, average: boo
               center: bool) -> tuple:
     """The arguments of ``sl_steps``/``_python_steps`` before t0 and t1, as
     ``_train`` builds them but over all of ``data``'s dimensions, each index
-    its own int32 position, with fresh zero sums and state array."""
-    xbar = mean_vector(data) if center else None
-    theta = 1.0 + squared_norm(xbar) if center else 0.0
-    return (seed, data.m, data.indptr, data.indices.astype(np.int32), data.values, data.labels,
-            _LOSSES.index(loss), lam, theta, xbar, np.zeros(data.dim),
-            np.zeros(data.dim) if average else None, np.zeros(8))
+    its own int32 position, with fresh zero sums and state array: with
+    centering, theta and q, each row's product with the mean."""
+    idx, q, theta = data.indices.astype(np.int32), None, 0.0
+    if center:
+        xbar = mean_vector(data)
+        theta, q = 1.0 + squared_norm(xbar), row_dots(xbar, data.indptr, idx, data.values)
+    return (seed, data.m, data.indptr, idx, data.values, data.labels, _LOSSES.index(loss), lam,
+            theta, q, np.zeros(data.dim), np.zeros(data.dim) if average else None, np.zeros(8))
 
 
 class Step(NamedTuple):
@@ -201,11 +203,13 @@ def trace(args: tuple, steps: int, loop=None):
     step over [t, t + 1): yields each step's ``Step``, v and u copied.  ``loop``
     defaults to the one ``_train`` runs (``sl_steps`` where the kernel loads);
     pass ``_python_steps`` for the fallback.  A step that goes non-finite
-    raises ``NonFiniteError``, so no test reads a trace cut short."""
+    raises ``NonFiniteError``, so no test reads a trace cut short.  A centered
+    ``Step`` carries the mean, computed again from the arguments."""
     if loop is None:
         lib = _kernel.load()
         loop = _python_steps if lib is None else lib.sl_steps
-    *_, theta, xbar, v, u, st = args
+    _, m, _, idx, values, *_, theta, q, v, u, st = args
+    xbar = None if q is None else column_mean(idx, values, m, v.size)
     for t in range(1, steps + 1):
         if loop(*args, t, t + 1):
             raise NonFiniteError(f"non-finite value at step {t}")

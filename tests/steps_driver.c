@@ -1,14 +1,15 @@
 /* Runs sl_scan, then sl_steps of sparselin/_kernel.c, for the sanitizer
  * build in test_format.py.
  *
- * Usage: steps_driver LOSS LAM T DIM AVERAGE SEED [THETA XBAR_0 ... XBAR_DIM-1] < data
+ * Usage: steps_driver LOSS LAM T DIM AVERAGE SEED [THETA Q_0 ... Q_ROWS-1] < data
  * The data are LIBSVM lines, the last without a line break.  They are read
  * into a malloc'ed buffer of exactly their bytes and a NUL, so the last
  * token ends at the NUL, and scanned into arrays of exactly as many rows as
  * the lines and nonzeros as the ':'s, the room sl_scan is given.  The loop then runs steps 1..T,
  * drawing rows from SEED, on malloc'ed copies of exactly the scanned size: u is
- * NULL unless AVERAGE is 1, xbar NULL unless THETA and DIM values follow
- * (the reals as C hex floats).  Written to stdout, one line each, in hex:
+ * NULL unless AVERAGE is 1, q NULL unless THETA and a product with the mean
+ * for each scanned row follow (the reals as C hex floats).  Written to
+ * stdout, one line each, in hex:
  * indptr, the indices, the bits of the values and of the labels, the largest
  * index read, the loop's result, and the bits of the state array, of v and
  * of u (empty without u).  The loop takes the indices as int32 positions,
@@ -25,7 +26,7 @@ int64_t sl_scan(const char *buf, int64_t pos, int64_t end, int labeled, int64_t 
                 int64_t *count);
 int64_t sl_steps(uint64_t seed, int64_t m, const int64_t *indptr, const int32_t *idx,
                  const double *val, const double *labels, int loss, double lam,
-                 double theta, const double *xbar, double *v, double *u, double *st,
+                 double theta, const double *q, double *v, double *u, double *st,
                  int64_t t0, int64_t t1);
 
 static void *copy(const void *src, size_t bytes)
@@ -83,12 +84,12 @@ int main(int argc, char **argv)
 
     int64_t steps = atoll(argv[3]);
     double *v = calloc(dim, 8), *u = atoi(argv[5]) ? calloc(dim, 8) : NULL, *st = calloc(8, 8);
-    double *xbar = NULL, theta = 0.0;
-    if (argc == 8 + dim) {
+    double *q = NULL, theta = 0.0;
+    if (argc == 8 + rows) {
         theta = strtod(argv[7], NULL);
-        xbar = malloc(8 * dim);
-        for (int64_t j = 0; j < dim; j++)
-            xbar[j] = strtod(argv[8 + j], NULL);
+        q = malloc(8 * rows);
+        for (int64_t i = 0; i < rows; i++)
+            q[i] = strtod(argv[8 + i], NULL);
     }
     int64_t *exact_indptr = copy(indptr, 8 * (rows + 1));
     int32_t *exact_idx = malloc(4 * nnz + 1);
@@ -99,13 +100,13 @@ int main(int argc, char **argv)
     double *exact_val = copy(val, 8 * nnz), *exact_labels = copy(labels, 8 * rows);
     int64_t bad = sl_steps(strtoull(argv[6], NULL, 10), rows, exact_indptr, exact_idx,
                            exact_val, exact_labels, atoi(argv[1]), strtod(argv[2], NULL), theta,
-                           xbar, v, u, st, 1, steps + 1);
+                           q, v, u, st, 1, steps + 1);
     print_words(&bad, 1);
     print_words(st, 8);
     print_words(v, dim);
     print_words(u, u ? dim : 0);
     free(exact_indptr), free(exact_idx), free(exact_val), free(exact_labels);
-    free(xbar), free(st), free(u), free(v);
+    free(q), free(st), free(u), free(v);
     free(val), free(labels), free(idx), free(indptr), free(buf), free(text);
     return 0;
 }

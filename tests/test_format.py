@@ -71,6 +71,39 @@ def edge_values():
 EDGES = edge_values()
 
 
+def zero_runs():
+    """k-digit integers d (k = 1..17, last digit nonzero) followed by each count
+    of zeros up to 17 - k, times powers of ten across the layouts and the
+    range, and their negations: digits of every length, ending in every
+    count of zeros, for the formatter to strip."""
+    rng = np.random.default_rng(26)
+    values = []
+    for k in range(1, 18):
+        for _ in range(3):
+            d = int(rng.integers(10 ** (k - 1), 10 ** k)) // 10 * 10 + int(rng.integers(1, 10))
+            for zeros in range(18 - k):
+                for e in (-340, -310, -30, -8, -4, 0, 4, 20, 280):
+                    x = float(f"{d}{'0' * zeros}e{e}")
+                    if 0.0 < x < math.inf:
+                        values.append(x)
+    return values + [-v for v in values]
+
+
+ZERO_RUNS = zero_runs()
+# a feature index at each side of every change in its number of digits
+WIDTHS = sorted({0} | {10 ** d for d in range(18)} | {10 ** d - 1 for d in range(1, 19)})
+
+
+def indexed(values):
+    """``WIDTHS`` over and over, one index per value."""
+    return np.resize(np.array(WIDTHS, np.int64), len(values))
+
+
+def indexed_lines(values):
+    """The nonzero ``values`` as weight lines at ``indexed``'s indices."""
+    return "".join(f"{i}:{fmt_float(v)}\n" for i, v in zip(indexed(values).tolist(), values))
+
+
 @pytest.fixture(autouse=True)
 def compiled():
     # without the kernel every test here would compare fmt_float with itself
@@ -79,8 +112,16 @@ def compiled():
 
 @pytest.mark.parametrize("weights", [False, True])
 def test_edge_values(weights):
-    values = EDGES + [0.0, -0.0]
+    values = EDGES + ZERO_RUNS + [0.0, -0.0]
     assert formatted(values, weights) == expected(values, weights)
+
+
+def test_index_widths():
+    values = ZERO_RUNS[::7]
+    assert len(values) > len(WIDTHS)
+    out = io.StringIO()
+    write_floats(np.array(values), out, indexed(values))
+    assert out.getvalue() == indexed_lines(values)
 
 
 def test_zeros_and_layout():
@@ -213,6 +254,18 @@ def test_sanitized_build(tmp_path):
                                  capture_output=True, text=True, env=env)
             assert run.returncode == 0, run.stderr
             assert run.stdout == text
+    # every length of digits with every count of trailing zeros, as plain
+    # lines and beside feature indices of every width
+    feats, bits = indexed(ZERO_RUNS).tolist(), np.array(ZERO_RUNS).view(np.uint64).tolist()
+    for stride, given, text in [
+            (0, " ".join(f"{b:x}" for b in bits), expected(ZERO_RUNS, False)),
+            (-1, " ".join(f"{i} {b:x}" for i, b in zip(feats, bits)), indexed_lines(ZERO_RUNS))]:
+        longest = max(len(line) + 1 for line in text.splitlines())
+        for cap in (longest, 4096):
+            run = subprocess.run([str(exe), str(stride), str(cap)], input=given,
+                                 capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            assert run.stdout == text
     for nothing in ("", "0 8000000000000000"):  # no weights, and only zero weights
         run = subprocess.run([str(exe), str(STRIDE), "64"], input=nothing, capture_output=True,
                              text=True, env=env)
@@ -280,7 +333,7 @@ def test_sanitized_build(tmp_path):
     # sl_scan reading LIBSVM lines whose last token ends at the buffer's NUL,
     # with the largest index read (that of a :0 value too), and sl_steps over
     # arrays of exactly the scanned size, drawing its rows from the seed: sgd
-    # with NULL u and xbar, casgd, and a run that a non-finite step stops
+    # with NULL u and q, casgd, and a run that a non-finite step stops
     exe = sanitized(tmp_path, "steps_driver.c")
     rows = "1 1:0.5 3:-2\n-1 2:1.25\r\n1 1:1e-3 2:7 3:0.5"
     for text, loss, lam, steps, average, center, seed in [

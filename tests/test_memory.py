@@ -10,8 +10,9 @@ fixed-size buffers and blocks of these calls fit in and any temporary the
 size of the input does not.  Scoring a file as ``predict`` and ``eval``
 do holds no dataset, so its peak does not grow with the nonzeros per row.
 Through its loop, training holds 4 bytes per nonzero and its sums of n'
-floats, where ``asgd`` and ``casgd`` peak, and it draws each step's row
-inside the loop, so its peak does not grow with the number of steps.
+floats, where ``asgd`` and ``casgd`` peak (``casgd`` adds m row products,
+not a third n'-vector), and it draws each step's row inside the loop, so
+its peak does not grow with the number of steps.
 ``mean_vector`` allocates its ``dim`` floats and little more.
 """
 
@@ -146,14 +147,32 @@ def test_validation_and_the_norm_allocate_no_input_sized_temporary(files):
 @pytest.mark.parametrize("train, sums", [(asgd_train, 2), (casgd_train, 3)])
 def test_training_holds_four_bytes_per_nonzero_and_its_sums(files, train, sums):
     # through the loop, training holds the data, the int32 position of each
-    # nonzero and its n'-long sums (v and u, and casgd's mean); the support
-    # itself is rebuilt from the positions after the loop, the other sums freed
+    # nonzero and its n'-long sums (v and u; casgd's mean only before the loop
+    # and in the recovery); the support itself is rebuilt from the positions
+    # after the loop, the other sums freed
     data = load_dataset(files[0])
     n = support(data.indices).size
     cfg = TrainConfig(steps=1_000, lam=1e-3, seed=3, loss=LossKind.HINGE)
     model, peak = traced_peak(train, data, cfg)
     assert model.feats.size == n > 900_000
     assert peak <= 4 * data.indices.size + sums * 8 * n + SLACK
+
+
+def test_casgd_holds_no_mean_through_its_loop():
+    # casgd's loop reads each row's q = xbar . x, computed once before it, and
+    # the recovery computes xbar again once v is freed: on rows of distinct
+    # features, whose n' = 20 m features far outnumber them, casgd peaks at
+    # most m floats above asgd, where an n'-long mean held beside v and u
+    # would add 8 n' bytes
+    rng = np.random.default_rng(26)
+    m, k = 5_000, 20
+    indices = np.sort(rng.choice(50 * m * k, size=(m, k), replace=False), axis=1).ravel()
+    data = Dataset(np.arange(0, m * k + 1, k), indices, rng.integers(1, 1000, m * k) / 1000,
+                   rng.choice([-1.0, 1.0], m), int(indices.max()) + 1)
+    cfg = TrainConfig(steps=10_000, lam=1e-3, seed=3, loss=LossKind.HINGE)
+    _, centered = traced_peak(casgd_train, data, cfg)
+    _, averaged = traced_peak(asgd_train, data, cfg)
+    assert centered <= averaged + 8 * m + (64 << 10)
 
 
 @pytest.mark.parametrize("train", [sgd_train, asgd_train, casgd_train])

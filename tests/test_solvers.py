@@ -497,14 +497,14 @@ class TestTouchAccounting:
     def test_the_loop_touches_no_dense_vector(self, algo):
         # the reference loop, which the compiled one is tested to match bit for
         # bit, over the same rows in dim and in 100*dim features: its reads and
-        # writes of v, u and xbar do not grow with the dimension, and are at
+        # writes of q, v and u do not grow with the dimension, and are at
         # most twice the sparse touches charged (an update reads and writes)
         data, c = self.ragged(), cfg(steps=50, lam=0.3, seed=6, loss=LossKind.SQUARED)
         counts = []
         for dim in (data.dim, 100 * data.dim):
             wide = Dataset(data.indptr, data.indices, data.values, data.labels, dim)
             args = list(loop_args(wide, c.loss, c.lam, c.seed, *ALGOS[algo]))
-            args[9:12] = [None if x is None else x.view(Touched) for x in args[9:12]]  # xbar, v, u
+            args[9:12] = [None if x is None else x.view(Touched) for x in args[9:12]]  # q, v, u
             sums = [x for x in args[9:12] if x is not None]
             assert solvers._python_steps(*args, 1, c.steps + 1) == 0
             counts.append(sum(x.touches for x in sums))
