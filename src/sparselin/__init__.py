@@ -15,15 +15,14 @@ from .errors import (
     ParseError,
     SparselinError,
 )
-from .sparse_core import Dataset, DenseVec, SparseVec, TouchCounter, dot, mean_vector
+from .sparse_core import Dataset, DenseVec, SparseVec, TouchCounter, mean_vector
 from .losses import (LinearModel, LossKind, loss_subgradient, loss_value, objective_value,
-                     validate_labels)
+                     predict, validate_labels)
 from .solvers import (
     TrainConfig,
     asgd_train,
     casgd_train,
     draw_indices,
-    predict,
     sgd_train,
 )
 from .data_io import (
@@ -56,7 +55,6 @@ __all__ = [
     "TrainConfig",
     "asgd_train",
     "casgd_train",
-    "dot",
     "draw_indices",
     "load_dataset",
     "load_model",

@@ -3,9 +3,9 @@
 It holds the training loop (``sl_steps``, with its row draw ``sl_draw``),
 the scanners of the LIBSVM and model-file readers (``sl_scan``,
 ``sl_weights``) with their correctly rounded decimal-to-double converter,
-the directory of a model's support (``sl_directory``; see
-``sparse_core.directory``) through which ``sl_lookup`` finds feature
-indices and ``sl_scores`` scores a dataset's rows (see ``losses.Scorer``),
+the directory of a model's support (``sl_directory``) through which
+``sl_lookup`` finds feature indices and ``sl_scores`` scores a dataset's
+rows, where ``sparse_core.directory`` picks them (see ``losses.Scorer``),
 and the shortest round-trip float formatter of the model and prediction
 writers (``sl_format``; see ``data_io``), so training, ``predict`` and
 ``eval`` load it; ``import sparselin`` does not.  The converter reads a

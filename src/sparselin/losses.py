@@ -1,11 +1,12 @@
 """Convex losses, the linear model, its scores on a dataset and the regularized objective.
 
 A ``LinearModel`` is (w, b) over its support plus the loss it was trained
-for; a ``Scorer`` applies it to CSR rows, any number per call through one
-lookup directory: to every row of a ``Dataset`` (``scores``), or to a file
-a block at a time as it is read (``data_io.load_scores``, which ``predict``
-and ``eval`` use), bit for bit alike.  ``objective_value`` evaluates it
-through the same ``Scorer``, as ``train`` prints it.
+for; ``predict`` applies it to one row, and a ``Scorer`` to CSR rows, any
+number per call through one lookup directory: to every row of a ``Dataset``
+(``scores``), or to a file a block at a time as it is read
+(``data_io.load_scores``, which the ``predict`` and ``eval`` commands use),
+bit for bit alike.  ``objective_value`` evaluates it through the same
+``Scorer``, as ``train`` prints it.
 
 Prediction-side conventions at the nondifferentiable points are pinned so
 that independent implementations agree bit-for-bit: the absolute loss
@@ -25,8 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionError, LabelError, SparselinError
-from .sparse_core import (Dataset, DenseVec, check_csr, check_support, directory, row_dots,
-                          search, squared_norm)
+from .sparse_core import (Dataset, DenseVec, SparseVec, check_csr, directory, row_dots, search,
+                          squared_norm)
 
 
 class LossKind(Enum):
@@ -60,10 +61,6 @@ class LinearModel:
         self.feats = np.ascontiguousarray(self.feats, dtype=np.int64)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         check_csr(np.array([0, self.feats.size]), self.feats, self.weights, self.dim)
-
-    @classmethod
-    def zero(cls, dim: int, loss: LossKind) -> LinearModel:
-        return cls(np.empty(0, np.int64), np.empty(0), 0.0, loss, dim)
 
     def dense(self) -> DenseVec:
         """w as a dim-long vector, 0 off the support: O(n) memory, for callers
@@ -131,41 +128,47 @@ def check_labels(labels: np.ndarray, kind: LossKind) -> None:
 class Scorer:
     """w . x + b of CSR rows under one model, any number of rows per call.
 
-    Each data index is looked up in the model's support, and a row sums
-    w . x over the indices found there, left to right from +0.0, then adds
-    b.  An index that is not there, at or beyond the model's ``dim`` too,
-    has weight 0 and adds nothing, whatever its value.  Compiled where the
-    kernel loads (``sl_scores``: one pass over the rows, through the n' + 1
-    int32 ``directory`` built here once, with no other temporary); else
-    ``search`` and ``row_dots``, an index not found taking a weight of 0.0
-    after the last and a value of 0.0, whose +0.0 product changes no such
-    sum.  So rows scored in blocks (``data_io.load_scores``) score bit for
-    bit as in one call (``scores``).  Both paths refuse a model of more than
-    ``sparse_core.MAX_SUPPORT`` features (``check_support``)."""
+    A row sums w . x over its indices found in the model's support, left to
+    right from +0.0, then adds b: an index not there, at or beyond ``dim``
+    too, has weight 0 and adds nothing, whatever its value.  The path is
+    picked once, here, by ``sparse_core.directory``: ``sl_scores``, one pass
+    over the rows through the directory with no other temporary; else
+    ``search`` and ``row_dots``, a miss taking a weight of 0.0 (appended after
+    the last) and a value of 0.0, whose +0.0 product changes no such sum.  So
+    rows scored in blocks (``data_io.load_scores``) score bit for bit as in
+    one call (``scores``)."""
 
     def __init__(self, model: LinearModel):
-        from . import _kernel  # here, so that importing sparselin does not import it
-
-        check_support(model.feats)
-        self.model, self.lib = model, _kernel.load()
-        if self.lib is None:
+        self.model, self.directory = model, directory(model.feats)
+        if self.directory is None:
             self.weights = np.append(model.weights, 0.0)
-        else:
-            self.directory = directory(self.lib, model.feats)
 
     def __call__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
                  out: np.ndarray) -> None:
         """The scores of the rows ``indptr`` delimits in ``indices`` and ``values``
         into ``out``, one per row, finite or not."""
         model = self.model
-        if self.lib is None:
+        if self.directory is None:
             pos = search(model.feats, indices)
             values = np.where(pos < model.feats.size, values, 0.0)
             with np.errstate(over="ignore", invalid="ignore"):
                 np.add(row_dots(self.weights, indptr, pos, values), model.b, out=out)
         else:
-            self.lib.sl_scores(model.feats, model.weights, model.feats.size, model.b, indptr,
-                               indices, values, out.size, *self.directory, out)
+            lib, room, shift = self.directory
+            lib.sl_scores(model.feats, model.weights, model.feats.size, model.b, indptr,
+                          indices, values, out.size, room, shift, out)
+
+
+def predict(model: LinearModel, x: SparseVec) -> float:
+    """w . x + b of one row in O(k log n'), summed as ``row_dots`` sums, so bit
+    for bit as a ``Scorer`` scores it: over the features of x in the model's
+    support, since the ±0.0 terms of the others change no left-to-right sum."""
+    if x.dim != model.dim:
+        raise DimensionError(f"input dim {x.dim} != model dim {model.dim}")
+    pos = search(model.feats, x.indices)
+    hit = pos < model.feats.size
+    d = row_dots(model.weights, np.array([0, np.count_nonzero(hit)]), pos[hit], x.values[hit])
+    return float(d[0]) + model.b
 
 
 def scores(model: LinearModel, data: Dataset) -> np.ndarray:

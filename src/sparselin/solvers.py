@@ -60,18 +60,16 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, EmptyDatasetError, NonFiniteError, SparselinError
+from .errors import EmptyDatasetError, NonFiniteError, SparselinError
 from .losses import LinearModel, LossKind, loss_subgradient, validate_labels
 from .sparse_core import (
     BLOCK,
     Dataset,
-    SparseVec,
     TouchCounter,
     column_mean,
     finalize_combine,
     lookup,
     row_dots,
-    search,
     squared_norm,
     support,
 )
@@ -129,18 +127,6 @@ def _rows(seed: int, m: int, t0: int, t1: int) -> np.ndarray:
     z ^= z >> np.uint64(31)
     unit = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return np.floor(m * unit).astype(np.int64)
-
-
-def predict(model: LinearModel, x: SparseVec) -> float:
-    """w . x + b in O(k log n'), summed as ``row_dots`` sums: over the features
-    of x in the model's support, since the ±0.0 terms of the others change no
-    left-to-right sum."""
-    if x.dim != model.dim:
-        raise DimensionError(f"input dim {x.dim} != model dim {model.dim}")
-    pos = search(model.feats, x.indices)
-    hit = pos < model.feats.size
-    d = row_dots(model.weights, np.array([0, np.count_nonzero(hit)]), pos[hit], x.values[hit])
-    return float(d[0]) + model.b
 
 
 def fit(algo: str, data: Dataset, cfg: TrainConfig) -> LinearModel:

@@ -10,16 +10,17 @@ dimensions.  Model-side accumulators are plain float64 numpy arrays
 (``DenseVec``) over a model's support, the n' features it uses, numbered by
 their position in a sorted index array.  ``support`` finds a dataset's
 features and ``lookup`` each index's position among them, which numbers a
-training set's features and finds a scored index's weight.  Nothing here
-counts its work: the solvers charge a ``TouchCounter`` for it.
+training set's features and finds a scored index's weight, by the rule
+stated once at ``directory``.  Nothing here counts its work: the solvers
+charge a ``TouchCounter`` for it.
 
-Every sparse dot product, one row's (``dot``) or a dataset's (``losses.scores``,
-compiled as ``sl_scores``), is summed left to right from +0.0 as ``row_dots``
-sums it, in the compiled loop's order (see ``solvers``).  The loop and the
-passes here span only the n' features the data uses, so nothing on the
-train, predict or eval path is O(n): memory is O(m k + n') for ``train``,
-and O(m + n') for ``predict`` and ``eval``, which build no ``Dataset``
-(``data_io.load_scores``).  ``check_csr`` and ``squared_norm`` walk their
+Every sparse dot product, one row's (``losses.predict``) or a dataset's
+(``losses.scores``, compiled as ``sl_scores``), is summed left to right from
++0.0 as ``row_dots`` sums it, in the compiled loop's order (see
+``solvers``).  The loop and the passes here span only the n' features the
+data uses, so nothing on the train, predict or eval path is O(n): memory is
+O(m k + n') for ``train``, and O(m + n') for ``predict`` and ``eval``, which
+build no ``Dataset`` (``data_io.load_scores``).  ``check_csr`` and ``squared_norm`` walk their
 input ``BLOCK`` items at a time and ``column_mean`` ``BLOCK_MEAN`` at a
 time, so they add no temporary of its size.
 """
@@ -67,7 +68,8 @@ class TouchCounter:
     the paper's terms: one mean and, at each step, k for q = xbar . x, where
     the implementation computes q once per row before the loop and the
     mean twice (for theta and q, and for the recovery).  Zero fills charge
-    nothing.  ``loop_dense_touches`` stays 0 but for the dense oracle.
+    nothing.  ``loop_dense_touches`` stays 0 but for the dense oracle; the
+    check on the compiled loop is the resident-page count of ``tests/test_pages.py``.
     """
 
     loop_dense_touches: int = 0
@@ -210,39 +212,38 @@ def support(indices: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def check_support(feats: np.ndarray) -> None:
-    """Raise unless int32 positions can number ``feats``: at most ``MAX_SUPPORT``
-    features.  Checked where a support is turned into positions, before the
-    choice of the compiled or Python path, so both refuse alike."""
+def directory(feats: np.ndarray) -> tuple | None:
+    """The one check and choice of path behind every lookup in ``feats`` (sorted,
+    distinct and nonnegative).  A support of more than ``MAX_SUPPORT`` features
+    is refused, on either path: int32 positions cannot number it.  Then, where
+    the kernel loads, (library, directory, shift) as ``sl_directory`` builds
+    them, n' + 1 int32 positions that ``sl_lookup`` and ``sl_scores`` take for
+    any number of calls over ``feats``; else None (``search`` gives the same)."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
     if feats.size > MAX_SUPPORT:
         raise SparselinError(f"{feats.size} features exceed the {MAX_SUPPORT} "
                              "that int32 positions can number")
-
-
-def directory(lib, feats: np.ndarray) -> tuple[np.ndarray, int]:
-    """The compiled library ``lib``'s directory of ``feats`` (sorted, distinct
-    and nonnegative, at most ``MAX_SUPPORT``) and its shift, as
-    ``sl_directory`` builds them: n' + 1 int32 positions, which ``sl_lookup``
-    and ``sl_scores`` take for any number of calls over the same ``feats``."""
+    lib = _kernel.load()
+    if lib is None:
+        return None
     room = np.empty(feats.size + 1, np.int32)
-    return room, lib.sl_directory(feats, feats.size, room)
+    return lib, room, lib.sl_directory(feats, feats.size, room)
 
 
 def lookup(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The int32 position of each int64 key in ``feats`` (sorted, distinct and
-    nonnegative), or ``feats.size`` for a key that is not there; O(n' + m log
-    n') for m keys.  Compiled where the kernel loads (``sl_lookup``: a
-    ``directory`` of at most n' buckets, then a binary search in one), else
-    ``search``; both give the same positions, and both refuse a support of
-    more than ``MAX_SUPPORT`` features (``check_support``)."""
-    from . import _kernel  # here, so that importing sparselin does not import it
-
-    check_support(feats)
-    lib = _kernel.load()
-    if lib is None:
-        return search(feats, keys).astype(np.int32)
+    """The int32 position of each int64 key in ``feats`` (see ``directory``), or
+    ``feats.size`` for a key not there; O(n' + m log n') for m keys, on the path
+    ``directory`` picks: ``sl_lookup`` (n' buckets, a binary search in one) or ``search``."""
+    # before the directory, freed on return: the other order leaves a heap hole
+    # that v and u do not fit, and training peaks 0.5 MB higher on perfbench's `tall`
     out = np.empty(keys.size, np.int32)
-    lib.sl_lookup(feats, feats.size, keys, keys.size, *directory(lib, feats), out)
+    found = directory(feats)
+    if found is None:
+        out[:] = search(feats, keys)
+        return out
+    lib, room, shift = found
+    lib.sl_lookup(feats, feats.size, keys, keys.size, room, shift, out)
     return out
 
 
@@ -252,13 +253,6 @@ def search(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
     if feats.size:
         pos[feats[np.minimum(pos, feats.size - 1)] != keys] = feats.size
     return pos
-
-
-def dot(v: DenseVec, x: SparseVec) -> float:
-    """Sparse-dense dot product, O(k), summed as ``row_dots`` sums."""
-    if x.dim != v.shape[0]:
-        raise DimensionError(f"sparse dim {x.dim} != dense length {v.shape[0]}")
-    return float(row_dots(v, np.array([0, x.nnz]), x.indices, x.values)[0])
 
 
 def mean_vector(data: Dataset) -> DenseVec:

@@ -245,7 +245,7 @@ def test_criterion_6_optimization_sanity():
             best = min(best, objective_value(train(data, long_cfg), data, lam))
 
         assert abs(objective - best) <= 0.05 * best
-        at_zero = objective_value(LinearModel.zero(n, LossKind.HINGE), data, lam)
+        at_zero = objective_value(LinearModel([], [], 0.0, LossKind.HINGE, n), data, lam)
         assert at_zero == 1.0  # hinge loss of the zero predictor
         assert objective < at_zero
 

@@ -877,7 +877,7 @@ class TestEntryPoint:
         assert sparselin.__all__ == """Dataset DenseVec DimensionError EmptyDatasetError
             FormatError IndexOrderError LabelError LinearModel LossKind NonFiniteError
             ParseError SparseVec SparselinError TouchCounter TrainConfig
-            asgd_train casgd_train dot draw_indices load_dataset load_model
+            asgd_train casgd_train draw_indices load_dataset load_model
             loss_subgradient loss_value mean_vector objective_value parse_libsvm predict
             read_model save_model sgd_train validate_labels write_libsvm
             write_model""".split()

@@ -216,7 +216,7 @@ class TestModelFile:
 
     def test_zero_model_has_no_weight_lines(self):
         buf = io.StringIO()
-        write_model(LinearModel.zero(3, LossKind.SQUARED), buf)
+        write_model(LinearModel([], [], 0.0, LossKind.SQUARED, 3), buf)
         assert buf.getvalue() == "sparselin-model v1\nloss squared\ndim 3\nbias 0\n"
 
     def test_round_trip_identity(self):

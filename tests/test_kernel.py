@@ -16,6 +16,8 @@ import ctypes
 import io
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +48,7 @@ from sparselin.solvers import ALGOS, MAX_STEPS, _python_steps, _rows
 from sparselin.sparse_core import BLOCK, finalize_combine
 
 TRAINERS = [sgd_train, asgd_train, casgd_train]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def on_fallback(fn, *args, **kwargs):
@@ -336,6 +339,52 @@ def test_cached_library_computes_no_table(tmp_path, monkeypatch, capsys):
     assert main(["eval", "--model", str(model), "--data", str(data), "--lambda", "0.1"]) == 0
     assert _kernel.load() is not None
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def child(argv, cwd, **env) -> tuple:
+    """The exit code, stdout and stderr of a fresh interpreter run with ``argv``
+    in ``cwd``, sparselin taken from this checkout, ``env`` added to this
+    process's environment."""
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, capture_output=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=SRC, **env))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+LOADS = ["-c", "from sparselin import _kernel; print(_kernel.load() is not None)"]
+
+
+def test_without_a_compiler_the_commands_write_the_same(tmp_path):
+    # no cc on PATH and an empty cache: load() reports None, and every command
+    # runs its Python code, with the bytes and lines of the compiled run
+    (tmp_path / "data.txt").write_text("1 1:0.5 3:-2.25\n-1 2:1e-3 4:7\n1 1:-1.5 4:0.125\n"
+                                       "-1 3:3 4:-0.5\n")
+    (tmp_path / "bin").mkdir()
+    no_cc = {"PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    assert child(LOADS, tmp_path) == (0, b"True\n", b"")
+    assert child(LOADS, tmp_path, **no_cc) == (0, b"False\n", b"")
+    commands = (["train", "--data", "data.txt", "--model", "model.txt", "--algo", "casgd",
+                 "--loss", "log", "--lambda", "0.05", "--steps", "300", "--seed", "3"],
+                ["predict", "--model", "model.txt", "--data", "data.txt"],
+                ["eval", "--model", "model.txt", "--data", "data.txt", "--lambda", "0.05"])
+    runs = []
+    for env in ({}, no_cc):
+        runs.append([child(["-m", "sparselin", *argv], tmp_path, **env) for argv in commands]
+                    + [(tmp_path / "model.txt").read_bytes()])
+    assert all(code == 0 for code, *_ in runs[0][:3]), runs[0]
+    assert runs[1] == runs[0]
+
+
+def test_a_cache_that_cannot_be_a_directory_builds_in_a_temporary_one(tmp_path):
+    # a regular file as XDG_CACHE_HOME blocks the cache for root too, where a
+    # read-only directory would not: the library builds in a per-process
+    # temporary directory, loads, and nothing is left beside the file
+    blocker, scratch = tmp_path / "cache", tmp_path / "tmp"
+    blocker.write_text("a file\n")
+    scratch.mkdir()
+    assert child(LOADS, tmp_path, XDG_CACHE_HOME=str(blocker), TMPDIR=str(scratch)) == (
+        0, b"True\n", b"")
+    assert sorted(os.listdir(tmp_path)) == ["cache", "tmp"]
+    assert blocker.read_text() == "a file\n" and os.listdir(scratch) == []
 
 
 # ---- the LIBSVM and model-file scanners ------------------------------------

@@ -132,12 +132,12 @@ class TestLossProperties:
 class TestObjective:
     def test_zero_model_squared(self):
         data = Dataset.from_rows([(SparseVec([0], [3.0], 2), 2.0)], 2)
-        model = LinearModel.zero(2, LossKind.SQUARED)
+        model = LinearModel([], [], 0.0, LossKind.SQUARED, 2)
         assert objective_value(model, data, 1.0) == 2.0
 
     def test_zero_model_log(self):
         data = Dataset.from_rows([(SparseVec([0], [1.0], 1), 1.0)], 1)
-        model = LinearModel.zero(1, LossKind.LOG)
+        model = LinearModel([], [], 0.0, LossKind.LOG, 1)
         for lam in (0.5, 1.0, 7.0):
             assert objective_value(model, data, lam) == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -149,7 +149,7 @@ class TestObjective:
 
     def test_dimension_mismatch(self):
         data = Dataset.from_rows([(SparseVec([0], [1.0], 3), 2.0)], 3)
-        model = LinearModel.zero(2, LossKind.SQUARED)
+        model = LinearModel([], [], 0.0, LossKind.SQUARED, 2)
         with pytest.raises(DimensionError):
             objective_value(model, data, 1.0)
 

@@ -129,11 +129,11 @@ class TestPredict:
         assert predict(model, SparseVec([], [], 1)) == -2.5
 
     def test_zero_model(self):
-        model = LinearModel.zero(3, LossKind.LOG)
+        model = LinearModel([], [], 0.0, LossKind.LOG, 3)
         assert predict(model, SparseVec([1], [9.0], 3)) == 0.0
 
     def test_dimension_mismatch(self):
-        model = LinearModel.zero(3, LossKind.LOG)
+        model = LinearModel([], [], 0.0, LossKind.LOG, 3)
         with pytest.raises(DimensionError):
             predict(model, SparseVec([1], [9.0], 4))
 

@@ -10,11 +10,10 @@ from sparselin import (
     EmptyDatasetError,
     LossKind,
     SparseVec,
-    dot,
     mean_vector,
 )
 from sparselin import sparse_core
-from sparselin.sparse_core import BLOCK, check_csr, finalize_combine, squared_norm
+from sparselin.sparse_core import BLOCK, check_csr, finalize_combine, row_dots, squared_norm
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -60,21 +59,22 @@ class TestSparseVec:
             x.values[0] = 3.0
 
 
+def row_dot(v, x):
+    # one row's dot product, as the library sums it
+    return float(row_dots(v, np.array([0, x.nnz]), x.indices, x.values)[0])
+
+
 class TestDot:
     def test_example(self):
         v = np.array([1.0, 2.0, 3.0])
         x = SparseVec([0, 2], [2.0, -1.0], 3)
-        assert dot(v, x) == brute_dot(v, x) == -1.0
+        assert row_dot(v, x) == brute_dot(v, x) == -1.0
 
     def test_empty_sparse(self):
-        assert dot(np.array([5.0, 5.0, 5.0]), SparseVec([], [], 3)) == 0.0
+        assert row_dot(np.array([5.0, 5.0, 5.0]), SparseVec([], [], 3)) == 0.0
 
     def test_zero_dense(self):
-        assert dot(np.zeros(2), SparseVec([1], [7.0], 2)) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot(np.zeros(3), SparseVec([0], [1.0], 2))
+        assert row_dot(np.zeros(2), SparseVec([1], [7.0], 2)) == 0.0
 
     @settings(max_examples=200)
     @given(dense_with_sparse())
@@ -82,7 +82,7 @@ class TestDot:
         v, x = pair
         expected = brute_dot(v, x)
         magnitude = sum(abs(v[i] * c) for i, c in zip(x.indices, x.values))
-        assert abs(dot(v, x) - expected) <= 1e-12 * max(1.0, magnitude)
+        assert abs(row_dot(v, x) - expected) <= 1e-12 * max(1.0, magnitude)
 
 
 class TestMeanVector:
