@@ -3,8 +3,9 @@
  * decimal-to-double converter (number: Clinger's exact path and
  * Eisel-Lemire, strtod only where those cannot decide), the directory of a
  * model's support (sl_directory) through which sl_lookup finds feature
- * indices and sl_scores scores a dataset's rows under the model, and the
- * float formatter of data_io's writers (sl_format).
+ * indices and sl_scores scores a dataset's rows under the model, the rank
+ * bitmap that numbers a dense feature range for training (sl_number), and
+ * the float formatter of data_io's writers (sl_format).
  */
 #include <math.h>
 #include <stdint.h>
@@ -70,8 +71,9 @@ int64_t sl_draw(uint64_t seed, int64_t m, int64_t t) { return draw(seed, m, t); 
  * without centering, else the m row products q[i] = xbar . x_i, summed as
  * sparse_core.row_dots sums (solvers._train computes them once, before the
  * loop, so no step reads xbar).  idx holds each nonzero's feature as an
- * int32 position in the data's support (sl_lookup numbers them), whose size
- * sparse_core.MAX_SUPPORT bounds at 2^31 - 1.  Both loops make the same
+ * int32 position in the data's support (sl_number or sl_lookup numbers
+ * them, as sparse_core.number picks), whose size sparse_core.MAX_SUPPORT
+ * bounds at 2^31 - 1.  Both loops make the same
  * floating-point operations in the same order, dot products summed left to
  * right as sparse_core.row_dots sums them, so they write bit-identical
  * models; that needs -ffp-contract=off (no fused multiply-add).  st holds
@@ -377,7 +379,8 @@ int64_t sl_weights(const char *buf, int64_t pos, int64_t end, int64_t dim, int64
 
 /* A model's support feats[0, n), sorted, distinct and nonnegative, with the
  * directory that finds a feature index in it: how scoring finds a data
- * index's weight, and training a feature's number.  The directory cuts the
+ * index's weight, and training a feature's number where the feature range
+ * is sparse (sl_number numbers a dense one).  The directory cuts the
  * range of feats into nb <= n buckets of 2^shift keys each: dir[b], b =
  * 0..nb, is the first position whose feature >> shift is at least b, so a
  * key's bucket is feats[dir[b], dir[b + 1]), and a binary search there costs
@@ -444,6 +447,39 @@ void sl_lookup(const int64_t *feats, int64_t n, const int64_t *keys, int64_t m,
             __builtin_prefetch(&feats[dir[keys[i + AHEAD] >> shift]]);
         out[i] = (int32_t)position(feats, dir, n, last, shift, keys[i]);
     }
+}
+
+/* Training's numbering of a dense feature range, with no sort: the int32
+ * position of each of keys[0, m), all in [0, 64 nw), among the distinct keys
+ * in increasing order, into out, as sl_lookup finds it in the keys' sorted
+ * distinct values.  One pass sets each key's bit in words[0, nw), which the
+ * caller zeroes, and a count of the set bits gives n' before any int32 is
+ * written: where n' > limit (sparse_core.MAX_SUPPORT) it returns n' and
+ * writes nothing more.  Else ranks[w] gets the bits set before word w, as
+ * in Jacobson's rank directory, and each key's position is its word's rank
+ * plus the bits set below it in its word.  Returns n'.  The bitmap and the
+ * ranks take 12 bytes per 64 keys of the range: sparse_core.number takes
+ * this path only where the range is at most DENSE times the keys. */
+int64_t sl_number(const int64_t *keys, int64_t m, uint64_t *words, int64_t nw, int32_t *ranks,
+                  int64_t limit, int32_t *out)
+{
+    int64_t n = 0;
+    for (int64_t i = 0; i < m; i++)
+        words[keys[i] >> 6] |= (uint64_t)1 << (keys[i] & 63);
+    for (int64_t w = 0; w < nw; w++)
+        n += __builtin_popcountll(words[w]);
+    if (n > limit)
+        return n;
+    n = 0;
+    for (int64_t w = 0; w < nw; w++) {
+        ranks[w] = (int32_t)n;
+        n += __builtin_popcountll(words[w]);
+    }
+    for (int64_t i = 0; i < m; i++) {
+        uint64_t below = ((uint64_t)1 << (keys[i] & 63)) - 1;
+        out[i] = ranks[keys[i] >> 6] + __builtin_popcountll(words[keys[i] >> 6] & below);
+    }
+    return n;
 }
 
 /* w . x + b for each of the m CSR rows x into out, w being the weights

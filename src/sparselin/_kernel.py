@@ -6,9 +6,11 @@ the scanners of the LIBSVM and model-file readers (``sl_scan``,
 the directory of a model's support (``sl_directory``) through which
 ``sl_lookup`` finds feature indices and ``sl_scores`` scores a dataset's
 rows, where ``sparse_core.directory`` picks them (see ``losses.Scorer``),
-and the shortest round-trip float formatter of the model and prediction
-writers (``sl_format``; see ``data_io``), so training, ``predict`` and
-``eval`` load it; ``import sparselin`` does not.  The converter reads a
+the rank bitmap that numbers a dense feature range for training
+(``sl_number``, where ``sparse_core.number`` picks it), and the shortest
+round-trip float formatter of the model and prediction writers
+(``sl_format``; see ``data_io``), so training, ``predict`` and ``eval``
+load it; ``import sparselin`` does not.  The converter reads a
 table of 128-bit powers of five and the formatter one of 126-bit powers of
 ten; ``fives`` and ``tens`` define them, and a build compiles them into the
 library as a second C file (``compile_c``), so no caller ever handles them.
@@ -113,6 +115,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
             (lib.sl_weights, [text, i64, i64, i64, ints, reals, ints], i64),
             (lib.sl_directory, [ints, i64, positions], flag),
             (lib.sl_lookup, [ints, i64, ints, i64, positions, flag, positions], None),
+            (lib.sl_number, [ints, i64, _array(np.uint64), i64, positions, i64, positions], i64),
             (lib.sl_scores, [ints, reals, i64, dbl, ints, ints, reals, i64, positions, flag,
                              reals], None),
             (lib.sl_format, [reals, maybe_ints, i64, i64, _array(np.uint8), i64, ints], i64)):

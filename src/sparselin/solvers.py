@@ -19,11 +19,14 @@ row, so ``_train`` computes it once per row before the loop (``row_dots``,
 in the loop's order) and drops xbar: the loop reads q[i], and the
 recovery computes xbar again, the same bits, once u is the only sum left.
 
-The loop runs over the data's features only: ``_train`` finds the n'
-distinct feature indices the data uses (``sparse_core.support``), numbers
-them 0..n'-1 once (``sparse_core.lookup``), and trains on that compacted
-dataset, so v, u and xbar are n' long.  Through the loop it holds only
-the data, its int32 numbers (4 bytes per nonzero), v, u for averaging,
+The loop runs over the data's features only: ``_train`` numbers the n'
+distinct feature indices the data uses 0..n'-1 once (``sparse_core.number``)
+and trains on that compacted dataset, so v, u and xbar are n' long.  Where
+the kernel loads and ``dim`` is at most ``sparse_core.DENSE`` times the
+nonzeros, one compiled pass over a rank bitmap, freed before the loop,
+numbers them with no sort; elsewhere ``support`` sorts the indices and
+``lookup`` finds each among the features found.  Through the loop it holds
+only the data, its int32 numbers (4 bytes per nonzero), v, u for averaging,
 and for centering the m row products q: the sorted features are rebuilt
 from the numbers once the model is recovered, as the model's ``feats``.
 The allocation, the mean, the finalize and the model itself then cost
@@ -68,10 +71,9 @@ from .sparse_core import (
     TouchCounter,
     column_mean,
     finalize_combine,
-    lookup,
+    number,
     row_dots,
     squared_norm,
-    support,
 )
 
 _LOSSES = tuple(LossKind)  # the loop's loss codes are the positions here
@@ -150,9 +152,8 @@ def _train(data: Dataset, cfg: TrainConfig, counter: TouchCounter | None, averag
     from . import _kernel  # here, so that importing sparselin does not import it
 
     # the loop runs over the n' features the data uses, feature feats[j] as j
-    feats, dim = support(data.indices), data.dim
-    idx, n = lookup(feats, data.indices), feats.size
-    del feats
+    dim = data.dim
+    idx, n = number(data.indices, dim)
     theta, q = 0.0, None
     if center:  # xbar is held only for theta and each row's q = xbar . x
         xbar = column_mean(idx, data.values, data.m, n)

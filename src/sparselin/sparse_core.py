@@ -9,9 +9,12 @@ view of one row: a sorted index/value pair list of k nonzeros out of n
 dimensions.  Model-side accumulators are plain float64 numpy arrays
 (``DenseVec``) over a model's support, the n' features it uses, numbered by
 their position in a sorted index array.  ``support`` finds a dataset's
-features and ``lookup`` each index's position among them, which numbers a
-training set's features and finds a scored index's weight, by the rule
-stated once at ``directory``.  Nothing here counts its work: the solvers
+features and ``lookup`` each index's position among them, which finds a
+scored index's weight, by the rule stated once at ``directory``.
+``number`` numbers a training set's features on one of two paths: where
+the kernel loads and the range is dense (``dim`` at most ``DENSE`` times
+the nonzeros), one compiled pass over a rank bitmap, with no sort; else
+``support`` and ``lookup``.  Nothing here counts its work: the solvers
 charge a ``TouchCounter`` for it.
 
 Every sparse dot product, one row's (``losses.predict``) or a dataset's
@@ -46,6 +49,11 @@ MAX_DIM = np.iinfo(np.intp).max // 8
 # int32, as LIBLINEAR's feature numbers are C ints, in ``lookup``'s result,
 # a ``directory`` and the training loop's numbered indices.
 MAX_SUPPORT = 2**31 - 1
+# ``number`` takes the rank bitmap where dim <= DENSE * nnz: its dim bits and
+# an int32 rank per 64 of them, 3 dim / 16 bytes, then take at most 6 bytes per
+# nonzero, where ``support`` takes 9 (a sorted int64 copy and a byte mask)
+# before ``lookup``'s features and directory
+DENSE = 32
 
 BLOCK_ROWS = 1024  # rows per ``row_dots`` step: its temporaries hold one block's nonzeros
 BLOCK = 1 << 16  # items per step of the blocked passes, which bounds their temporaries
@@ -212,18 +220,26 @@ def support(indices: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
+def _refuse_oversize(n: int) -> None:
+    """Refuse a support of n features where int32 positions cannot number it."""
+    if n > MAX_SUPPORT:
+        raise SparselinError(f"{n} features exceed the {MAX_SUPPORT} "
+                             "that int32 positions can number")
+
+
 def directory(feats: np.ndarray) -> tuple | None:
     """The one check and choice of path behind every lookup in ``feats`` (sorted,
-    distinct and nonnegative).  A support of more than ``MAX_SUPPORT`` features
-    is refused, on either path: int32 positions cannot number it.  Then, where
-    the kernel loads, (library, directory, shift) as ``sl_directory`` builds
-    them, n' + 1 int32 positions that ``sl_lookup`` and ``sl_scores`` take for
-    any number of calls over ``feats``; else None (``search`` gives the same)."""
+    distinct and nonnegative): scoring's, and training's where ``number`` sorts,
+    over a range of more than ``DENSE`` times the nonzeros or with no kernel (a
+    denser range it numbers through a rank bitmap, refused alike).
+    A support of more than ``MAX_SUPPORT`` features is refused, on either path:
+    int32 positions cannot number it.  Then, where the kernel loads, (library,
+    directory, shift) as ``sl_directory`` builds them, n' + 1 int32 positions
+    that ``sl_lookup`` and ``sl_scores`` take for any number of calls over
+    ``feats``; else None (``search`` gives the same)."""
     from . import _kernel  # here, so that importing sparselin does not import it
 
-    if feats.size > MAX_SUPPORT:
-        raise SparselinError(f"{feats.size} features exceed the {MAX_SUPPORT} "
-                             "that int32 positions can number")
+    _refuse_oversize(feats.size)
     lib = _kernel.load()
     if lib is None:
         return None
@@ -236,7 +252,8 @@ def lookup(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
     ``feats.size`` for a key not there; O(n' + m log n') for m keys, on the path
     ``directory`` picks: ``sl_lookup`` (n' buckets, a binary search in one) or ``search``."""
     # before the directory, freed on return: the other order leaves a heap hole
-    # that v and u do not fit, and training peaks 0.5 MB higher on perfbench's `tall`
+    # that v and u do not fit, and training peaked 0.5 MB higher on perfbench's
+    # `tall` when it numbered through this path
     out = np.empty(keys.size, np.int32)
     found = directory(feats)
     if found is None:
@@ -245,6 +262,27 @@ def lookup(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:
     lib, room, shift = found
     lib.sl_lookup(feats, feats.size, keys, keys.size, room, shift, out)
     return out
+
+
+def number(indices: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
+    """The int32 position of each int64 index (in [0, dim)) among the n' sorted
+    distinct ``indices``, and n': ``lookup(support(indices), indices)``, refused
+    as ``directory`` refuses an oversize support.  Where the kernel loads and
+    dim <= DENSE * indices.size, ``sl_number`` numbers them in one pass over a
+    rank bitmap of dim bits, freed on return, with no sort: O(m k) for m k
+    indices.  Elsewhere ``support`` and ``lookup``: O(m k log(m k))."""
+    from . import _kernel  # here, so that importing sparselin does not import it
+
+    lib = _kernel.load() if dim <= DENSE * indices.size else None
+    if lib is None:
+        feats = support(indices)
+        return lookup(feats, indices), feats.size
+    out = np.empty(indices.size, np.int32)  # before the bitmap, as in ``lookup``
+    words = np.zeros(-(-dim // 64), np.uint64)
+    n = lib.sl_number(indices, indices.size, words, words.size, np.empty(words.size, np.int32),
+                      MAX_SUPPORT, out)
+    _refuse_oversize(n)
+    return out, n
 
 
 def search(feats: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -357,3 +357,26 @@ def test_sanitized_build(tmp_path):
         assert run.stdout.splitlines() == [
             " ".join(f"{w:x}" for w in np.asarray(a).view(np.uint64).tolist()) for a in words]
         assert bool(bad) == (lam < 1e-200)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_sanitized_numbering(tmp_path):
+    # sl_number over arrays of exactly their size: no keys, dim 1, the last
+    # bit of a word (key dim - 1 at dim 64 and 128), every key equal, random
+    # keys, and a count over the limit, which writes no position
+    exe = sanitized(tmp_path, "number_driver.c")
+    env = dict(os.environ, ASAN_OPTIONS="detect_leaks=0")
+    rng = np.random.default_rng(32)
+    for dim, keys, limit in [(1, [], 5), (0, [], 5), (1, [0], 5), (64, [63, 0, 63], 5),
+                             (128, [127, 64, 63, 127], 5), (65, [64] * 9, 5), (300, [7] * 40, 5),
+                             (1000, rng.integers(0, 1000, 3000).tolist(), 2**31 - 1),
+                             (128, [1, 2, 127], 2)]:
+        feats = np.unique(np.array(keys, np.int64))
+        want = search(feats, np.array(keys, np.int64)).tolist()
+        if feats.size > limit:
+            want = [-1] * len(keys)
+        text = " ".join(map(str, [dim, len(keys), *keys]))
+        run = subprocess.run([str(exe), str(limit)], input=text, capture_output=True, text=True,
+                             env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == [str(feats.size)] + [str(p) for p in want]

@@ -42,9 +42,9 @@ from sparselin import (
     draw_indices,
     sgd_train,
 )
-from sparselin import _kernel, data_io, solvers
+from sparselin import _kernel, data_io, solvers, sparse_core
 from sparselin.losses import scores
-from sparselin.solvers import ALGOS, MAX_STEPS, _python_steps, _rows
+from sparselin.solvers import ALGOS, MAX_STEPS, _python_steps, _rows, fit
 from sparselin.sparse_core import BLOCK, finalize_combine
 
 TRAINERS = [sgd_train, asgd_train, casgd_train]
@@ -270,6 +270,28 @@ def test_unused_dimensions_change_nothing(train, path):
     assert np.setdiff1d(np.arange(n), data.indices).size > 0  # unused ones below n too
     assert np.array_equal(wide.feats, narrow.feats)
     assert bits(wide.weights, np.array([wide.b])) == bits(narrow.weights, np.array([narrow.b]))
+
+
+@pytest.mark.parametrize("algo", sorted(ALGOS))
+def test_a_dense_range_writes_the_same_model_on_both_paths(algo, tmp_path):
+    # compiled, a dim of at most DENSE times the nonzeros is numbered through
+    # the rank bitmap; the fallback sorts: the model files are the same bytes
+    rng = np.random.default_rng(32)
+    m, dim = 300, 1000
+    ks = rng.integers(0, 9, size=m)
+    ks[::7] = 0  # empty rows
+    rows = [np.sort(rng.choice(dim, k, replace=False)) for k in ks]
+    rows[1] = np.array([0, dim - 1])  # the first and last bit of the range
+    data = Dataset(np.cumsum([0] + [r.size for r in rows]), np.concatenate(rows),
+                   rng.normal(size=sum(r.size for r in rows)), rng.choice([-1.0, 1.0], m), dim)
+    assert dim <= sparse_core.DENSE * data.indices.size
+    cfg = TrainConfig(steps=2000, lam=1e-3, seed=5, loss=LossKind.HINGE)
+    files = []
+    for run in (fit, lambda *a: on_fallback(fit, *a)):
+        files.append(tmp_path / f"{len(files)}.model")
+        data_io.save_model(run(algo, data, cfg), str(files[-1]))
+    assert files[0].read_bytes() == files[1].read_bytes()
+    assert files[0].read_text().count("\n") > 500
 
 
 def test_cold_cache_build_then_reuse(tmp_path, monkeypatch):

@@ -12,7 +12,9 @@ do holds no dataset, so its peak does not grow with the nonzeros per row.
 Through its loop, training holds 4 bytes per nonzero and its sums of n'
 floats, where ``asgd`` and ``casgd`` peak (``casgd`` adds m row products,
 not a third n'-vector), and it draws each step's row inside the loop, so
-its peak does not grow with the number of steps.
+its peak does not grow with the number of steps.  Numbering a dense
+feature range takes a rank bitmap, freed before the loop, where a sorted
+copy of the indices would set training's peak.
 ``mean_vector`` allocates its ``dim`` floats and little more.
 """
 
@@ -155,6 +157,25 @@ def test_training_holds_four_bytes_per_nonzero_and_its_sums(files, train, sums):
     cfg = TrainConfig(steps=1_000, lam=1e-3, seed=3, loss=LossKind.HINGE)
     model, peak = traced_peak(train, data, cfg)
     assert model.feats.size == n > 900_000
+    assert peak <= 4 * data.indices.size + sums * 8 * n + SLACK
+
+
+@pytest.mark.parametrize("train, sums", [(sgd_train, 1), (asgd_train, 2), (casgd_train, 3)])
+def test_numbering_a_dense_range_holds_no_sorted_copy(train, sums):
+    # M rows of K distinct features over a range of 10^4, all used: there the
+    # rank bitmap numbers the features in 3 dim / 16 bytes, freed before the
+    # loop, and training peaks as its loop does, where a sorted int64 copy of
+    # the indices and a byte mask, 9 bytes per nonzero, would set the peak
+    rng = np.random.default_rng(63)
+    dim = 10_000
+    span = dim // K  # feature j of a row lies in [j span, (j + 1) span)
+    indices = (span * np.arange(K) + rng.integers(0, span, size=(M, K))).ravel()
+    data = Dataset(np.arange(0, M * K + 1, K), indices, rng.integers(1, 8, M * K) / 8,
+                   rng.choice([-1.0, 1.0], M), dim)
+    cfg = TrainConfig(steps=10_000, lam=1e-3, seed=3, loss=LossKind.HINGE)
+    model, peak = traced_peak(train, data, cfg)
+    n = model.feats.size
+    assert n == dim
     assert peak <= 4 * data.indices.size + sums * 8 * n + SLACK
 
 

@@ -12,7 +12,7 @@ from sparselin import (
     SparseVec,
     mean_vector,
 )
-from sparselin import sparse_core
+from sparselin import _kernel, sparse_core
 from sparselin.sparse_core import BLOCK, check_csr, finalize_combine, row_dots, squared_norm
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -214,3 +214,77 @@ class TestFinalizeCombine:
         for coeffs in ([], [(1.0, np.zeros(4)), (1.0, read_only)]):
             with pytest.raises(ValueError):
                 finalize_combine(coeffs)
+
+
+def flat(rows):
+    """The indices of the given rows of rising feature indices, as CSR holds them."""
+    return np.array(sum(rows, []), np.int64)
+
+
+def random_indices(rng, m, dim, k_max):
+    """The indices of m rows of up to k_max distinct features in [0, dim), a
+    third of the rows empty."""
+    ks = rng.integers(0, k_max + 1, size=m)
+    ks[::3] = 0
+    return flat([sorted(rng.choice(dim, k, replace=False).tolist()) for k in ks])
+
+
+class TestNumber:
+    """Training's numbering equals ``support`` + ``lookup`` on both of its paths:
+    the rank bitmap where dim <= DENSE * nnz and the kernel loads, the sort else."""
+
+    @staticmethod
+    def numbered(indices, dim, kernel=True):
+        """``number``'s result, and whether it sorted (called ``support``)."""
+        sorted_ = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = sparse_core.support
+            mp.setattr(sparse_core, "support", lambda a: sorted_.append(1) or real(a))
+            if not kernel:
+                mp.setattr(_kernel, "load", lambda: None)
+            idx, n = sparse_core.number(indices, dim)
+        return idx, n, bool(sorted_)
+
+    @classmethod
+    def assert_agrees(cls, indices, dim, sorts):
+        feats = sparse_core.support(indices)
+        want = sparse_core.lookup(feats, indices)
+        for kernel in (True, False):
+            idx, n, sorted_ = cls.numbered(indices, dim, kernel)
+            assert sorted_ == (sorts or not kernel)
+            assert idx.dtype == np.int32 and idx.tolist() == want.tolist()
+            assert n == feats.size
+            rebuilt = np.empty(n, np.int64)
+            rebuilt[idx] = indices  # as _train rebuilds the model's features
+            assert rebuilt.tolist() == feats.tolist()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [100, 3000, 10**6])  # 10^6 sorts: about 4,000 nonzeros
+    def test_random_csr(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        indices = random_indices(rng, int(rng.integers(300, 400)), dim, 30)
+        self.assert_agrees(indices, dim, dim > sparse_core.DENSE * indices.size)
+
+    @pytest.mark.parametrize("dim", [63, 64, 65, 128])
+    def test_first_and_last_bit_of_a_word(self, dim):
+        # index 0, and dim - 1 (bit 63 of the last word at dim 64 and 128), with empty rows
+        indices = flat([[0, dim - 1], [], [dim - 1], [], [0, 5, dim - 1]])
+        self.assert_agrees(indices, dim, False)
+
+    def test_one_repeated_feature(self):
+        self.assert_agrees(np.full(40, 7, np.int64), 100, False)
+        self.assert_agrees(np.zeros(1, np.int64), 1, False)
+
+    def test_the_rule_at_its_bound(self):
+        # dim at DENSE * nnz takes the bitmap, one more the sort
+        rng = np.random.default_rng(9)
+        indices = random_indices(rng, 30, 90, 6)
+        dim = sparse_core.DENSE * indices.size
+        indices[-1] = dim - 1
+        for d, sorts in ((dim, False), (dim + 1, True)):
+            self.assert_agrees(indices, d, sorts)
+
+    def test_no_nonzeros(self):
+        for dim in (0, 1):
+            idx, n, _ = self.numbered(np.zeros(0, np.int64), dim)
+            assert idx.dtype == np.int32 and idx.size == n == 0
